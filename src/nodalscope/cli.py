@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -50,17 +49,7 @@ def _config_payload(args, fields) -> dict:
     payload = {"schema_version": SCHEMA_VERSION}
     for name in fields:
         payload[name] = getattr(args, name, None)
-    payload["threads"] = _thread_count(args)
     return payload
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("NODALSCOPE_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _out_path(args, name: str) -> Path:
@@ -208,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates for exact toral eigenfunctions",
     )
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: NODALSCOPE_THREADS or "
-                             "available parallelism; reductions are "
-                             "order-independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random eigenfunction spec")

@@ -1,12 +1,18 @@
 """Nodal sets of 2-D eigenfunctions: extraction, length, singular points.
 
-The zero set is traced by marching squares on the exact node samples, with
-linear interpolation on sign-change edges, periodic stitching across the
-torus seam (wrapped neighbor columns/rows, no clipping), and saddle cells
-resolved by the exact sign of psi at the cell center. Singular points
-(psi = |grad psi| = 0) are found by Newton iteration on grad psi from
-flagged cells; the order of vanishing is read off the log-log slope of
-sup-on-ball against the ball radius.
+The zero set is traced by marching squares on the exact node samples, as
+array operations: a (pattern, center sign) table gives each crossing cell's
+edge pairs, saddle cells are resolved by the exact sign of psi at their
+centers (one batched evaluation), and crossing points are linear
+interpolants on the sign-change edges. Segments are stitched into closed
+polylines across the torus seam through integer grid-edge ids: every
+sign-change edge is shared by exactly two segment endpoints.
+
+Singular points (psi = |grad psi| = 0) are found by batched Newton on
+grad psi from the cells where psi changes sign and both gradient
+components change sign nearby; a result counts when its residual
+max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is read
+off the log-log slope of sup-on-ball against the ball radius.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import AmbiguousOrderError, ResolutionError, ScaleRangeError
 from .fields import nyquist_resolution
@@ -48,11 +55,12 @@ logger = logging.getLogger(__name__)
 NUDGE = 1e-12
 RESIDUAL_TOL = 1e-8
 
-# Segment table indexed by the 4-bit positivity pattern of corners
-# c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1); edges e0=c0c1, e1=c1c2,
-# e2=c3c2, e3=c0c3. Saddle patterns 5 and 10 are resolved at runtime.
+# Corners c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1) give the 4-bit
+# positivity pattern of a cell; its edges are e0=c0c1, e1=c1c2, e2=c3c2,
+# e3=c0c3. Each pattern lists the edge pairs its segments join, in segment
+# order, for a non-positive and for a positive psi at the cell center; only
+# the saddle patterns 5 and 10 depend on that sign.
 _SEGMENTS = {
-    0: [], 15: [],
     1: [(0, 3)], 14: [(0, 3)],
     2: [(0, 1)], 13: [(0, 1)],
     3: [(1, 3)], 12: [(1, 3)],
@@ -60,6 +68,29 @@ _SEGMENTS = {
     6: [(0, 2)], 9: [(0, 2)],
     7: [(2, 3)], 8: [(2, 3)],
 }
+_SADDLES = {
+    5: ([(0, 3), (1, 2)], [(0, 1), (2, 3)]),
+    10: ([(0, 1), (2, 3)], [(0, 3), (1, 2)]),
+}
+# local edge e -> (di, dj, axis): e runs from node (i+di, j+dj) one step
+# along the axis
+_EDGE_BASE = np.array([(0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)])
+
+
+def _pair_table() -> tuple[np.ndarray, np.ndarray]:
+    """(pattern, center_positive, slot) -> edge pair, and pairs per pattern."""
+    table = np.zeros((16, 2, 2, 2), dtype=np.intp)
+    count = np.zeros(16, dtype=np.intp)
+    for pat, pairs in _SEGMENTS.items():
+        table[pat, :, 0] = pairs[0]
+        count[pat] = 1
+    for pat, by_sign in _SADDLES.items():
+        table[pat] = by_sign
+        count[pat] = 2
+    return table, count
+
+
+_PAIRS, _N_PAIRS = _pair_table()
 
 
 @dataclass
@@ -78,26 +109,20 @@ class SingularPoint:
     residual: float
 
 
-def _edge_point(edge, i, j, vals, h, N):
-    i1 = (i + 1) % N
-    j1 = (j + 1) % N
-    v0, v1 = vals[i, j], vals[i1, j]
-    v2, v3 = vals[i1, j1], vals[i, j1]
-    if edge == 0:
-        t = v0 / (v0 - v1)
-        return ((i + t) * h, j * h)
-    if edge == 1:
-        t = v1 / (v1 - v2)
-        return ((i + 1) * h, (j + t) * h)
-    if edge == 2:
-        t = v3 / (v3 - v2)
-        return ((i + t) * h, (j + 1) * h)
-    t = v0 / (v0 - v3)
-    return (i * h, (j + t) * h)
+def _cell_patterns(vals: np.ndarray) -> np.ndarray:
+    """4-bit positivity pattern of the corners c0..c3 of every cell (i, j)."""
+    pos = (vals > 0.0).astype(np.uint8)
+    p1 = np.roll(pos, -1, axis=0)
+    return pos + 2 * p1 + 4 * np.roll(p1, -1, axis=1) \
+        + 8 * np.roll(pos, -1, axis=1)
 
 
 def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
-    """Marching-squares contour of {psi = 0} with torus-periodic stitching."""
+    """Marching-squares contour of {psi = 0} with torus-periodic stitching.
+
+    Segments come in row-major cell order, then pair order within a cell;
+    crossing points are linear interpolants on the sign-change edges.
+    """
     if spec.model.dim != 2:
         raise ValueError("nodal extraction is 2-D only")
     required = 4 * nyquist_resolution(spec.m)
@@ -110,43 +135,36 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
                     NUDGE)
         vals = np.where(vals == 0.0, NUDGE, vals)
     h = 1.0 / N
-    pos = vals > 0.0
-    p0 = pos
-    p1 = np.roll(pos, -1, axis=0)
-    p2 = np.roll(np.roll(pos, -1, axis=0), -1, axis=1)
-    p3 = np.roll(pos, -1, axis=1)
-    pattern = (
-        p0.astype(np.uint8)
-        + 2 * p1.astype(np.uint8)
-        + 4 * p2.astype(np.uint8)
-        + 8 * p3.astype(np.uint8)
-    )
-    ii, jj = np.nonzero((pattern != 0) & (pattern != 15))
+    pattern = _cell_patterns(vals)
+    ii, jj = np.nonzero(_N_PAIRS[pattern])
     pats = pattern[ii, jj]
 
-    segments = []
-    for i, j, pat in zip(ii.tolist(), jj.tolist(), pats.tolist()):
-        if pat in (5, 10):
-            center = evaluate(
-                spec, np.array([(i + 0.5) * h, (j + 0.5) * h])
-            )
-            center_positive = center > 0.0
-            if pat == 5:
-                pairs = [(0, 1), (2, 3)] if center_positive else \
-                    [(0, 3), (1, 2)]
-            else:
-                pairs = [(0, 3), (1, 2)] if center_positive else \
-                    [(0, 1), (2, 3)]
-        else:
-            pairs = _SEGMENTS[pat]
-        for ea, eb in pairs:
-            pa = _edge_point(ea, i, j, vals, h, N)
-            pb = _edge_point(eb, i, j, vals, h, N)
-            segments.append((pa[0], pa[1], pb[0], pb[1]))
+    center_pos = np.zeros(len(ii), dtype=np.intp)
+    saddle = np.flatnonzero(_N_PAIRS[pats] == 2)
+    centers = np.stack([(ii[saddle] + 0.5) * h, (jj[saddle] + 0.5) * h],
+                       axis=-1)
+    center_pos[saddle] = evaluate(spec, centers) > 0.0
 
-    seg_arr = np.array(segments) if segments else np.zeros((0, 4))
+    # one row per segment, in cell order then pair order
+    n_pairs = _N_PAIRS[pats]
+    cell = np.repeat(np.arange(len(ii)), n_pairs)
+    slot = np.zeros(len(cell), dtype=np.intp)
+    slot[1:] = cell[1:] == cell[:-1]
+    edges = _PAIRS[pats[cell], center_pos[cell], slot]  # (S, 2) local edges
+    base = _EDGE_BASE[edges]                            # (S, 2, 3)
+    i0 = ii[cell, None] + base[..., 0]
+    j0 = jj[cell, None] + base[..., 1]
+    axis = base[..., 2]
+    iw, jw = i0 % N, j0 % N
+    v0 = vals[iw, jw]
+    v1 = vals[(iw + 1 - axis) % N, (jw + axis) % N]
+    t = v0 / (v0 - v1)
+    x = np.where(axis == 0, (i0 + t) * h, i0 * h)
+    y = np.where(axis == 1, (j0 + t) * h, j0 * h)
+    seg_arr = np.stack([x, y], axis=-1).reshape(-1, 4)
+    edge_ids = 2 * (iw * N + jw) + axis
     length = _segments_length(seg_arr)
-    polylines = _stitch(seg_arr)
+    polylines = _stitch(seg_arr, edge_ids.ravel())
     return NodalSet(polylines=polylines, resolution=N, length=length,
                     segments=seg_arr)
 
@@ -158,47 +176,37 @@ def _segments_length(segments: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(d, axis=-1)))
 
 
-def _stitch(segments: np.ndarray) -> list:
-    """Join segments into vertex chains by matching wrapped endpoints."""
-    if len(segments) == 0:
-        return []
-    quant = 1e-12
+def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
+    """Join segments into closed vertex chains through shared grid edges.
 
-    def key(pt):
-        w = np.mod(pt, 1.0)
-        return (int(round(w[0] / quant)) % int(1 / quant),
-                int(round(w[1] / quant)) % int(1 / quant))
-
-    ends = {}
-    for idx in range(len(segments)):
-        for side in (0, 1):
-            pt = segments[idx, 2 * side:2 * side + 2]
-            ends.setdefault(key(pt), []).append((idx, side))
-
-    used = np.zeros(len(segments), dtype=bool)
+    Endpoint p = 2 s + side of segment s lies on grid edge edge_ids[p]. Every
+    sign-change edge borders two cells and carries one endpoint from each,
+    so sorting the ids pairs each endpoint with its partner, and a chain
+    walks segment to segment by integers alone. Chains start at the lowest
+    unused segment and run from its first endpoint through its second.
+    """
+    order = np.argsort(edge_ids, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]] = order[1::2]
+    partner[order[1::2]] = order[0::2]
+    partner = partner.tolist()
+    points = np.mod(segments.reshape(-1, 2), 1.0)
+    used = bytearray(len(segments))
     chains = []
     for start in range(len(segments)):
         if used[start]:
             continue
-        used[start] = True
-        chain = [segments[start, 0:2].copy(), segments[start, 2:4].copy()]
-        for direction in (1, 0):
-            while True:
-                tip = chain[-1] if direction == 1 else chain[0]
-                candidates = [
-                    (idx, side) for idx, side in ends.get(key(tip), [])
-                    if not used[idx]
-                ]
-                if not candidates:
-                    break
-                idx, side = candidates[0]
-                used[idx] = True
-                nxt = segments[idx, 2 * (1 - side):2 * (1 - side) + 2].copy()
-                if direction == 1:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-        chains.append(np.mod(np.array(chain), 1.0))
+        used[start] = 1
+        path = [2 * start]
+        tip = 2 * start + 1
+        while True:
+            path.append(tip)
+            nxt = partner[tip]
+            if used[nxt >> 1]:
+                break
+            used[nxt >> 1] = 1
+            tip = nxt ^ 1
+        chains.append(points[path])
     return chains
 
 
@@ -271,13 +279,59 @@ def vanishing_order(spec: EigenfunctionSpec, x,
     return order
 
 
+def _newton_singular(spec: EigenfunctionSpec, x: np.ndarray,
+                     max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Newton on grad psi from the rows of x (P, 2).
+
+    Closed-form gradients and 2x2 Hessians of the active points, with an
+    explicit 2x2 solve. A point leaves the active set when its step drops
+    below 1e-13 or its Hessian is singular. Every point is then judged by
+    its residual max(|psi|, |grad psi|), returned with the locations: near
+    a zero of order >= 3 the Hessian vanishes and Newton converges only
+    linearly, so a step test alone would drop such zeros.
+    """
+    x = wrap_point(x)
+    active = np.arange(len(x))
+    for _ in range(max_iter):
+        if not len(active):
+            break
+        g = evaluate_gradient(spec, x[active])
+        hess = evaluate_hessian(spec, x[active])
+        hxx, hxy, hyy = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        det = hxx * hyy - hxy * hxy
+        ok = det != 0.0
+        step = np.stack([hxy * g[:, 1] - hyy * g[:, 0],
+                         hxy * g[:, 0] - hxx * g[:, 1]], axis=-1)[ok]
+        step /= det[ok, None]
+        moved = active[ok]
+        x[moved] = wrap_point(x[moved] + step)
+        active = moved[np.linalg.norm(step, axis=-1) >= 1e-13]
+    resid = np.maximum(np.abs(evaluate(spec, x)),
+                       np.linalg.norm(evaluate_gradient(spec, x), axis=-1))
+    return x, resid
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """OR of a node mask over the 4x4 nodes (i-1..i+2, j-1..j+2) of cell
+    (i, j): the corners of its 3x3 cell neighbourhood, periodically."""
+    for axis in (0, 1):
+        mask = mask | np.roll(mask, 1, axis) | np.roll(mask, -1, axis) \
+            | np.roll(mask, -2, axis)
+    return mask
+
+
 def find_singular_points(spec: EigenfunctionSpec, N: int,
                          with_orders: bool = True) -> list[SingularPoint]:
-    """Common zeros of psi and grad psi by Newton iteration on grad psi.
+    """Common zeros of psi and grad psi by batched Newton on grad psi.
 
-    Candidates are sign-change cells whose corner gradient norms drop below
-    theta = 4 pi sqrt(n m) h; Newton runs from cell centers and accepted
-    points have |psi| and |grad psi| below 1e-8, deduplicated within h.
+    A cell is a candidate when psi changes sign on its corners and both
+    d_x psi and d_y psi change sign on the nodes of its 3x3 cell
+    neighbourhood: a singular point is a crossing of the two gradient
+    component zero sets, wherever it sits in the cell. Newton runs from
+    all candidate cell centers at once; a result is accepted when
+    max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
+    and points within h of an earlier accepted one are merged by a
+    periodic k-d tree. Points are returned sorted by location.
     """
     if spec.model.dim != 2:
         raise ValueError("singular-point search is 2-D only")
@@ -285,57 +339,33 @@ def find_singular_points(spec: EigenfunctionSpec, N: int,
     if N < required:
         raise ResolutionError(N, required)
     h = 1.0 / N
-    n = spec.model.dim
     vals = evaluate_grid(spec, N)
     vals = np.where(vals == 0.0, NUDGE, vals)
     grad = evaluate_gradient_grid(spec, N)
-    grad_norm = np.linalg.norm(grad, axis=-1)
-    theta = 4.0 * math.pi * math.sqrt(n * spec.m) * h
-
-    pos = vals > 0.0
-    same_sign = pos.copy()
-    for shift in [(-1, 0), (0, -1), (-1, -1)]:
-        same_sign = same_sign & np.roll(pos, shift, axis=(0, 1))
-    neg = ~pos
-    all_neg = neg
-    for shift in [(-1, 0), (0, -1), (-1, -1)]:
-        all_neg = all_neg & np.roll(neg, shift, axis=(0, 1))
-    sign_change = ~(same_sign | all_neg)
-
-    gmin = grad_norm
-    for shift in [(-1, 0), (0, -1), (-1, -1)]:
-        gmin = np.minimum(gmin, np.roll(grad_norm, shift, axis=(0, 1)))
-    candidates = np.argwhere(sign_change & (gmin < theta))
-
-    found = []
-    for i, j in candidates:
-        x = np.array([(i + 0.5) * h, (j + 0.5) * h])
-        ok = False
-        for _ in range(50):
-            g = evaluate_gradient(spec, x)
-            hess = evaluate_hessian(spec, x)
-            try:
-                step = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                break
-            x = wrap_point(x + step)
-            if np.linalg.norm(step) < 1e-13:
-                ok = True
-                break
-        if not ok:
-            logger.info("Newton did not converge from cell (%d, %d)", i, j)
-            continue
-        resid = max(abs(evaluate(spec, x)),
-                    float(np.linalg.norm(evaluate_gradient(spec, x))))
-        if resid >= RESIDUAL_TOL:
-            continue
-        if any(
-            np.linalg.norm(min_image(x - p.location)) < h for p in found
-        ):
-            continue
-        order = vanishing_order(spec, x) if with_orders else 2
-        found.append(SingularPoint(location=x, vanishing_order=order,
-                                   residual=resid))
+    gate = _N_PAIRS[_cell_patterns(vals)] > 0
+    for d in range(2):
+        gate &= _dilate(grad[..., d] > 0.0) & _dilate(grad[..., d] < 0.0)
+    candidates = np.argwhere(gate)
+    x, resid = _newton_singular(spec, (candidates + 0.5) * h)
+    hit = resid < RESIDUAL_TOL
+    if not np.all(hit):
+        logger.info("Newton did not reach a singular point from %d of %d "
+                    "cells", int(np.count_nonzero(~hit)), len(candidates))
+    x, resid = x[hit], resid[hit]
+    keep = np.ones(len(x), dtype=bool)
+    if len(x) > 1:
+        inside = np.where(x < 1.0, x, 0.0)  # np.mod may round up to 1.0
+        tree = cKDTree(inside, boxsize=1.0)
+        for a, b in sorted(tree.query_pairs(h)):
+            if keep[a]:
+                keep[b] = False
+    found = [
+        SingularPoint(location=loc,
+                      vanishing_order=vanishing_order(spec, loc)
+                      if with_orders else 2,
+                      residual=float(r))
+        for loc, r in zip(x[keep], resid[keep])
+    ]
     found.sort(key=lambda p: (p.location[0], p.location[1]))
     return found
 

@@ -164,42 +164,57 @@ def evaluate_gradient(spec: EigenfunctionSpec, x) -> np.ndarray:
 
 
 def evaluate_hessian(spec: EigenfunctionSpec, x) -> np.ndarray:
-    """Hessian of psi at a single point (n, n)."""
+    """Hessian of psi: (n, n) at a point, (..., n, n) for a batch (..., n)."""
     x = np.asarray(x, dtype=float)
-    ph = _phases(spec, x[None, :])[0]
+    ph = _phases(spec, x)
     kf = spec.k.astype(float)
-    w = -(np.cos(ph) * spec.a + np.sin(ph) * spec.b)  # (M,)
-    return TWO_PI**2 * (kf.T * w) @ kf
+    w = -(np.cos(ph) * spec.a + np.sin(ph) * spec.b)  # (..., M)
+    kk = (kf[:, :, None] * kf[:, None, :]).reshape(len(kf), -1)
+    return (TWO_PI**2 * (w @ kk)).reshape(x.shape + x.shape[-1:])
+
+
+def _grid_sum(spec: EigenfunctionSpec, N: int, c: np.ndarray) -> np.ndarray:
+    """Re sum_j c[j, q] exp(2 pi i k_j . x) at the N^n nodes x = i/N.
+
+    psi itself is c = a - ib, since a cos(theta) + b sin(theta) =
+    Re[(a - ib) exp(i theta)]. One GEMM over the modes: per-axis phase
+    tables T_d[j, i] = exp(2 pi i k_jd i/N), the phase reduced exactly
+    mod N so that the table at i/N equals the one at 2i/2N; axes 1..n-1
+    folded into one column axis by their row-wise (Khatri-Rao) product, with
+    c folded into that side; then Re(T_0^T @ R) as one real product of the
+    stacked real and imaginary parts. Nested grids stay bit-identical,
+    since every node sums the same 2M products in the same order. Returns
+    shape (N,)*n + (Q,).
+    """
+    n = spec.model.dim
+    nodes = np.arange(N)
+    unit = np.exp((1j * TWO_PI / N) * nodes)
+    tabs = [unit[(spec.k[:, d, None] * nodes) % N] for d in range(n)]
+    right = tabs[1]
+    for tab in tabs[2:]:
+        right = (right[:, :, None] * tab[:, None, :]).reshape(len(c), -1)
+    right = (right[:, :, None] * c[:, None, :]).reshape(len(c), -1)
+    left = np.hstack([tabs[0].T.real, -tabs[0].T.imag])
+    out = left @ np.vstack([right.real, right.imag])
+    return out.reshape((N,) * n + (c.shape[1],))
 
 
 def evaluate_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:
-    """psi on the uniform N^n grid of nodes i/N, via per-axis outer phases."""
-    n = spec.model.dim
-    t = TWO_PI * (np.arange(N) / N)
-    out = np.zeros((N,) * n)
-    for j in range(spec.n_modes):
-        k = spec.k[j]
-        ph = t * k[0]
-        for d in range(1, n):
-            ph = ph.reshape(ph.shape + (1,)) + t * k[d]
-        out += spec.a[j] * np.cos(ph) + spec.b[j] * np.sin(ph)
-    return out
+    """psi on the uniform N^n grid of nodes i/N, as one mode-sum GEMM.
+
+    The nodes of grid N are bit-identical to the even nodes of grid 2N.
+    """
+    return _grid_sum(spec, N, (spec.a - 1j * spec.b)[:, None])[..., 0]
 
 
 def evaluate_gradient_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:
-    """grad psi on the N^n grid; returns array (N, ..., N, n)."""
-    n = spec.model.dim
-    t = TWO_PI * (np.arange(N) / N)
-    out = np.zeros((N,) * n + (n,))
-    for j in range(spec.n_modes):
-        k = spec.k[j]
-        ph = t * k[0]
-        for d in range(1, n):
-            ph = ph.reshape(ph.shape + (1,)) + t * k[d]
-        w = TWO_PI * (-spec.a[j] * np.sin(ph) + spec.b[j] * np.cos(ph))
-        for d in range(n):
-            out[..., d] += k[d] * w
-    return out
+    """grad psi on the N^n grid; returns array (N, ..., N, n).
+
+    The same GEMM as evaluate_grid with c = a - ib multiplied by 2 pi i k_d,
+    one column block per axis d.
+    """
+    c = (spec.a - 1j * spec.b)[:, None]
+    return _grid_sum(spec, N, (1j * TWO_PI) * spec.k * c)
 
 
 def laplacian_residual(spec: EigenfunctionSpec, x, h: float) -> float:

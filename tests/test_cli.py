@@ -104,3 +104,17 @@ def test_report_family(tmp_path):
     assert rep["schema_version"] == 1
     assert rep["meta"]["m"] == 325
     assert rep["constants"]["c3"]["provenance"] == "calibrated at m=100"
+
+
+def test_config_hash_independent_of_environment(tmp_path, monkeypatch, sin1):
+    sin_path = tmp_path / "sin.json"
+    sin_path.write_text(spec_to_json(sin1))
+    hashes = []
+    for threads in ("1", "8"):
+        monkeypatch.setenv("NODALSCOPE_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert run(["--out", str(out), "certify", "--spec", str(sin_path),
+                    "--r", "0.25"]) == 1
+        cert = json.loads((out / "certificate_m1_r0.25.json").read_text())
+        hashes.append(cert["config_hash"])
+    assert hashes[0] == hashes[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nodalscope.errors import ResolutionError, ScaleRangeError
-from nodalscope.geometry import generate_cover, min_image
+from nodalscope.geometry import TorusModel, generate_cover, min_image
 from nodalscope.nodal import (
     NodalSet,
     count_singular_in_balls,
@@ -15,6 +15,32 @@ from nodalscope.nodal import (
     vanishing_order,
     write_segments_csv,
 )
+from nodalscope.spectrum import (
+    enumerate_lattice,
+    evaluate_grid,
+    mode_spec,
+    random_eigenfunction,
+    translate,
+)
+
+
+def _translated_product(k, l, tau):
+    """2 sin(2 pi k x) sin(2 pi l y) moved by tau."""
+    base = mode_spec([((k, -l), 1.0, 0.0), ((k, l), -1.0, 0.0)],
+                     TorusModel(2))
+    return translate(base, tau)
+
+
+def _odd_m25():
+    """Sine-only m = 25 mode with sum_j b_j k_j = 0: psi is odd with zero
+    gradient at the origin, and psi(x + (1/2, 1/2)) = -psi(x) since every k
+    has k1 + k2 odd, so (0, 0) and (1/2, 1/2) are zeros of order 3."""
+    k = np.array(enumerate_lattice(25, 2), dtype=float)
+    b = np.random.default_rng(0).standard_normal(len(k))
+    b -= k @ np.linalg.solve(k.T @ k, k.T @ b)
+    b /= math.sqrt(0.5 * float(b @ b))
+    return mode_spec([(tuple(int(c) for c in kk), 0.0, float(bb))
+                      for kk, bb in zip(k, b)], TorusModel(2))
 
 
 def test_single_mode_two_circles(sin1):
@@ -138,3 +164,49 @@ def test_segments_csv_and_json(tmp_path, product_spec):
     pts = find_singular_points(product_spec, 512)
     payload = singular_points_json(pts)
     assert '"vanishing_order": 2' in payload
+
+
+@pytest.mark.parametrize("spec_id", ["wave1105", "product34"])
+def test_extraction_structure(spec_id):
+    # one segment per sign-change grid edge (nudged nodes count as
+    # positive), each segment in exactly one polyline, every polyline closed
+    if spec_id == "wave1105":
+        spec = random_eigenfunction(1105, TorusModel(2), 5)
+    else:
+        spec = _translated_product(3, 4, (0.0137, 0.0291))
+    N = 512
+    ns = extract_nodal(spec, N)
+    pos = evaluate_grid(spec, N) >= 0.0
+    crossings = sum(int(np.count_nonzero(pos != np.roll(pos, -1, axis=a)))
+                    for a in (0, 1))
+    assert len(ns.segments) == crossings
+    assert sum(len(chain) - 1 for chain in ns.polylines) == len(ns.segments)
+    for chain in ns.polylines:
+        assert len(chain) >= 3
+        assert np.linalg.norm(min_image(chain[-1] - chain[0])) < 1e-12
+
+
+def test_order_three_zeros_found():
+    # grad psi vanishes to second order there, so Newton stalls once
+    # |grad psi| ~ |x - x0|^2 reaches rounding: locations hold to ~1e-9
+    pts = find_singular_points(_odd_m25(), 256)
+    assert len(pts) == 2
+    for p, expected in zip(pts, [(0.0, 0.0), (0.5, 0.5)]):
+        assert np.linalg.norm(min_image(p.location - np.array(expected))) \
+            < 1e-7
+        assert p.vanishing_order == 3
+        assert p.residual < 1e-8
+
+
+def test_off_node_crossings_found():
+    # the 48 crossings of 2 sin(6 pi x) sin(8 pi y), none on a grid node
+    tau = np.array([0.0137, 0.0291])
+    pts = find_singular_points(_translated_product(3, 4, tau), 512)
+    assert len(pts) == 48
+    expected = np.array([(i / 6, j / 8) for i in range(6)
+                         for j in range(8)]) + tau
+    for p in pts:
+        assert p.vanishing_order == 2
+        assert p.residual < 1e-8
+        d = np.linalg.norm(min_image(expected - p.location), axis=-1)
+        assert d.min() < 1e-9

@@ -186,3 +186,37 @@ def test_gradient_vanishes_at_refined_max(rand25):
         if np.linalg.norm(step) < 1e-14:
             break
     assert np.linalg.norm(evaluate_gradient(rand25, x)) < 1e-8
+
+
+@pytest.mark.parametrize("dim,m,N", [(2, 1105, 256), (3, 50, 24)])
+def test_grids_match_pointwise(dim, m, N):
+    # every node of the one-GEMM grids against the pointwise closed forms,
+    # to 1e-12 ||c||_1 (2 pi sqrt(m))^j for the j-th derivative
+    from nodalscope.geometry import TorusModel
+    from nodalscope.spectrum import evaluate_gradient_grid
+
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    axes = np.meshgrid(*([np.arange(N) / N] * dim), indexing="ij")
+    nodes = np.stack(axes, axis=-1)
+    scale = spec.coeff_l1()
+    freq = 2 * math.pi * math.sqrt(m)
+    vals = evaluate_grid(spec, N)
+    assert vals.shape == (N,) * dim
+    assert np.max(np.abs(vals - evaluate(spec, nodes))) <= 1e-12 * scale
+    grad = evaluate_gradient_grid(spec, N)
+    assert grad.shape == (N,) * dim + (dim,)
+    assert np.max(np.abs(grad - evaluate_gradient(spec, nodes))) \
+        <= 1e-12 * scale * freq
+
+
+def test_hessian_batch_matches_single_points(rand100):
+    from nodalscope.spectrum import evaluate_hessian
+
+    xs = np.random.default_rng(4).random((5, 3, 2))
+    batch = evaluate_hessian(rand100, xs)
+    assert batch.shape == (5, 3, 2, 2)
+    for idx in np.ndindex(5, 3):
+        single = evaluate_hessian(rand100, xs[idx])
+        assert single.shape == (2, 2)
+        assert np.allclose(batch[idx], single, rtol=0, atol=1e-9)
+        assert np.allclose(single, single.T, rtol=0, atol=1e-9)
