@@ -74,14 +74,13 @@ def _spec_id(spec: EigenfunctionSpec) -> str:
 
 def certify_equidistribution(spec: EigenfunctionSpec, r: float,
                              k1: float | None = None,
-                             k2: float | None = None,
-                             tol: float = 1e-3) -> EquidistCertificate:
+                             k2: float | None = None
+                             ) -> EquidistCertificate:
     """Two-sided mass sandwich over the r/2-cover; masses are closed form.
 
     Ratios are normalized by each tested ball's own radius power, so a
     perfectly equidistributed field scores the unit-ball volume on both
-    sides. tol is reserved for grid-quadrature backends; the closed-form
-    masses used here are exact to rounding.
+    sides.
     """
     model = spec.model
     n = model.dim

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .certify import (
+    SCHEMA_VERSION,
     ReportConfig,
     certify_equidistribution,
     config_hash,
@@ -41,8 +42,6 @@ from .harness import (
 from .nodal import extract_nodal, find_singular_points, singular_points_json, \
     write_segments_csv
 from .spectrum import random_eigenfunction, spec_from_json, spec_to_json
-
-SCHEMA_VERSION = 1
 
 
 def _config_payload(args, fields) -> dict:

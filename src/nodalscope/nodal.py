@@ -29,6 +29,7 @@ from scipy.spatial import cKDTree
 from .errors import AmbiguousOrderError, ResolutionError, ScaleRangeError
 from .fields import nyquist_resolution
 from .geometry import min_image, wrap_point
+from .scan import RadialDomain, SquaredAmplitude, pattern_search
 from .spectrum import (
     EigenfunctionSpec,
     evaluate,
@@ -232,8 +233,6 @@ def _sup_small_ball(spec: EigenfunctionSpec, x, s: float) -> float:
     these balls are tiny against the mode wavelength (s << 1/sqrt(m)), making
     a dense grid plus pattern polish exact to rounding in practice.
     """
-    from .scan import RadialDomain, SquaredAmplitude, _pattern_refine
-
     x = np.asarray(x, dtype=float)
     dim = spec.model.dim
     per_axis = 65 if dim == 2 else 25
@@ -245,8 +244,7 @@ def _sup_small_ball(spec: EigenfunctionSpec, x, s: float) -> float:
     vals = obj.values(offsets)
     best = int(np.argmax(vals))
     domain = RadialDomain(0.0, s)
-    _, v, _ = _pattern_refine(obj, domain, offsets[best], vals[best],
-                              2.0 * s / per_axis)
+    _, v, _ = pattern_search(obj, domain, offsets[best], 2.0 * s / per_axis)
     return v
 
 
@@ -320,6 +318,13 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _in_unit_box(x) -> np.ndarray:
+    """Coordinates in [0, 1), as a periodic cKDTree needs them: np.mod may
+    round a tiny negative coordinate up to 1.0."""
+    x = wrap_point(x)
+    return np.where(x < 1.0, x, 0.0)
+
+
 def find_singular_points(spec: EigenfunctionSpec, N: int,
                          with_orders: bool = True) -> list[SingularPoint]:
     """Common zeros of psi and grad psi by batched Newton on grad psi.
@@ -354,8 +359,7 @@ def find_singular_points(spec: EigenfunctionSpec, N: int,
     x, resid = x[hit], resid[hit]
     keep = np.ones(len(x), dtype=bool)
     if len(x) > 1:
-        inside = np.where(x < 1.0, x, 0.0)  # np.mod may round up to 1.0
-        tree = cKDTree(inside, boxsize=1.0)
+        tree = cKDTree(_in_unit_box(x), boxsize=1.0)
         for a, b in sorted(tree.query_pairs(h)):
             if keep[a]:
                 keep[b] = False
@@ -381,14 +385,13 @@ def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
         )
     radius = radius_override if radius_override is not None \
         else math.sqrt(r) * lam ** -0.25
-    counts = []
-    for center in np.atleast_2d(np.asarray(centers, dtype=float)):
-        total = 0
-        for p in points:
-            if np.linalg.norm(min_image(p.location - center)) <= radius:
-                total += p.vanishing_order - 1
-        counts.append(total)
-    return counts
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if not points:
+        return [0] * len(centers)
+    weights = np.array([p.vanishing_order - 1 for p in points])
+    tree = cKDTree(_in_unit_box([p.location for p in points]), boxsize=1.0)
+    hits = tree.query_ball_point(_in_unit_box(centers), radius)
+    return [int(weights[h].sum()) for h in hits]
 
 
 def write_segments_csv(ns: NodalSet, path, header_lines=()) -> None:

@@ -9,18 +9,36 @@ with B2 a global bound on the Hessian norm (Bernstein-type, from the lattice
 mode radius and the coefficient l1 norm). Cells that cannot beat the incumbent
 by more than the relative tolerance are pruned, survivors are subdivided, and
 the incumbent is polished by projected pattern search. The returned value is a
-lower bound of the true supremum within the requested relative tolerance.
+pointwise evaluation at the returned offset, a lower bound of the true
+supremum within the requested relative tolerance.
+
+Cells are integer lattice indices: the child of cell i on each axis is 2i or
+2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
+(ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Every
+objective is f = alpha |grad psi|^2 + beta psi^2 (the lifted one times its
+t-factor), and psi, grad psi and, when alpha != 0, the Hessian of psi come
+from one mode sum (spectrum.mode_sum) with the query center's phase folded
+into its weights. A level's phases are products of per-axis tables over the
+level's distinct coordinates (spectrum.lattice_phases), so one GEMM
+evaluates the whole level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import BudgetError
-from .spectrum import EigenfunctionSpec
+from .spectrum import (
+    EigenfunctionSpec,
+    lattice_phases,
+    mode_sum,
+    mode_weights,
+    point_phases,
+)
 
 __all__ = [
     "ScanResult",
@@ -31,11 +49,13 @@ __all__ = [
     "EnergyDensity",
     "LiftedSquared",
     "certified_max",
+    "pattern_search",
 ]
 
 TOL_FLOOR = 1e-9
 NODE_BUDGET = 4_000_000
-TWO_PI = 2.0 * math.pi
+STEP_FLOOR = 1e-13
+MAX_POLISH_EVALS = 600
 
 
 @dataclass
@@ -63,26 +83,19 @@ class RadialDomain:
         return (norms >= self.lo - rho) & (norms <= self.hi + rho)
 
     def project(self, d: np.ndarray) -> np.ndarray:
-        r = float(np.linalg.norm(d))
-        if r > self.hi:
-            return d * (self.hi / r)
-        if r < self.lo:
-            if r == 0.0:
-                out = np.zeros_like(d)
-                out[0] = self.lo
-                return out
-            return d * (self.lo / r)
-        return d
+        """Radial projection of a batch of offsets (P, n) into the band; an
+        offset at the origin goes to lo along the first axis."""
+        r = np.sqrt(np.einsum("pa,pa->p", d, d))
+        scale = np.minimum(np.maximum(r, self.lo), self.hi)
+        out = d * (scale / np.maximum(r, 1e-300))[:, None]
+        if self.lo > 0.0:
+            out[r == 0.0, 0] = self.lo
+        return out
 
-    def initial_offsets(self, h0: float, dim: int) -> np.ndarray:
+    def initial_lattice(self, h0: float) -> tuple[int, float, float]:
+        """(cells per axis, spacing, origin) of the first level."""
         count = max(2, int(math.ceil(2.0 * self.hi / h0)))
-        axis = (np.arange(count) + 0.5) * (2.0 * self.hi / count) - self.hi
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-    def initial_spacing(self, h0: float) -> float:
-        count = max(2, int(math.ceil(2.0 * self.hi / h0)))
-        return 2.0 * self.hi / count
+        return count, 2.0 * self.hi / count, -self.hi
 
 
 class TorusDomain:
@@ -97,116 +110,102 @@ class TorusDomain:
     def project(self, d):
         return d
 
-    def initial_offsets(self, h0: float, dim: int) -> np.ndarray:
+    def initial_lattice(self, h0: float) -> tuple[int, float, float]:
         count = max(2, int(math.ceil(1.0 / h0)))
-        axis = (np.arange(count) + 0.5) / count
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-    def initial_spacing(self, h0: float) -> float:
-        count = max(2, int(math.ceil(1.0 / h0)))
-        return 1.0 / count
-
-
-def _trig_parts(spec: EigenfunctionSpec, pts: np.ndarray):
-    """Per-mode cosine/sine mixes: w sums to psi, u drives the gradient."""
-    ph = TWO_PI * (pts @ spec.k.T.astype(float))
-    c = np.cos(ph)
-    s = np.sin(ph)
-    w = c * spec.a + s * spec.b
-    u = c * spec.b - s * spec.a
-    return w, u
+        return count, 1.0 / count, 0.0
 
 
 class _SpectralObjective:
-    """Shared machinery: f, |grad f| and the quadratic cell bound."""
+    """f = alpha |grad psi|^2 + beta psi^2 at center + offset.
 
-    def __init__(self, spec: EigenfunctionSpec, center):
+    psi, grad psi and, when alpha != 0, the Hessian H of psi come from one
+    mode sum whose weights carry the center's phase; grad f =
+    2 alpha H grad psi + 2 beta psi grad psi. Subclasses set hess_bound, a
+    bound on the Hessian norm of f.
+    """
+
+    def __init__(self, spec: EigenfunctionSpec, center, alpha: float,
+                 beta: float):
         self.spec = spec
         self.center = np.asarray(center, dtype=float)
-        self.kf = spec.k.astype(float)
         self.dim = spec.model.dim
         self.A1sq = spec.coeff_l1() ** 2
+        self.alpha = alpha
+        self.beta = beta
+        self.weights = mode_weights(spec, 2 if alpha else 1, self.center)
+
+    def _value(self, parts: np.ndarray) -> np.ndarray:
+        psi = parts[:, 0]
+        f = self.beta * psi * psi
+        if self.alpha:
+            g = parts[:, 1:self.dim + 1]
+            f += self.alpha * np.einsum("pa,pa->p", g, g)
+        return f
+
+    def value_and_slope(self, phases: np.ndarray):
+        """f and |grad f| at the offsets whose mode phases are given."""
+        n = self.dim
+        parts = mode_sum(phases, self.weights)
+        psi, g = parts[:, 0], parts[:, 1:n + 1]
+        grad = (2.0 * self.beta * psi)[:, None] * g
+        if self.alpha:
+            hess = parts[:, n + 1:].reshape(-1, n, n)
+            grad += 2.0 * self.alpha * np.einsum("pab,pb->pa", hess, g)
+        return self._value(parts), np.sqrt(np.einsum("pa,pa->p", grad, grad))
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
-        v, _ = self._f_and_grad(np.atleast_2d(offsets))
-        return v
+        """Pointwise f at a batch of offsets (P, n)."""
+        return self._value(mode_sum(point_phases(self.spec, offsets),
+                                    self.weights))
 
-    def evaluate_cells(self, offsets: np.ndarray, rho: float):
-        vals, grad_norm = self._f_and_grad(offsets)
-        ubs = vals + grad_norm * rho + 0.5 * self.hess_bound * rho * rho
-        return vals, ubs
+    def cell_bounds(self, phases: np.ndarray, offsets: np.ndarray,
+                    rho: float):
+        """f at the cell centers and its upper bound over each cell."""
+        f, slope = self.value_and_slope(phases)
+        return f, f + slope * rho + 0.5 * self.hess_bound * rho * rho
 
 
 class SquaredAmplitude(_SpectralObjective):
     """Objective |psi|^2; Hessian norm bound 4 lambda A1^2."""
 
     def __init__(self, spec, center):
-        super().__init__(spec, center)
+        super().__init__(spec, center, alpha=0.0, beta=1.0)
         self.hess_bound = 4.0 * spec.lam * self.A1sq
 
     def suggested_h0(self) -> float:
         return 1.0 / (6.0 * math.sqrt(self.spec.m))
-
-    def _f_and_grad(self, offsets):
-        w, u = _trig_parts(self.spec, self.center + offsets)
-        psi = w.sum(axis=-1)
-        g = TWO_PI * (u @ self.kf)
-        gn = np.linalg.norm(g, axis=-1)
-        return psi * psi, 2.0 * np.abs(psi) * gn
 
 
 class GradientSquared(_SpectralObjective):
     """Objective |grad psi|^2; Hessian norm bound 6 lambda^2 A1^2."""
 
     def __init__(self, spec, center):
-        super().__init__(spec, center)
+        super().__init__(spec, center, alpha=1.0, beta=0.0)
         self.hess_bound = 6.0 * spec.lam**2 * self.A1sq
 
     def suggested_h0(self) -> float:
         return 1.0 / (8.0 * math.sqrt(self.spec.m))
-
-    def _f_and_grad(self, offsets):
-        w, u = _trig_parts(self.spec, self.center + offsets)
-        g = TWO_PI * (u @ self.kf)
-        f = np.sum(g * g, axis=-1)
-        # grad f = 2 H g with H = -(2 pi)^2 K^T diag(w) K
-        kg = g @ self.kf.T
-        hg = -(TWO_PI**2) * ((w * kg) @ self.kf)
-        return f, 2.0 * np.linalg.norm(hg, axis=-1)
 
 
 class EnergyDensity(_SpectralObjective):
     """Objective q = |grad psi|^2 + (lambda/2)|psi|^2; Hessian bound 8 lam^2 A1^2."""
 
     def __init__(self, spec, center):
-        super().__init__(spec, center)
+        super().__init__(spec, center, alpha=1.0, beta=0.5 * spec.lam)
         self.hess_bound = 8.0 * spec.lam**2 * self.A1sq
 
     def suggested_h0(self) -> float:
         return 1.0 / (8.0 * math.sqrt(self.spec.m))
 
-    def _f_and_grad(self, offsets):
-        lam = self.spec.lam
-        w, u = _trig_parts(self.spec, self.center + offsets)
-        psi = w.sum(axis=-1)
-        g = TWO_PI * (u @ self.kf)
-        gsq = np.sum(g * g, axis=-1)
-        f = gsq + 0.5 * lam * psi * psi
-        kg = g @ self.kf.T
-        hg = -(TWO_PI**2) * ((w * kg) @ self.kf)
-        grad = 2.0 * hg + lam * psi[:, None] * g
-        return f, np.linalg.norm(grad, axis=-1)
 
-
-class LiftedSquared(_SpectralObjective):
+class LiftedSquared(SquaredAmplitude):
     """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over an (n+1)-ball.
 
     The t maximization is closed form (exp is increasing), reducing the
     (n+1)-dimensional ball of radius s at (x0, t0) to the n-dimensional
     objective psi(x0+d)^2 exp(2 sqrt(lambda)(t0 + sqrt(s^2-|d|^2))). Cell
     bounds multiply the quadratic psi^2 bound by the exact cell maximum of
-    the monotone t-factor.
+    the monotone t-factor; value_and_slope is that of the psi^2 factor.
     """
 
     def __init__(self, spec, x_center, t_center: float, s: float):
@@ -214,56 +213,45 @@ class LiftedSquared(_SpectralObjective):
         self.t0 = float(t_center)
         self.s = float(s)
         self.sqrt_lam = math.sqrt(spec.lam)
-        self.hess_bound = 4.0 * spec.lam * self.A1sq  # for the psi^2 factor
-
-    def suggested_h0(self) -> float:
-        return 1.0 / (6.0 * math.sqrt(self.spec.m))
 
     def _t_factor(self, norms: np.ndarray) -> np.ndarray:
         g = np.sqrt(np.maximum(self.s**2 - norms**2, 0.0))
         return np.exp(2.0 * self.sqrt_lam * (self.t0 + g))
 
-    def _psi_parts(self, offsets):
-        w, u = _trig_parts(self.spec, self.center + offsets)
-        psi = w.sum(axis=-1)
-        g = TWO_PI * (u @ self.kf)
-        gn = np.linalg.norm(g, axis=-1)
-        return psi * psi, 2.0 * np.abs(psi) * gn
-
     def values(self, offsets: np.ndarray) -> np.ndarray:
-        offsets = np.atleast_2d(offsets)
-        psi_sq, _ = self._psi_parts(offsets)
         norms = np.linalg.norm(offsets, axis=-1)
-        return psi_sq * self._t_factor(norms)
+        return super().values(offsets) * self._t_factor(norms)
 
-    def evaluate_cells(self, offsets: np.ndarray, rho: float):
-        psi_sq, grad_norm = self._psi_parts(offsets)
+    def cell_bounds(self, phases, offsets, rho):
+        psi_sq, psi_ub = super().cell_bounds(phases, offsets, rho)
         norms = np.linalg.norm(offsets, axis=-1)
-        vals = psi_sq * self._t_factor(norms)
-        psi_ub = psi_sq + grad_norm * rho + 0.5 * self.hess_bound * rho * rho
         factor_max = self._t_factor(np.maximum(norms - rho, 0.0))
-        return vals, psi_ub * factor_max
+        return psi_sq * self._t_factor(norms), psi_ub * factor_max
 
 
-def _pattern_refine(objective, domain, d0, v0, step0, max_evals=600):
+def pattern_search(objective, domain, d0, step: float,
+                   max_evals: int = MAX_POLISH_EVALS):
+    """Projected compass search for a local max of the objective from d0.
+
+    Each step probes all 2n axis directions at the current step length in
+    one objective.values call and moves to the best probe that improves,
+    or halves the step when none does; it stops below STEP_FLOOR or after
+    max_evals evaluations. Returns (offset, value, evaluations), value a
+    pointwise evaluation at offset.
+    """
     d = np.array(d0, dtype=float)
-    v = float(v0)
-    step = float(step0)
+    v = float(objective.values(d[None, :])[0])
+    evals = 1
     dim = d.shape[0]
-    evals = 0
-    while step > 1e-13 and evals < max_evals:
-        improved = False
-        for axis in range(dim):
-            for sgn in (1.0, -1.0):
-                cand = d.copy()
-                cand[axis] += sgn * step
-                cand = domain.project(cand)
-                cv = float(objective.values(cand[None, :])[0])
-                evals += 1
-                if cv > v:
-                    d, v = cand, cv
-                    improved = True
-        if not improved:
+    dirs = np.vstack([np.eye(dim), -np.eye(dim)])
+    while step > STEP_FLOOR and evals < max_evals:
+        cand = domain.project(d + step * dirs)
+        cv = objective.values(cand)
+        evals += len(cand)
+        best = cv.argmax()
+        if cv[best] > v:
+            d, v = cand[best], float(cv[best])
+        else:
             step *= 0.5
     return d, v, evals
 
@@ -284,55 +272,54 @@ def certified_max(objective, domain, tol: float, h0: float | None = None,
         h0 = objective.suggested_h0()
     if isinstance(domain, RadialDomain):
         h0 = min(h0, max((domain.hi - domain.lo) / 2.0, 1e-8), domain.hi)
-    offsets = domain.initial_offsets(h0, dim)
-    spacing = domain.initial_spacing(h0)
+    count, spacing, origin = domain.initial_lattice(h0)
     rho = spacing * math.sqrt(dim) / 2.0
-    norms = np.linalg.norm(offsets, axis=-1)
-    offsets = offsets[domain.band_mask(norms, rho)]
+    # cell p has lattice index coords[a][inv[p, a]] on axis a
+    coords = [np.arange(count)] * dim
+    inv = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+    inv = inv.reshape(-1, dim)
+    bits = np.array(list(product((0, 1), repeat=dim)))
 
     best_val = -math.inf
     best_off = None
     nodes = 0
-    child_shifts = np.array(
-        np.meshgrid(*([[-0.25, 0.25]] * dim), indexing="ij")
-    ).reshape(dim, -1).T
-
     while True:
-        nodes += len(offsets)
-        if nodes > node_budget:
-            raise BudgetError(
-                f"scan exceeded node budget {node_budget} (tol={tol})"
-            )
-        vals, ubs = objective.evaluate_cells(offsets, rho)
-        norms = np.linalg.norm(offsets, axis=-1)
-        inside = domain.contains(norms)
-        if np.any(inside):
-            idx = int(np.argmax(np.where(inside, vals, -math.inf)))
-            if vals[idx] > best_val:
-                d, v, used = _pattern_refine(
-                    objective, domain, offsets[idx], vals[idx], 2.0 * rho
-                )
-                nodes += used
-                if v > best_val:
-                    best_val, best_off = v, d
-        threshold = best_val * (1.0 + tol) if best_val > 0 else best_val
-        survivors = ubs > threshold
-        if not np.any(survivors) and best_off is not None:
-            return ScanResult(
-                value=best_val, offset=best_off, rel_gap=tol, nodes=nodes
-            )
-        parents = offsets[survivors]
-        children = (
-            parents[:, None, :] + child_shifts[None, :, :] * spacing
-        ).reshape(-1, dim)
-        spacing *= 0.5
-        rho *= 0.5
-        cnorm = np.linalg.norm(children, axis=-1)
-        children = children[domain.band_mask(cnorm, rho)]
-        if len(children) == 0:
+        xs = [(c + 0.5) * spacing + origin for c in coords]
+        offsets = np.stack([xs[a][inv[:, a]] for a in range(dim)], axis=-1)
+        norms = np.sqrt(np.einsum("pa,pa->p", offsets, offsets))
+        band = domain.band_mask(norms, rho)
+        inv, offsets, norms = inv[band], offsets[band], norms[band]
+        if len(inv) == 0:
             if best_off is None:
                 raise BudgetError("scan found no admissible sample points")
             return ScanResult(
                 value=best_val, offset=best_off, rel_gap=tol, nodes=nodes
             )
-        offsets = children
+        nodes += len(inv)
+        if nodes > node_budget:
+            raise BudgetError(
+                f"scan exceeded node budget {node_budget} (tol={tol})"
+            )
+        vals, ubs = objective.cell_bounds(
+            lattice_phases(objective.spec, xs, inv), offsets, rho
+        )
+        inside = domain.contains(norms)
+        if np.any(inside):
+            idx = int(np.argmax(np.where(inside, vals, -math.inf)))
+            if vals[idx] > best_val:
+                d, v, used = pattern_search(objective, domain, offsets[idx],
+                                            2.0 * rho)
+                nodes += used
+                if v > best_val:
+                    best_val, best_off = v, d
+        threshold = best_val * (1.0 + tol) if best_val > 0 else best_val
+        inv = inv[ubs > threshold]
+        # children 2i + {0, 1} per axis, tables kept to the used coordinates
+        for a in range(dim):
+            used = np.zeros(len(coords[a]), dtype=bool)
+            used[inv[:, a]] = True
+            coords[a] = (2 * coords[a][used][:, None] + (0, 1)).ravel()
+            inv[:, a] = 2 * (np.cumsum(used) - 1)[inv[:, a]]
+        inv = (inv[:, None, :] + bits[None, :, :]).reshape(-1, dim)
+        spacing *= 0.5
+        rho *= 0.5

@@ -34,6 +34,10 @@ __all__ = [
     "evaluate_gradient",
     "evaluate_hessian",
     "evaluate_grid",
+    "mode_weights",
+    "point_phases",
+    "lattice_phases",
+    "mode_sum",
     "laplacian_residual",
     "translate",
     "spec_to_json",
@@ -197,6 +201,54 @@ def _grid_sum(spec: EigenfunctionSpec, N: int, c: np.ndarray) -> np.ndarray:
     left = np.hstack([tabs[0].T.real, -tabs[0].T.imag])
     out = left @ np.vstack([right.real, right.imag])
     return out.reshape((N,) * n + (c.shape[1],))
+
+
+def mode_weights(spec: EigenfunctionSpec, order: int, x0) -> np.ndarray:
+    """Real (2M, Q) weights of the mode sum giving psi and its derivatives.
+
+    The complex columns are c = a - ib (psi), 2 pi i k_d c (d_d psi) and,
+    for order 2, (2 pi i)^2 k_a k_b c (d_a d_b psi, row-major over a, b),
+    with c multiplied by exp(2 pi i k . x0): a sum over the phases
+    exp(2 pi i k . d) then gives the derivatives at x0 + d. Rows alternate
+    Re C and -Im C, matching a complex128 phase array viewed as float64
+    (re, im) pairs, so that Re(E @ C) is one real GEMM (mode_sum).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    c = (spec.a - 1j * spec.b) * np.exp((1j * TWO_PI) * (spec.k @ x0))
+    ik = (1j * TWO_PI) * spec.k
+    cols = [c[:, None], ik * c[:, None]]
+    if order == 2:
+        cols.append((ik[:, :, None] * ik[:, None, :]).reshape(len(c), -1)
+                    * c[:, None])
+    cols = np.hstack(cols)
+    return np.stack([cols.real, -cols.imag], axis=1).reshape(2 * len(c), -1)
+
+
+def point_phases(spec: EigenfunctionSpec, d) -> np.ndarray:
+    """exp(2 pi i k_j . d_p) for offsets d (P, n); shape (P, M)."""
+    return np.exp((1j * TWO_PI) * (np.asarray(d, dtype=float) @ spec.k.T))
+
+
+def lattice_phases(spec: EigenfunctionSpec, coords, inv) -> np.ndarray:
+    """exp(2 pi i k_j . d_p) for lattice offsets d_p[a] = coords[a][inv[p, a]].
+
+    One table exp(2 pi i k_ja x) per axis a over that axis's distinct
+    coordinates, multiplied across axes: a complex exp per (coordinate,
+    mode) and a complex product per (offset, mode, axis).
+    """
+    phases = None
+    for a, x in enumerate(coords):
+        table = np.exp((1j * TWO_PI) * np.multiply.outer(x, spec.k[:, a]))
+        if phases is None:
+            phases = table[inv[:, a]]
+        else:
+            phases *= table[inv[:, a]]
+    return phases
+
+
+def mode_sum(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Re(phases @ C) for the columns C that mode_weights packs; (P, Q)."""
+    return np.ascontiguousarray(phases).view(np.float64) @ weights
 
 
 def evaluate_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import TorusModel, generate_cover, min_image
 from nodalscope.nodal import (
     NodalSet,
+    SingularPoint,
     count_singular_in_balls,
     extract_nodal,
     find_singular_points,
@@ -139,6 +140,34 @@ def test_count_singular_in_balls(product_spec):
     assert count_singular_in_balls(pts, 0.25, lam, [(0, 0)]) == [1]
     with pytest.raises(ScaleRangeError):
         count_singular_in_balls(pts, 1e-4, lam, [(0, 0)])
+
+
+def test_count_singular_matches_brute_force():
+    # the periodic k-d tree against the all-pairs min-image loop, with
+    # points and centers on both sides of the seams and orders 1 to 4
+    rng = np.random.default_rng(12)
+    seam = np.array([[0.999, 0.5], [0.001, 0.5], [0.5, 0.9995], [0.0, 0.0],
+                     [0.9999, 0.0001], [1.0 - 1e-17, 0.3]])
+    locs = np.vstack([seam, rng.random((60, 2))])
+    pts = [SingularPoint(location=loc, vanishing_order=int(o), residual=0.0)
+           for loc, o in zip(locs, rng.integers(1, 5, len(locs)))]
+    centers = np.vstack([[[0.0, 0.5], [0.998, 0.999], [1.0, 0.0],
+                          [-0.01, 0.52]], rng.random((30, 2))])
+    lam = 4 * math.pi**2 * 25
+
+    def brute(radius):
+        return [sum(p.vanishing_order - 1 for p in pts
+                    if np.linalg.norm(min_image(p.location - c)) <= radius)
+                for c in centers]
+
+    default = math.sqrt(0.25) * lam**-0.25
+    got = count_singular_in_balls(pts, 0.25, lam, centers)
+    assert got == brute(default)
+    assert all(type(c) is int for c in got)
+    for radius in (0.01, 0.2, 0.45):
+        assert count_singular_in_balls(pts, 0.25, lam, centers,
+                                       radius_override=radius) \
+            == brute(radius)
 
 
 def test_zero_distance_from_cover_centers(sin_k, rand25):

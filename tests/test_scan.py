@@ -1,0 +1,175 @@
+import math
+
+import numpy as np
+import pytest
+
+from nodalscope.errors import BudgetError
+from nodalscope.geometry import TorusModel
+from nodalscope.scan import (
+    EnergyDensity,
+    GradientSquared,
+    LiftedSquared,
+    RadialDomain,
+    SquaredAmplitude,
+    TorusDomain,
+    certified_max,
+)
+from nodalscope.spectrum import (
+    evaluate,
+    evaluate_gradient,
+    evaluate_hessian,
+    lattice_phases,
+    mode_sum,
+    mode_weights,
+    random_eigenfunction,
+)
+
+# constructor, (alpha, beta) of f = alpha |grad psi|^2 + beta psi^2 (None:
+# lambda/2), and the power of 2 pi sqrt(m) that scales f
+OBJECTIVES = {
+    "amplitude": (SquaredAmplitude, 0.0, 1.0, 0),
+    "gradient": (GradientSquared, 1.0, 0.0, 2),
+    "energy": (EnergyDensity, 1.0, None, 2),
+    "lifted": (lambda s, c: LiftedSquared(s, c, 0.1, 0.05), 0.0, 1.0, 0),
+}
+
+
+def _lattice(rng, dim, spacing, origin, count=300):
+    """Random lattice cells: per-axis distinct indices and each cell's
+    position in them, as certified_max carries them."""
+    idx = rng.integers(-40, 40, size=(count, dim))
+    coords, inv = [], np.empty_like(idx)
+    for a in range(dim):
+        u, inv[:, a] = np.unique(idx[:, a], return_inverse=True)
+        coords.append((u + 0.5) * spacing + origin)
+    offsets = np.stack([coords[a][inv[:, a]] for a in range(dim)], axis=-1)
+    return coords, inv, offsets
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_lattice_kernel_matches_pointwise(dim, m):
+    # psi, grad psi and the Hessian from the per-axis tables and one GEMM,
+    # against the closed forms at the same points, to
+    # 1e-12 ||c||_1 (2 pi sqrt(m))^j for the j-th derivative
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    rng = np.random.default_rng(dim)
+    center = rng.random(dim)
+    coords, inv, offsets = _lattice(rng, dim, 1.7e-3, -0.05)
+    x = center + offsets
+    parts = mode_sum(lattice_phases(spec, coords, inv),
+                     mode_weights(spec, 2, center))
+    scale = spec.coeff_l1()
+    freq = 2 * math.pi * math.sqrt(m)
+    assert np.max(np.abs(parts[:, 0] - evaluate(spec, x))) <= 1e-12 * scale
+    assert np.max(np.abs(parts[:, 1:dim + 1] - evaluate_gradient(spec, x))) \
+        <= 1e-12 * scale * freq
+    hess = parts[:, dim + 1:].reshape(-1, dim, dim)
+    assert np.max(np.abs(hess - evaluate_hessian(spec, x))) \
+        <= 1e-12 * scale * freq**2
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_objective_values_and_slopes(name, dim, m):
+    # f and |grad f| of each objective on the lattice path, against f and
+    # grad f = 2 alpha H grad psi + 2 beta psi grad psi built from
+    # evaluate, evaluate_gradient and evaluate_hessian
+    make, alpha, beta, power = OBJECTIVES[name]
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    if beta is None:
+        beta = 0.5 * spec.lam
+    rng = np.random.default_rng(dim + 7)
+    center = rng.random(dim)
+    obj = make(spec, center)
+    coords, inv, offsets = _lattice(rng, dim, 1.3e-3, -0.05)
+    x = center + offsets
+    psi = evaluate(spec, x)
+    g = evaluate_gradient(spec, x)
+    hess = evaluate_hessian(spec, x)
+    f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
+    grad_ref = 2 * alpha * np.einsum("pab,pb->pa", hess, g) \
+        + 2 * beta * psi[:, None] * g
+    slope_ref = np.linalg.norm(grad_ref, axis=-1)
+
+    phases = lattice_phases(spec, coords, inv)
+    f, slope = obj.value_and_slope(phases)
+    scale = spec.coeff_l1() ** 2 * (2 * math.pi * math.sqrt(m)) ** power
+    freq = 2 * math.pi * math.sqrt(m)
+    assert np.max(np.abs(f - f_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(slope - slope_ref)) <= 1e-12 * scale * freq
+
+    vals, ubs = obj.cell_bounds(phases, offsets, 1e-3)
+    pointwise = obj.values(offsets)
+    if name == "lifted":
+        factor = obj._t_factor(np.linalg.norm(offsets, axis=-1))
+        f_ref = f_ref * factor
+    assert np.max(np.abs(vals - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+    assert np.max(np.abs(pointwise - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+    assert np.all(ubs >= vals)
+
+
+def _dense_offsets(domain, n):
+    if isinstance(domain, TorusDomain):
+        axis = np.arange(n) / n
+    else:
+        axis = np.linspace(-domain.hi, domain.hi, n)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    if isinstance(domain, RadialDomain):
+        pts = pts[domain.contains(np.linalg.norm(pts, axis=-1))]
+    return pts
+
+
+DOMAINS = {
+    "ball": lambda: RadialDomain(0.0, 0.12),
+    "annulus": lambda: RadialDomain(0.04, 0.1),
+    "torus": lambda: TorusDomain(),
+}
+
+
+# the lifted objective is defined on its own ball only
+SCAN_CASES = [(name, dom) for name in sorted(OBJECTIVES)
+              for dom in sorted(DOMAINS) if name != "lifted" or dom == "ball"]
+
+
+@pytest.mark.parametrize("name,domain_name", SCAN_CASES)
+def test_certified_max_brackets_dense_max(rand100, name, domain_name):
+    make = OBJECTIVES[name][0]
+    tol = 1e-3
+    center = np.array([0.31, 0.67])
+    obj = make(rand100, center)
+    domain = DOMAINS[domain_name]()
+    if name == "lifted":
+        domain = RadialDomain(0.0, obj.s)
+    dense = np.max(obj.values(_dense_offsets(domain, 301)))
+    # the default first level, and a coarse one whose best cell need not
+    # lie in the basin of the maximum, so that pruning decides the result
+    for h0 in (None, 0.3):
+        res = certified_max(obj, domain, tol, h0=h0)
+        assert dense <= res.value * (1 + tol)
+        # the value is a pointwise evaluation at the offset it reports
+        assert res.value == pytest.approx(
+            obj.values(res.offset[None, :])[0], rel=1e-14)
+        if isinstance(domain, RadialDomain):
+            assert domain.contains(np.linalg.norm(res.offset))
+        assert res.nodes > 0 and res.rel_gap == tol
+
+
+def test_certified_max_budget_errors(rand100):
+    obj = SquaredAmplitude(rand100, np.array([0.2, 0.4]))
+    with pytest.raises(BudgetError):
+        certified_max(obj, RadialDomain(0.0, 0.1), 1e-12)
+    with pytest.raises(BudgetError):
+        certified_max(obj, RadialDomain(0.0, 0.1), 1e-6, node_budget=200)
+    res = certified_max(obj, RadialDomain(0.0, 0.1), 1e-6)
+    assert res.nodes > 200
+
+
+def test_project_batch():
+    dom = RadialDomain(0.1, 0.2)
+    d = np.array([[0.0, 0.0], [0.3, 0.4], [0.05, 0.0], [0.12, 0.05]])
+    out = dom.project(d)
+    assert np.allclose(out, [[0.1, 0.0], [0.12, 0.16], [0.1, 0.0],
+                             [0.12, 0.05]], rtol=0, atol=1e-15)
+    assert np.array_equal(out[3], d[3])
+    ball = RadialDomain(0.0, 0.2)
+    assert np.array_equal(ball.project(np.zeros((1, 2))), np.zeros((1, 2)))
