@@ -21,7 +21,6 @@ from .doubling import (
     scan_doubling,
 )
 from .errors import (
-    AmbiguousOrderError,
     BudgetError,
     DegenerateBallError,
     EmbeddedBallError,
@@ -52,7 +51,6 @@ from .geometry import (
 )
 from .lift import (
     CubeIndex,
-    LiftedField,
     cube_doubling_index,
     harmonicity_residual,
     lift_evaluate,
@@ -64,7 +62,6 @@ from .nodal import (
     count_singular_in_balls,
     extract_nodal,
     find_singular_points,
-    nodal_length,
     vanishing_order,
 )
 from .spectrum import (

@@ -44,8 +44,13 @@ from .nodal import extract_nodal, find_singular_points, singular_points_json, \
 from .spectrum import random_eigenfunction, spec_from_json, spec_to_json
 
 
-def _config_payload(args, fields) -> dict:
-    payload = {"schema_version": SCHEMA_VERSION}
+def _config_payload(args, fields, **content) -> dict:
+    """The schema version, the named options and the given input content.
+
+    Inputs enter by content (a spec as its JSON), never by path, so the same
+    computation hashes alike wherever its files live.
+    """
+    payload = {"schema_version": SCHEMA_VERSION, **content}
     for name in fields:
         payload[name] = getattr(args, name, None)
     return payload
@@ -86,7 +91,8 @@ def cmd_certify(args) -> int:
     k1 = args.k1 if args.k1 is not None else default_k1(spec.model)
     k2 = args.k2 if args.k2 is not None else default_k2(spec.model)
     cert = certify_equidistribution(spec, args.r, k1, k2)
-    digest = config_hash(_config_payload(args, ["spec", "r", "k1", "k2"]))
+    digest = config_hash(_config_payload(args, ["r", "k1", "k2"],
+                                         spec=spec_to_json(spec)))
     path = _out_path(args, f"certificate_m{spec.m}_r{args.r}.json")
     _write_json(path, {
         "spec_id": cert.spec_id,
@@ -104,7 +110,8 @@ def cmd_nodal(args) -> int:
     spec = _load_spec(args.spec)
     ns = extract_nodal(spec, args.grid)
     points = find_singular_points(spec, args.grid)
-    digest = config_hash(_config_payload(args, ["spec", "grid"]))
+    digest = config_hash(_config_payload(args, ["grid"],
+                                         spec=spec_to_json(spec)))
     seg_path = _out_path(args, f"nodal_segments_m{spec.m}_N{args.grid}.csv")
     write_segments_csv(ns, seg_path, header_lines=[
         f"schema_version={SCHEMA_VERSION} config={digest}"
@@ -127,7 +134,8 @@ def cmd_doubling(args) -> int:
     spec = _load_spec(args.spec)
     records = scan_doubling(spec, args.r, tol=args.tol)
     c_star = fit_growth_constant(records, args.r, spec.lam)
-    digest = config_hash(_config_payload(args, ["spec", "r", "tol"]))
+    digest = config_hash(_config_payload(args, ["r", "tol"],
+                                         spec=spec_to_json(spec)))
     rec_path = _out_path(args, f"doubling_records_m{spec.m}_r{args.r}.csv")
     write_records_csv(records, rec_path, header_lines=[
         f"schema_version={SCHEMA_VERSION} config={digest}"
@@ -166,7 +174,9 @@ def cmd_report(args) -> int:
               file=sys.stderr)
         return 1
     reports = run_family_report(members_by_m, config)
-    digest = config_hash(_config_payload(args, ["manifest"]))
+    digest = config_hash(_config_payload(
+        args, [], beta=config.beta, kappa=config.kappa,
+        specs=[spec_to_json(spec) for spec in specs]))
     agg_path = _out_path(args, "family_report.csv")
     with open(agg_path, "w") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION} config={digest}\n")

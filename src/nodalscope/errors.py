@@ -49,16 +49,5 @@ class LiftOverflowError(NodalscopeError):
     """Harmonic-lift exponent t*sqrt(lambda) would overflow."""
 
 
-class AmbiguousOrderError(NodalscopeError):
-    """Vanishing-order slope too close to a rounding boundary."""
-
-    def __init__(self, slope):
-        self.slope = slope
-        super().__init__(
-            f"log-log slope {slope:.4f} is within 0.25 of an odd integer; "
-            "vanishing order ambiguous"
-        )
-
-
 class HypothesisFailedError(NodalscopeError):
     """Report requested on a failed equidistribution certificate."""

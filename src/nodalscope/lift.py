@@ -23,7 +23,6 @@ from .geometry import wrap_point
 from .spectrum import EigenfunctionSpec, evaluate
 
 __all__ = [
-    "LiftedField",
     "CubeIndex",
     "lift_evaluate",
     "harmonicity_residual",
@@ -33,17 +32,6 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0
-
-
-@dataclass(frozen=True)
-class LiftedField:
-    """Callable wrapper for H over T^n x [-t_max, t_max]."""
-
-    spec: EigenfunctionSpec
-    t_max: float = 1.0
-
-    def __call__(self, x, t: float) -> float:
-        return lift_evaluate(self.spec, x, t)
 
 
 @dataclass

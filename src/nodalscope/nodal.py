@@ -11,8 +11,9 @@ sign-change edge is shared by exactly two segment endpoints.
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
 components change sign nearby; a result counts when its residual
-max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is read
-off the log-log slope of sup-on-ball against the ball radius.
+max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is
+exact: the first j whose derivative tensor D^j psi is not zero relative to
+||c||_1 (2 pi sqrt(m))^j, read off the same mode sum the certified scan uses.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import AmbiguousOrderError, ResolutionError, ScaleRangeError
+from .errors import ResolutionError, ScaleRangeError
 from .fields import nyquist_resolution
 from .geometry import min_image, wrap_point
-from .scan import RadialDomain, SquaredAmplitude, pattern_search
 from .spectrum import (
     EigenfunctionSpec,
     evaluate,
@@ -37,13 +37,15 @@ from .spectrum import (
     evaluate_gradient_grid,
     evaluate_grid,
     evaluate_hessian,
+    mode_sum,
+    mode_weights,
+    point_phases,
 )
 
 __all__ = [
     "NodalSet",
     "SingularPoint",
     "extract_nodal",
-    "nodal_length",
     "find_singular_points",
     "vanishing_order",
     "count_singular_in_balls",
@@ -55,6 +57,7 @@ logger = logging.getLogger(__name__)
 
 NUDGE = 1e-12
 RESIDUAL_TOL = 1e-8
+ORDER_TOL = 1e-6
 
 # Corners c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1) give the 4-bit
 # positivity pattern of a cell; its edges are e0=c0c1, e1=c1c2, e2=c3c2,
@@ -211,11 +214,6 @@ def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
     return chains
 
 
-def nodal_length(ns: NodalSet) -> float:
-    """Total torus-metric polyline length."""
-    return ns.length
-
-
 def extract_nodal_with_convergence(spec: EigenfunctionSpec,
                                    N: int) -> NodalSet:
     """Extraction at N with the relative length change from N/2 recorded."""
@@ -225,56 +223,32 @@ def extract_nodal_with_convergence(spec: EigenfunctionSpec,
     return ns
 
 
-def _sup_small_ball(spec: EigenfunctionSpec, x, s: float) -> float:
-    """Dense-scan sup of |psi|^2 over a microscopic ball.
+def vanishing_order(spec: EigenfunctionSpec, x) -> int:
+    """Order of vanishing of psi at x: its first nonzero derivative tensor.
 
-    Near a zero of order nu the ball sup scales like s^(2 nu), far below the
-    global Bernstein constants, so the certified engine cannot prune there;
-    these balls are tiny against the mode wavelength (s << 1/sqrt(m)), making
-    a dense grid plus pattern polish exact to rounding in practice.
-    """
-    x = np.asarray(x, dtype=float)
-    dim = spec.model.dim
-    per_axis = 65 if dim == 2 else 25
-    axis = np.linspace(-s, s, per_axis)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    offsets = np.stack(mesh, axis=-1).reshape(-1, dim)
-    offsets = offsets[np.linalg.norm(offsets, axis=-1) <= s]
-    obj = SquaredAmplitude(spec, x)
-    vals = obj.values(offsets)
-    best = int(np.argmax(vals))
-    domain = RadialDomain(0.0, s)
-    _, v, _ = pattern_search(obj, domain, offsets[best], 2.0 * s / per_axis)
-    return v
-
-
-def vanishing_order(spec: EigenfunctionSpec, x,
-                    delta_max: float | None = None) -> int:
-    """Order of vanishing from the log-log slope of sup-on-ball vs radius.
-
-    Fits sup_{B_delta}|psi|^2 ~ delta^(2M) over a dyadic sweep
-    delta in [delta_max/64, delta_max] and returns round(slope/2); raises
-    AmbiguousOrderError when the slope is within 0.25 of an odd integer.
-    A nonzero point yields slope ~ 0 and order 0 (precondition violation,
-    logged).
+    D^j psi(x) = Re sum_l c_l exp(2 pi i k_l . x) (2 pi i k_l)^(tensor j)
+    is read off one mode sum at zero offset, with x folded into the weights
+    (spectrum.mode_weights). Its Frobenius norm is at most
+    ||c||_1 (2 pi sqrt(m))^j, and the order is the first j at which it
+    exceeds ORDER_TOL times that bound. A nonzero point has order 0
+    (precondition violation, logged).
     """
     x = wrap_point(x)
-    if delta_max is None:
-        delta_max = min(0.05, 1.0 / (8.0 * math.sqrt(spec.m)))
-    deltas = [delta_max / 2**j for j in range(7)]
-    sups = [_sup_small_ball(spec, x, d) for d in deltas]
-    logs = np.log(np.maximum(sups, 1e-300))
-    slope = float(np.polyfit(np.log(deltas), logs, 1)[0])
-    nearest_odd = 2 * round((slope - 1) / 2) + 1
-    if abs(slope - nearest_odd) < 0.25:
-        raise AmbiguousOrderError(slope)
-    order = int(round(slope / 2.0))
-    if order == 0:
-        logger.warning(
-            "vanishing_order at %s: slope %.3f, point is not a zero of psi",
-            np.array2string(x), slope,
-        )
-    return order
+    n = spec.model.dim
+    at_x = point_phases(spec, np.zeros((1, n)))
+    scale = ORDER_TOL * spec.coeff_l1()
+    growth = 2.0 * math.pi * math.sqrt(spec.m)
+    # psi is a sum over the 2M frequencies +-k_l, so a nonzero psi has a
+    # nonzero derivative of some order below 2M
+    for order in range(2 * spec.n_modes):
+        tensor = mode_sum(at_x, mode_weights(spec, order, x))[0, -n**order:]
+        if np.linalg.norm(tensor) > scale * growth**order:
+            if order == 0:
+                logger.warning("vanishing_order at %s: psi = %.3g, point is "
+                               "not a zero of psi", np.array2string(x),
+                               tensor[0])
+            return order
+    raise ValueError(f"psi vanishes to order {2 * spec.n_modes} at {x}")
 
 
 def _newton_singular(spec: EigenfunctionSpec, x: np.ndarray,
@@ -325,8 +299,7 @@ def _in_unit_box(x) -> np.ndarray:
     return np.where(x < 1.0, x, 0.0)
 
 
-def find_singular_points(spec: EigenfunctionSpec, N: int,
-                         with_orders: bool = True) -> list[SingularPoint]:
+def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]:
     """Common zeros of psi and grad psi by batched Newton on grad psi.
 
     A cell is a candidate when psi changes sign on its corners and both
@@ -336,7 +309,8 @@ def find_singular_points(spec: EigenfunctionSpec, N: int,
     all candidate cell centers at once; a result is accepted when
     max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
     and points within h of an earlier accepted one are merged by a
-    periodic k-d tree. Points are returned sorted by location.
+    periodic k-d tree. Points are returned sorted by location, each with
+    its vanishing order.
     """
     if spec.model.dim != 2:
         raise ValueError("singular-point search is 2-D only")
@@ -364,9 +338,7 @@ def find_singular_points(spec: EigenfunctionSpec, N: int,
             if keep[a]:
                 keep[b] = False
     found = [
-        SingularPoint(location=loc,
-                      vanishing_order=vanishing_order(spec, loc)
-                      if with_orders else 2,
+        SingularPoint(location=loc, vanishing_order=vanishing_order(spec, loc),
                       residual=float(r))
         for loc, r in zip(x[keep], resid[keep])
     ]

@@ -54,7 +54,7 @@ __all__ = [
 
 TOL_FLOOR = 1e-9
 NODE_BUDGET = 4_000_000
-STEP_FLOOR = 1e-13
+STEP_FLOOR = 1e-9
 MAX_POLISH_EVALS = 600
 
 
@@ -229,14 +229,13 @@ class LiftedSquared(SquaredAmplitude):
         return psi_sq * self._t_factor(norms), psi_ub * factor_max
 
 
-def pattern_search(objective, domain, d0, step: float,
-                   max_evals: int = MAX_POLISH_EVALS):
+def pattern_search(objective, domain, d0, step: float):
     """Projected compass search for a local max of the objective from d0.
 
     Each step probes all 2n axis directions at the current step length in
     one objective.values call and moves to the best probe that improves,
     or halves the step when none does; it stops below STEP_FLOOR or after
-    max_evals evaluations. Returns (offset, value, evaluations), value a
+    MAX_POLISH_EVALS evaluations. Returns (offset, value, evaluations), value a
     pointwise evaluation at offset.
     """
     d = np.array(d0, dtype=float)
@@ -244,7 +243,7 @@ def pattern_search(objective, domain, d0, step: float,
     evals = 1
     dim = d.shape[0]
     dirs = np.vstack([np.eye(dim), -np.eye(dim)])
-    while step > STEP_FLOOR and evals < max_evals:
+    while step > STEP_FLOOR and evals < MAX_POLISH_EVALS:
         cand = domain.project(d + step * dirs)
         cv = objective.values(cand)
         evals += len(cand)

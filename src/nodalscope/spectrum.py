@@ -206,21 +206,23 @@ def _grid_sum(spec: EigenfunctionSpec, N: int, c: np.ndarray) -> np.ndarray:
 def mode_weights(spec: EigenfunctionSpec, order: int, x0) -> np.ndarray:
     """Real (2M, Q) weights of the mode sum giving psi and its derivatives.
 
-    The complex columns are c = a - ib (psi), 2 pi i k_d c (d_d psi) and,
-    for order 2, (2 pi i)^2 k_a k_b c (d_a d_b psi, row-major over a, b),
-    with c multiplied by exp(2 pi i k . x0): a sum over the phases
-    exp(2 pi i k . d) then gives the derivatives at x0 + d. Rows alternate
-    Re C and -Im C, matching a complex128 phase array viewed as float64
-    (re, im) pairs, so that Re(E @ C) is one real GEMM (mode_sum).
+    The complex columns are the derivative tensors of orders 0..order,
+    (2 pi i)^j k^(tensor j) c for order j: c = a - ib (psi), 2 pi i k_d c
+    (d_d psi), (2 pi i)^2 k_a k_b c (d_a d_b psi), and so on, each block of
+    n^j columns row-major over its axes. c is multiplied by
+    exp(2 pi i k . x0): a sum over the phases exp(2 pi i k . d) then gives
+    the derivatives at x0 + d. Rows alternate Re C and -Im C, matching a
+    complex128 phase array viewed as float64 (re, im) pairs, so that
+    Re(E @ C) is one real GEMM (mode_sum).
     """
     x0 = np.asarray(x0, dtype=float)
     c = (spec.a - 1j * spec.b) * np.exp((1j * TWO_PI) * (spec.k @ x0))
     ik = (1j * TWO_PI) * spec.k
-    cols = [c[:, None], ik * c[:, None]]
-    if order == 2:
-        cols.append((ik[:, :, None] * ik[:, None, :]).reshape(len(c), -1)
-                    * c[:, None])
-    cols = np.hstack(cols)
+    powers = [np.ones((len(c), 1))]
+    for _ in range(order):
+        powers.append((powers[-1][:, :, None] * ik[:, None, :])
+                      .reshape(len(c), -1))
+    cols = np.hstack(powers) * c[:, None]
     return np.stack([cols.real, -cols.imag], axis=1).reshape(2 * len(c), -1)
 
 

@@ -33,7 +33,7 @@ from nodalscope.harness import (
 )
 from nodalscope.lift import harmonicity_residual
 from nodalscope.nodal import extract_nodal, find_singular_points
-from nodalscope.spectrum import mode_spec
+from nodalscope.spectrum import evaluate, mode_spec
 
 ENSEMBLE_MS = (25, 100, 325, 1105)
 
@@ -106,14 +106,19 @@ def test_criterion_2_product_singular_points(product_spec):
     }
     orders_ok = all(p.vanishing_order == 2 for p in points)
     residuals_ok = all(p.residual < 1e-8 for p in points)
-    # slope 4.0 +- 0.1 on the log-log fit at each point
-    from nodalscope.nodal import _sup_small_ball
-
+    # slope 4.0 +- 0.1 on the log-log fit of sup_{B_delta} psi^2 against
+    # delta at each point; each sup is the max over a 65-per-axis grid of
+    # the ball, scaled by delta
+    axis = np.linspace(-1.0, 1.0, 65)
+    ball = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    ball = ball.reshape(-1, 2)
+    ball = ball[np.linalg.norm(ball, axis=-1) <= 1.0]
+    dmax = min(0.05, 1.0 / (8.0 * math.sqrt(product_spec.m)))
+    deltas = [dmax / 2**j for j in range(7)]
     slopes = []
     for p in points:
-        dmax = min(0.05, 1.0 / (8.0 * math.sqrt(product_spec.m)))
-        deltas = [dmax / 2**j for j in range(7)]
-        sups = [_sup_small_ball(product_spec, p.location, d) for d in deltas]
+        sups = [float(np.max(evaluate(product_spec, p.location + d * ball)
+                             ** 2)) for d in deltas]
         slopes.append(float(np.polyfit(np.log(deltas), np.log(sups), 1)[0]))
     slopes_ok = all(abs(s - 4.0) <= 0.1 for s in slopes)
     ok = (len(points) == 4 and located == expected and orders_ok

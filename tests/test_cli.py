@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from nodalscope.cli import main
-from nodalscope.spectrum import spec_to_json
+from nodalscope.spectrum import spec_to_json, translate
 
 
 def run(args):
@@ -118,3 +118,49 @@ def test_config_hash_independent_of_environment(tmp_path, monkeypatch, sin1):
         cert = json.loads((out / "certificate_m1_r0.25.json").read_text())
         hashes.append(cert["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+def _hash_line(path):
+    return path.read_text().splitlines()[0]
+
+
+def test_certify_hash_follows_spec_content(tmp_path, sin1):
+    # the same spec from two paths hashes alike; another spec written to
+    # the first path does not
+    first, second = tmp_path / "a.json", tmp_path / "b" / "a.json"
+    second.parent.mkdir()
+    moved = translate(sin1, (0.1, 0.0))
+    hashes = []
+    for i, (path, spec) in enumerate([(first, sin1), (second, sin1),
+                                      (first, moved)]):
+        path.write_text(spec_to_json(spec))
+        out = tmp_path / f"out{i}"
+        assert run(["--out", str(out), "certify", "--spec", str(path),
+                    "--r", "0.25"]) == 1
+        cert = next(out.glob("certificate_*.json"))
+        hashes.append(json.loads(cert.read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+    assert hashes[2] != hashes[0]
+
+
+def test_report_hash_follows_spec_content(tmp_path):
+    out = str(tmp_path)
+    for seed in (0, 1):
+        assert run(["--out", out, "gen", "--m", "100",
+                    "--seed", str(seed)]) == 0
+    seed0 = (tmp_path / "spec_m100_dim2_seed0.json").read_text()
+    seed1 = (tmp_path / "spec_m100_dim2_seed1.json").read_text()
+    first, second = tmp_path / "x.json", tmp_path / "y" / "x.json"
+    second.parent.mkdir()
+    lines = []
+    for i, (path, text) in enumerate([(first, seed0), (second, seed0),
+                                      (first, seed1)]):
+        path.write_text(text)
+        man_path = tmp_path / f"manifest{i}.json"
+        man_path.write_text(json.dumps({"specs": [str(path)], "beta": 0.01}))
+        report_out = tmp_path / f"report{i}"
+        assert run(["--out", str(report_out), "report", "--manifest",
+                    str(man_path)]) == 0
+        lines.append(_hash_line(report_out / "family_report.csv"))
+    assert lines[0] == lines[1]
+    assert lines[2] != lines[0]

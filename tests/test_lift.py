@@ -6,7 +6,6 @@ import pytest
 
 from nodalscope.errors import LiftOverflowError, ScaleRangeError
 from nodalscope.lift import (
-    LiftedField,
     cube_doubling_index,
     cube_index_json,
     harmonicity_residual,
@@ -38,11 +37,6 @@ def test_lift_guards(t2):
         lift_evaluate(big, (0.1, 0.1), 0.9999)
     with pytest.raises(ScaleRangeError):
         lift_evaluate(big, (0.1, 0.1), 1.5)
-
-
-def test_lifted_field_wrapper(sin1):
-    H = LiftedField(sin1)
-    assert H((0.25, 0), 0.1) == lift_evaluate(sin1, (0.25, 0), 0.1)
 
 
 def test_harmonicity_residual_bound(sin1):

@@ -6,12 +6,10 @@ import pytest
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import TorusModel, generate_cover, min_image
 from nodalscope.nodal import (
-    NodalSet,
     SingularPoint,
     count_singular_in_balls,
     extract_nodal,
     find_singular_points,
-    nodal_length,
     singular_points_json,
     vanishing_order,
     write_segments_csv,
@@ -44,6 +42,29 @@ def _odd_m25():
                       for kk, bb in zip(k, b)], TorusModel(2))
 
 
+def _even_m25():
+    """Cosine-only m = 25 mode with sum_j a_j = 0 and sum_j a_j k_j k_j^T = 0:
+    psi is even, so its odd derivatives vanish at the origin, and psi and
+    its Hessian vanish there too, a zero of order 4."""
+    k = np.array(enumerate_lattice(25, 2), dtype=float)
+    # sum a k_2^2 = 25 sum a - sum a k_1^2 needs no row of its own
+    rows = np.stack([np.ones(len(k)), k[:, 0] ** 2, k[:, 0] * k[:, 1]])
+    a = np.random.default_rng(0).standard_normal(len(k))
+    a -= rows.T @ np.linalg.solve(rows @ rows.T, rows @ a)
+    a /= math.sqrt(0.5 * float(a @ a))
+    return mode_spec([(tuple(int(c) for c in kk), float(aa), 0.0)
+                      for kk, aa in zip(k, a)], TorusModel(2))
+
+
+def _sin_cube():
+    """sqrt(8) sin(2 pi x) sin(2 pi y) sin(2 pi z) on T^3, as its four
+    |k|^2 = 3 modes: a zero of order 3 at the origin."""
+    return mode_spec([((1, -1, -1), 0.0, -0.5 ** 0.5),
+                      ((1, -1, 1), 0.0, 0.5 ** 0.5),
+                      ((1, 1, -1), 0.0, 0.5 ** 0.5),
+                      ((1, 1, 1), 0.0, -0.5 ** 0.5)], TorusModel(3))
+
+
 def test_single_mode_two_circles(sin1):
     ns = extract_nodal(sin1, 512)
     assert ns.length == pytest.approx(2.0, rel=1e-3)
@@ -65,13 +86,6 @@ def test_product_mode_grid_lines(product_spec):
 def test_resolution_guard(rand25):
     with pytest.raises(ResolutionError):
         extract_nodal(rand25, 32)
-
-
-def test_nodal_length_trivial():
-    empty = NodalSet(polylines=[], resolution=64, length=0.0)
-    assert nodal_length(empty) == 0.0
-    one_circle = NodalSet(polylines=[], resolution=64, length=1.0)
-    assert nodal_length(one_circle) == 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -121,10 +135,36 @@ def test_singular_resolution_stability(product_spec):
         assert np.linalg.norm(min_image(pa.location - pb.location)) < 1e-6
 
 
-def test_vanishing_orders(product_spec, sin1):
-    assert vanishing_order(product_spec, (0.0, 0.0)) == 2
-    assert vanishing_order(sin1, (0.0, 0.31)) == 1
-    assert vanishing_order(sin1, (0.25, 0.1)) == 0  # not a zero, flagged
+def _sin1():
+    return mode_spec([((1, 0), 0.0, math.sqrt(2))], TorusModel(2))
+
+
+def _product():
+    return mode_spec([((1, -1), 1.0, 0.0), ((1, 1), -1.0, 0.0)],
+                     TorusModel(2))
+
+
+# (id, spec, a zero, its order)
+_ZEROS = [
+    ("sin1", _sin1, (0.0, 0.31), 1),
+    ("product", _product, (0.0, 0.0), 2),
+    ("odd25", _odd_m25, (0.0, 0.0), 3),
+    ("even25", _even_m25, (0.0, 0.0), 4),
+    ("sincube", _sin_cube, (0.0, 0.0, 0.0), 3),
+]
+
+
+@pytest.mark.parametrize("make, x, order", [
+    pytest.param(_sin1, (0.25, 0.1), 0, id="nonzero"),
+    *(pytest.param(make, x, order, id=name)
+      for name, make, x, order in _ZEROS),
+    # 1e-7 off the zero on every axis, each lower-order tensor stays below
+    # ORDER_TOL of its bound
+    *(pytest.param(make, np.add(x, 1e-7), order, id=f"{name}-offset")
+      for name, make, x, order in _ZEROS),
+])
+def test_vanishing_orders(make, x, order):
+    assert vanishing_order(make(), x) == order
 
 
 def test_count_singular_in_balls(product_spec):
