@@ -12,8 +12,6 @@ from .certify import (
 )
 from .doubling import (
     DoublingRecord,
-    three_ball_ratio,
-    doubling_index_l2,
     doubling_index_sup,
     fit_growth_constant,
     lower_bound_check,
@@ -30,17 +28,9 @@ from .errors import (
     NoModesError,
     ResolutionError,
     ScaleRangeError,
+    SpecError,
 )
-from .fields import (
-    BallStat,
-    MassEvaluator,
-    SampledField,
-    ball_mass_exact,
-    l2_on_ball,
-    q_on_ball,
-    sample,
-    sup_on_ball,
-)
+from .fields import MassEvaluator, l2_on_ball, q_on_ball, sup_on_ball
 from .geometry import (
     CoverSet,
     TorusModel,

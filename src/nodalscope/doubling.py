@@ -3,8 +3,8 @@
 The central quantity is N(B_s(x)) = log(sup_{B_2s}|psi|^2 / sup_{B_s}|psi|^2);
 its scaled maximum c* = max N/(r sqrt(lambda)) over a scan is the smallest
 constant making the refined growth inequality hold on the sample. Also here:
-the L^2-mass version, the 4s/s growth ratio of the auxiliary density q, the
-three-ball ball-to-annulus quantity, and the iterated lower-bound check.
+the 4s/s growth ratio of the auxiliary density q and the iterated
+lower-bound check.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBallError, ScaleRangeError
-from .fields import MassEvaluator, q_on_ball, sup_on_annulus, sup_on_ball
+from .fields import q_on_ball, sup_on_ball
 from .geometry import generate_cover, wrap_point
 from .spectrum import EigenfunctionSpec
 
 __all__ = [
     "DoublingRecord",
     "doubling_index_sup",
-    "doubling_index_l2",
     "q_growth_ratio",
-    "three_ball_ratio",
     "fit_growth_constant",
     "lower_bound_check",
     "scan_doubling",
@@ -46,8 +44,6 @@ class DoublingRecord:
     center: np.ndarray
     scale: float                 # delta
     index_sup: float
-    index_l2: float | None
-    index_q: float | None        # log of the 4s/s q ratio
     context_r: float
     lam: float
 
@@ -72,19 +68,6 @@ def doubling_index_sup(spec: EigenfunctionSpec, x, delta: float,
     return _log_ratio(num, den)
 
 
-def doubling_index_l2(spec: EigenfunctionSpec, x, delta: float,
-                      tol: float = 1e-3,
-                      evaluator: MassEvaluator | None = None) -> float:
-    """log of the L^2-mass doubling ratio, closed-form ball masses."""
-    if not 0.0 < 2.0 * delta <= 0.5:
-        raise ScaleRangeError(f"need 0 < 2*delta <= 1/2, got delta={delta}")
-    x = wrap_point(x)
-    ev = evaluator if evaluator is not None else MassEvaluator(spec)
-    num = ev.mass(x, 2.0 * delta)
-    den = ev.mass(x, delta)
-    return _log_ratio(num, den)
-
-
 def q_growth_ratio(spec: EigenfunctionSpec, x, s: float,
                    tol: float = 1e-3) -> float:
     """sup_{B_4s} q / sup_{B_s} q (the 4s/s ratio, not a log).
@@ -105,19 +88,6 @@ def q_growth_ratio(spec: EigenfunctionSpec, x, s: float,
     den = q_on_ball(spec, x, s, tol)
     if den < _DENOM_FLOOR:
         raise DegenerateBallError(f"q denominator {den} degenerate")
-    return num / den
-
-
-def three_ball_ratio(spec: EigenfunctionSpec, x, h_ball: float,
-                  tol: float = 1e-3) -> float:
-    """sup_{B_h}|psi|^2 over the annulus sup on h/10 <= d(y,x) <= h/5."""
-    if not 0.0 < h_ball <= 0.5:
-        raise ScaleRangeError(f"need 0 < h <= 1/2, got {h_ball}")
-    x = wrap_point(x)
-    num = sup_on_ball(spec, x, h_ball, tol)
-    den = sup_on_annulus(spec, x, h_ball / 10.0, h_ball / 5.0, tol)
-    if den < _DENOM_FLOOR:
-        raise DegenerateBallError("annulus sup degenerate")
     return num / den
 
 
@@ -166,14 +136,11 @@ def default_scale_sweep(lam: float, r: float) -> list[float]:
 def scan_doubling(spec: EigenfunctionSpec, r: float,
                   centers: np.ndarray | None = None,
                   deltas: list[float] | None = None,
-                  tol: float = 1e-3,
-                  with_l2: bool = False,
-                  with_q: bool = False) -> list[DoublingRecord]:
+                  tol: float = 1e-3) -> list[DoublingRecord]:
     """Doubling records over a center grid and a dyadic scale sweep.
 
     Sup queries are cached along each dyadic chain (the double ball at one
-    scale is the base ball at the next), halving the query count. with_q
-    fills the log of the 4s/s q ratio at scales with 4*delta <= 1/2.
+    scale is the base ball at the next), halving the query count.
     """
     model = spec.model
     if centers is None:
@@ -181,7 +148,6 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
     if deltas is None:
         deltas = default_scale_sweep(spec.lam, r)
     deltas = [d for d in deltas if 2.0 * d <= 0.5 and d < 10.0 * r]
-    evaluator = MassEvaluator(spec) if with_l2 else None
     records = []
     for center in centers:
         cache: dict[float, float] = {}
@@ -192,19 +158,10 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
             return cache[s]
 
         for delta in deltas:
-            idx_sup = _log_ratio(sup_at(2.0 * delta), sup_at(delta))
-            idx_l2 = None
-            if with_l2:
-                idx_l2 = _log_ratio(
-                    evaluator.mass(center, 2.0 * delta),
-                    evaluator.mass(center, delta),
-                )
-            idx_q = None
-            if with_q and 4.0 * delta <= 0.5:
-                idx_q = math.log(q_growth_ratio(spec, center, delta, tol))
             records.append(DoublingRecord(
-                center=np.array(center), scale=delta, index_sup=idx_sup,
-                index_l2=idx_l2, index_q=idx_q, context_r=r, lam=spec.lam,
+                center=np.array(center), scale=delta,
+                index_sup=_log_ratio(sup_at(2.0 * delta), sup_at(delta)),
+                context_r=r, lam=spec.lam,
             ))
     return records
 
@@ -218,15 +175,12 @@ def write_records_csv(records: list[DoublingRecord], path,
         writer = csv.writer(fh)
         writer.writerow(
             [f"center_{d}" for d in range(dim)]
-            + ["scale", "index_sup", "index_l2", "index_q", "context_r",
-               "lambda"]
+            + ["scale", "index_sup", "context_r", "lambda"]
         )
         for rec in records:
             writer.writerow(
                 [f"{c:.17g}" for c in rec.center]
                 + [f"{rec.scale:.17g}", f"{rec.index_sup:.17g}",
-                   "" if rec.index_l2 is None else f"{rec.index_l2:.17g}",
-                   "" if rec.index_q is None else f"{rec.index_q:.17g}",
                    f"{rec.context_r:.17g}", f"{rec.lam:.17g}"]
             )
 

@@ -13,6 +13,11 @@ class CoverRadiusError(NodalscopeError):
     """Cover radius outside the admissible range (0, 1/4]."""
 
 
+class SpecError(NodalscopeError, ValueError):
+    """An eigenfunction spec is malformed: not spec JSON, bad mode array,
+    |k|^2 != m, non-finite coefficients, repeated modes or a wrong norm."""
+
+
 class NoModesError(NodalscopeError):
     """The requested squared norm has no lattice representations."""
 

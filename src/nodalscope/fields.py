@@ -1,24 +1,23 @@
-"""Dense grid sampling and ball measurements: sup |psi|^2, L^2 mass, and
-the auxiliary density q = |grad psi|^2 + (lambda/2)|psi|^2.
+"""Ball measurements of eigenfunctions: sup |psi|^2, L^2 mass, and the
+auxiliary density q = |grad psi|^2 + (lambda/2)|psi|^2.
 
-Two mass routes are provided. l2_on_ball is midpoint quadrature over grid
-cells (interior cells full, boundary cells weighted by a 4^n-subsample
-partial-volume fraction). ball_mass_exact expands |psi|^2 in lattice modes and
-integrates each mode over the ball in closed form (Bessel transforms); it is
-exact to rounding and is the fast path for ensemble runs. Sup queries go
-through the certified branch-and-bound scan.
+Two mass routes are provided. MassEvaluator expands |psi|^2 in lattice modes
+and integrates each mode over the ball in closed form (Bessel transforms); it
+is exact to rounding and is the path certificates use. l2_on_ball is midpoint
+quadrature over grid cells (interior cells full, boundary cells weighted by a
+4^n-subsample partial-volume fraction), kept as the independent cross-check
+of the closed forms. Sup queries go through the certified branch-and-bound
+scan.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j1
 
-from .errors import BudgetError, EmbeddedBallError, ResolutionError
+from .errors import BudgetError, EmbeddedBallError
 from .geometry import wrap_point
 from .scan import (
     EnergyDensity,
@@ -29,24 +28,18 @@ from .scan import (
     TorusDomain,
     certified_max,
 )
-from .spectrum import EigenfunctionSpec, evaluate_gradient_grid, evaluate_grid
+from .spectrum import EigenfunctionSpec
 
 __all__ = [
-    "SampledField",
-    "BallStat",
     "nyquist_resolution",
-    "sample",
     "sup_on_ball",
     "sup_on_annulus",
     "l2_on_ball",
     "MassEvaluator",
-    "ball_mass_exact",
     "q_on_ball",
     "sup_global",
     "gradient_sup_global",
     "lifted_sup_on_ball",
-    "ball_stat",
-    "write_ball_stats_csv",
 ]
 
 DEFAULT_TOL = 1e-3
@@ -56,40 +49,6 @@ MAX_QUAD_POINTS = 40_000_000
 def nyquist_resolution(m: int) -> int:
     """Minimum admissible grid resolution 2*ceil(sqrt(m)) + 2."""
     return 2 * math.ceil(math.sqrt(m)) + 2
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Exact node values of psi (optionally grad psi) on the uniform grid."""
-
-    spec: EigenfunctionSpec
-    resolution: int
-    values: np.ndarray
-    gradient: np.ndarray | None = None
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.resolution
-
-
-@dataclass(frozen=True)
-class BallStat:
-    center: np.ndarray
-    radius: float
-    sup_sq: float
-    mass: float
-    error_bound: float
-
-
-def sample(spec: EigenfunctionSpec, N: int, with_gradient: bool = False
-           ) -> SampledField:
-    """psi at the N^n nodes i/N; errors below the Nyquist bound."""
-    required = nyquist_resolution(spec.m)
-    if N < required:
-        raise ResolutionError(N, required)
-    values = evaluate_grid(spec, N)
-    grad = evaluate_gradient_grid(spec, N) if with_gradient else None
-    return SampledField(spec=spec, resolution=N, values=values, gradient=grad)
 
 
 def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
@@ -288,35 +247,3 @@ class MassEvaluator:
             2j * math.pi * (np.asarray(centers, dtype=float) @ self.freqs.T)
         )
         return np.real(phases @ w)
-
-
-def ball_mass_exact(spec: EigenfunctionSpec, center, r: float) -> float:
-    """One-off closed-form ball mass (build a MassEvaluator for batches)."""
-    return MassEvaluator(spec).mass(wrap_point(center), r)
-
-
-def ball_stat(spec: EigenfunctionSpec, center, r: float,
-              tol: float = DEFAULT_TOL) -> BallStat:
-    center = wrap_point(center)
-    sup_sq = sup_on_ball(spec, center, r, tol)
-    mass = ball_mass_exact(spec, center, r)
-    return BallStat(center=center, radius=r, sup_sq=sup_sq, mass=mass,
-                    error_bound=tol * sup_sq)
-
-
-def write_ball_stats_csv(stats: list[BallStat], path, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        dim = len(stats[0].center) if stats else 2
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"center_{d}" for d in range(dim)]
-            + ["radius", "sup_sq", "mass", "error_bound"]
-        )
-        for st in stats:
-            writer.writerow(
-                [f"{c:.17g}" for c in st.center]
-                + [f"{st.radius:.17g}", f"{st.sup_sq:.17g}",
-                   f"{st.mass:.17g}", f"{st.error_bound:.17g}"]
-            )

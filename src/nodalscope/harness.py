@@ -24,13 +24,8 @@ from .certify import (
     certify_equidistribution,
     largest_admissible_r,
 )
-from .doubling import (
-    DoublingRecord,
-    fit_growth_constant,
-    q_growth_ratio,
-    scan_doubling,
-)
-from .fields import gradient_sup_global, sup_global
+from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
+from .fields import gradient_sup_global, nyquist_resolution, sup_global
 from .geometry import TorusModel, generate_cover
 from .lift import CubeIndex, cube_doubling_index
 from .nodal import count_singular_in_balls, extract_nodal, find_singular_points
@@ -47,6 +42,7 @@ __all__ = [
 ]
 
 ENSEMBLE_SUP_TOL = 1e-2
+MAX_SEED = 4000
 
 
 @dataclass
@@ -62,55 +58,46 @@ class EnsembleMember:
     lift_index: CubeIndex | None = None
 
 
-def collect_certified_members(m: int, model: TorusModel, count: int = 8,
-                              k1: float | None = None,
-                              k2: float | None = None,
-                              r_grid: list[float] | None = None,
-                              max_seed: int = 4000):
-    """First `count` seeds (ascending) whose spec certifies; pass fraction too.
+def collect_certified_members(m: int, model: TorusModel, count: int = 8):
+    """First `count` seeds (ascending) whose spec certifies at the default
+    thresholds and radius grid; pass fraction too.
 
     Returns (members, pass_fraction) where pass_fraction is over the seeds
     scanned before the quota filled.
     """
     members = []
     scanned = 0
-    for seed in range(max_seed):
+    for seed in range(MAX_SEED):
         scanned += 1
         spec = random_eigenfunction(m, model, seed)
-        r = largest_admissible_r(spec, k1, k2, r_grid)
+        r = largest_admissible_r(spec)
         if r is not None:
-            cert = certify_equidistribution(spec, r, k1, k2)
+            cert = certify_equidistribution(spec, r)
             members.append(EnsembleMember(spec=spec, r=r, certificate=cert))
             if len(members) == count:
                 break
     if len(members) < count:
         raise RuntimeError(
             f"only {len(members)}/{count} certified seeds for m={m} "
-            f"within {max_seed} seeds"
+            f"within {MAX_SEED} seeds"
         )
     return members, len(members) / scanned
 
 
-def member_doubling(member: EnsembleMember, tol: float = ENSEMBLE_SUP_TOL,
-                    center_stride: int = 1) -> None:
+def member_doubling(member: EnsembleMember) -> None:
     """Doubling scan on the cover grid at the certified radius; fits c*."""
     spec = member.spec
-    centers = generate_cover(min(member.r, 0.25), spec.model).centers
-    if center_stride > 1:
-        centers = centers[::center_stride]
-    member.records = scan_doubling(spec, member.r, centers=centers, tol=tol)
+    member.records = scan_doubling(spec, member.r, tol=ENSEMBLE_SUP_TOL)
     member.c_star = fit_growth_constant(member.records, member.r, spec.lam)
 
 
-def member_nodal_stats(member: EnsembleMember, N: int | None = None) -> None:
-    """Nodal length, max vanishing order, max per-ball singular count."""
+def member_nodal_stats(member: EnsembleMember) -> None:
+    """Nodal length, max vanishing order, max per-ball singular count, on
+    the smallest grid N = 512 * 2^j that the extraction admits."""
     spec = member.spec
-    if N is None:
-        N = 512
-        from .fields import nyquist_resolution
-
-        while N < 4 * nyquist_resolution(spec.m):
-            N *= 2
+    N = 512
+    while N < 4 * nyquist_resolution(spec.m):
+        N *= 2
     ns = extract_nodal(spec, N)
     member.nodal_length = ns.length
     points = find_singular_points(spec, N)
@@ -125,14 +112,13 @@ def member_nodal_stats(member: EnsembleMember, N: int | None = None) -> None:
         member.max_singular_count = 0
 
 
-def member_lift_index(member: EnsembleMember, scan_budget: int = 150,
-                      tol: float = ENSEMBLE_SUP_TOL) -> None:
+def member_lift_index(member: EnsembleMember, scan_budget: int = 150) -> None:
     """Cube doubling index at the certified radius capped to the cube range."""
     spec = member.spec
     r_cube = min(member.r, 0.125)
     member.lift_index = cube_doubling_index(
         spec, np.full(spec.model.dim, 0.5), r_cube, scan_budget=scan_budget,
-        tol=tol,
+        tol=ENSEMBLE_SUP_TOL,
     )
 
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0
+MIN_SCALE_DIV = 64
 
 
 @dataclass
@@ -79,23 +80,21 @@ def harmonicity_residual(spec: EigenfunctionSpec, x, t: float,
 
 
 def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
-                        t_center: float = 0.0, scan_budget: int = 2000,
-                        tol: float = 1e-2, min_scale_div: int = 64
+                        scan_budget: int = 2000, tol: float = 1e-2
                         ) -> CubeIndex:
     """Scan sup over Euclidean balls B_s inside the cube of the H^2 log ratio.
 
-    Centers run over a 9^(n+1) sub-grid of the cube (descending inscribed
-    radius first), scales dyadically from the inscribed radius down to
-    r/min_scale_div. On the flat torus Euclidean and geodesic balls coincide
-    at these scales, so ball sups reduce to the certified lifted-sup scan.
+    The cube is centered on the t = 0 slice. Centers run over a 9^(n+1)
+    sub-grid of the cube (descending inscribed radius first), scales
+    dyadically from the inscribed radius down to r/MIN_SCALE_DIV. On the
+    flat torus Euclidean and geodesic balls coincide at these scales, so
+    ball sups reduce to the certified lifted-sup scan.
     The result is a lower bound of the continuum sup; scan_budget caps the
     number of (center, scale) ball-pair evaluations and exhaustion returns
     best-so-far with a flag.
     """
     if not 0.0 < r <= 0.125:
         raise ScaleRangeError(f"need 0 < r <= 1/8, got {r}")
-    if t_center != 0.0:
-        raise ValueError("cubes are centered on the t = 0 slice")
     cube_center = wrap_point(cube_center)
     n = spec.model.dim
     strip = [(-r + (i + 0.5) * (2.0 * r / 9.0)) for i in range(9)]
@@ -107,8 +106,8 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     grid.sort(key=lambda u: (-inscribed(u), u))
 
     best = 0.0
-    best_center = np.concatenate([cube_center, [t_center]])
-    best_scale = r / min_scale_div
+    best_center = np.concatenate([cube_center, [0.0]])
+    best_scale = r / MIN_SCALE_DIV
     pairs = 0
     exhausted = False
     sup_cache: dict[tuple, float] = {}
@@ -117,11 +116,11 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
         key = (xoff, toff, round(s, 15))
         if key not in sup_cache:
             sup_cache[key] = lifted_sup_on_ball(
-                spec, cube_center + np.array(xoff), t_center + toff, s, tol
+                spec, cube_center + np.array(xoff), toff, s, tol
             )
         return sup_cache[key]
 
-    s_floor = r / min_scale_div
+    s_floor = r / MIN_SCALE_DIV
     for u in grid:
         if exhausted:
             break
@@ -140,7 +139,7 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
                     best = val
                     best_center = np.concatenate(
                         [wrap_point(cube_center + np.array(xoff)),
-                         [t_center + toff]]
+                         [toff]]
                     )
                     best_scale = s
             s /= 2.0

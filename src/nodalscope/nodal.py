@@ -56,6 +56,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 NUDGE = 1e-12
+ZERO_TOL = 64.0 * np.finfo(float).eps
 RESIDUAL_TOL = 1e-8
 ORDER_TOL = 1e-6
 
@@ -102,7 +103,6 @@ class NodalSet:
     polylines: list          # list of (V, 2) vertex arrays, wrapped mod 1
     resolution: int
     length: float
-    convergence_estimate: float = math.nan
     segments: np.ndarray | None = None  # (S, 4): x1, y1, x2, y2
 
 
@@ -121,6 +121,24 @@ def _cell_patterns(vals: np.ndarray) -> np.ndarray:
         + 8 * np.roll(pos, -1, axis=1)
 
 
+def _signed_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:
+    """psi on the N x N grid with every node at a rounding-level value set
+    to +NUDGE, so that cell sign patterns do not follow rounding noise.
+
+    A node counts as zero when |psi| <= ZERO_TOL ||c||_1: the magnitudes of
+    the summed terms add up to at most ||c||_1, so the grid sum's rounding
+    error is a few ulps of it.
+    """
+    vals = evaluate_grid(spec, N)
+    zero = np.abs(vals) <= ZERO_TOL * spec.coeff_l1()
+    zero_nodes = int(np.count_nonzero(zero))
+    if zero_nodes:
+        logger.info("nudged %d rounding-level grid nodes to +%g", zero_nodes,
+                    NUDGE)
+        vals = np.where(zero, NUDGE, vals)
+    return vals
+
+
 def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     """Marching-squares contour of {psi = 0} with torus-periodic stitching.
 
@@ -132,12 +150,7 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     required = 4 * nyquist_resolution(spec.m)
     if N < required:
         raise ResolutionError(N, required)
-    vals = evaluate_grid(spec, N)
-    zero_nodes = int(np.count_nonzero(vals == 0.0))
-    if zero_nodes:
-        logger.info("nudged %d exactly-zero grid nodes by +%g", zero_nodes,
-                    NUDGE)
-        vals = np.where(vals == 0.0, NUDGE, vals)
+    vals = _signed_grid(spec, N)
     h = 1.0 / N
     pattern = _cell_patterns(vals)
     ii, jj = np.nonzero(_N_PAIRS[pattern])
@@ -212,15 +225,6 @@ def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
             tip = nxt ^ 1
         chains.append(points[path])
     return chains
-
-
-def extract_nodal_with_convergence(spec: EigenfunctionSpec,
-                                   N: int) -> NodalSet:
-    """Extraction at N with the relative length change from N/2 recorded."""
-    coarse = extract_nodal(spec, N // 2)
-    ns = extract_nodal(spec, N)
-    ns.convergence_estimate = abs(ns.length - coarse.length) / ns.length
-    return ns
 
 
 def vanishing_order(spec: EigenfunctionSpec, x) -> int:
@@ -318,8 +322,7 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     if N < required:
         raise ResolutionError(N, required)
     h = 1.0 / N
-    vals = evaluate_grid(spec, N)
-    vals = np.where(vals == 0.0, NUDGE, vals)
+    vals = _signed_grid(spec, N)
     grad = evaluate_gradient_grid(spec, N)
     gate = _N_PAIRS[_cell_patterns(vals)] > 0
     for d in range(2):

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NoModesError
+from .errors import NoModesError, SpecError
 from .geometry import TorusModel, wrap_point
 
 __all__ = [
@@ -88,12 +88,19 @@ class EigenfunctionSpec:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if k.ndim != 2 or k.shape[1] != self.model.dim:
-            raise ValueError("mode array must be (M, dim)")
+            raise SpecError("mode array must be (M, dim)")
         if not np.all((k * k).sum(axis=1) == self.m):
-            raise ValueError("every mode must satisfy |k|^2 = m")
+            raise SpecError("every mode must satisfy |k|^2 = m")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise SpecError("coefficients must be finite")
+        # k and -k are one mode: flip each row to its first nonzero > 0
+        first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+        canonical = np.where(first[:, None] < 0, -k, k)
+        if len(np.unique(canonical, axis=0)) != len(k):
+            raise SpecError("modes repeat, exactly or up to sign")
         norm = 0.5 * float(np.sum(a * a + b * b))
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"L2 norm {norm} != 1")
+            raise SpecError(f"L2 norm {norm} != 1")
 
     @property
     def lam(self) -> float:
@@ -320,12 +327,15 @@ def spec_to_json(spec: EigenfunctionSpec) -> str:
 
 
 def spec_from_json(text: str) -> EigenfunctionSpec:
-    payload = json.loads(text)
-    model = TorusModel(payload["dim"])
-    modes = payload["modes"]
-    k = np.array([mo["k"] for mo in modes], dtype=int)
-    a = np.array([mo["a"] for mo in modes], dtype=float)
-    b = np.array([mo["b"] for mo in modes], dtype=float)
-    return EigenfunctionSpec(
-        model=model, m=payload["m"], k=k, a=a, b=b, seed=payload.get("seed"),
-    )
+    """Parse spec JSON; SpecError when the text is not a valid spec."""
+    try:
+        payload = json.loads(text)
+        model = TorusModel(payload["dim"])
+        modes = payload["modes"]
+        k = np.array([mo["k"] for mo in modes], dtype=int)
+        a = np.array([mo["a"] for mo in modes], dtype=float)
+        b = np.array([mo["b"] for mo in modes], dtype=float)
+        m, seed = payload["m"], payload.get("seed")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpecError(f"not an eigenfunction spec: {exc}") from exc
+    return EigenfunctionSpec(model=model, m=m, k=k, a=a, b=b, seed=seed)

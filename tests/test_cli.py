@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nodalscope.certify import SCHEMA_VERSION
 from nodalscope.cli import main
 from nodalscope.spectrum import spec_to_json, translate
 
@@ -41,7 +42,7 @@ def test_certify_exit_codes(tmp_path, t2, sin1):
                 str(tmp_path / "spec_m325_dim2_seed0.json"),
                 "--r", "0.25"]) == 0
     cert = json.loads((tmp_path / "certificate_m325_r0.25.json").read_text())
-    assert cert["schema_version"] == 1
+    assert cert["schema_version"] == SCHEMA_VERSION
     assert cert["config_hash"]
     assert cert["pass"] is True
 
@@ -51,6 +52,29 @@ def test_certify_bad_r_exit_code(tmp_path, sin1):
     sin_path.write_text(spec_to_json(sin1))
     assert run(["--out", str(tmp_path), "certify", "--spec", str(sin_path),
                 "--r", "0.01"]) == 2
+
+
+_BAD_SPECS = {
+    "nan": ([1, 0], float("nan"), [0, 1], 1.0),
+    "duplicate": ([1, 0], 1.0, [1, 0], 1.0),
+    "negated_duplicate": ([1, 0], 1.0, [-1, 0], 1.0),
+    "bad_norm_of_k": ([1, 0], 1.0, [1, 1], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_SPECS, "not_json"])
+def test_bad_spec_exit_code(tmp_path, case, capsys):
+    path = tmp_path / "spec.json"
+    if case == "not_json":
+        path.write_text("m = 1\n")
+    else:
+        k1, a1, k2, a2 = _BAD_SPECS[case]
+        path.write_text(json.dumps({"dim": 2, "m": 1, "seed": None, "modes": [
+            {"k": k1, "a": a1, "b": 0.0}, {"k": k2, "a": a2, "b": 0.0}]}))
+    assert run(["--out", str(tmp_path), "certify", "--spec", str(path),
+                "--r", "0.25"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("certificate_*.json"))
 
 
 def test_nodal_artifacts(tmp_path, sin1):
@@ -64,7 +88,7 @@ def test_nodal_artifacts(tmp_path, sin1):
     )
     assert summary["length"] == pytest.approx(2.0, rel=1e-3)
     seg_text = (tmp_path / "nodal_segments_m1_N512.csv").read_text()
-    assert seg_text.startswith("# schema_version=1 config=")
+    assert seg_text.startswith(f"# schema_version={SCHEMA_VERSION} config=")
 
 
 def test_doubling_artifacts(tmp_path):
@@ -79,6 +103,14 @@ def test_doubling_artifacts(tmp_path):
     for key in ("m", "lambda", "r", "c_star", "max_index", "n_records"):
         assert key in summary
     assert summary["lambda"] == pytest.approx(4 * math.pi**2 * 25)
+    lines = (tmp_path / "doubling_records_m25_r0.25.csv").read_text() \
+        .splitlines()
+    assert lines[0].startswith(f"# schema_version={SCHEMA_VERSION} config=")
+    header, rows = lines[1].split(","), [ln.split(",") for ln in lines[2:]]
+    assert len(rows) == summary["n_records"]
+    # every column carries a value in some row
+    for i, name in enumerate(header):
+        assert any(row[i] for row in rows), name
 
 
 def test_report_family(tmp_path):
@@ -98,10 +130,10 @@ def test_report_family(tmp_path):
     man_path.write_text(json.dumps(manifest))
     assert run(["--out", out, "report", "--manifest", str(man_path)]) == 0
     agg = (tmp_path / "family_report.csv").read_text()
-    assert agg.startswith("# schema_version=1")
+    assert agg.startswith(f"# schema_version={SCHEMA_VERSION}")
     assert len(agg.strip().splitlines()) == 2 + 3  # header comment + csv head
     rep = json.loads((tmp_path / "report_m325_seed0.json").read_text())
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == SCHEMA_VERSION
     assert rep["meta"]["m"] == 325
     assert rep["constants"]["c3"]["provenance"] == "calibrated at m=100"
 

@@ -6,8 +6,6 @@ import pytest
 from nodalscope.doubling import (
     DoublingRecord,
     default_scale_sweep,
-    three_ball_ratio,
-    doubling_index_l2,
     doubling_index_sup,
     fit_growth_constant,
     lower_bound_check,
@@ -54,8 +52,13 @@ def test_index_l2_constant_field(t2):
     assert math.log(num / den) == pytest.approx(2 * math.log(2), abs=1e-4)
 
 
+def _index_l2(ev, x, delta):
+    """log of the L^2-mass doubling ratio from closed-form ball masses."""
+    return math.log(ev.mass(x, 2 * delta) / ev.mass(x, delta))
+
+
 def test_index_l2_at_flat_max(sin1):
-    idx = doubling_index_l2(sin1, (0.25, 0.25), 0.02)
+    idx = _index_l2(MassEvaluator(sin1), (0.25, 0.25), 0.02)
     assert idx == pytest.approx(2 * math.log(2), abs=0.02)
 
 
@@ -67,7 +70,7 @@ def test_index_l2_vs_sup_slack(rand100):
     for _ in range(30):
         x = rng.random(2)
         d = 10 ** rng.uniform(-2, -0.7)
-        il2 = doubling_index_l2(rand100, x, d, evaluator=ev)
+        il2 = _index_l2(ev, x, d)
         bound = (
             doubling_index_sup(rand100, x, d)
             + doubling_index_sup(rand100, x, d / 2)
@@ -88,27 +91,9 @@ def test_q_growth_guards(sin1):
         q_growth_ratio(sin1, (0, 0), 0.2)  # 4s > 1/2
 
 
-def test_three_ball_ratio(sin1):
-    # annulus around (0.25, 0.25) contains x = 0.25 points: sup = 2 both
-    ratio = three_ball_ratio(sin1, (0.25, 0.25), 0.4)
-    assert ratio == pytest.approx(1.0, rel=1e-6)
-    assert ratio >= 1.0 - 1e-9
-
-
-def test_three_ball_ratio_at_least_one(rand25):
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        assert three_ball_ratio(rand25, rng.random(2), 0.3) >= 1.0 - 1e-6
-
-
-def test_three_ball_ratio_guard(sin1):
-    with pytest.raises(ScaleRangeError):
-        three_ball_ratio(sin1, (0, 0), 0.6)
-
-
 def _rec(idx, scale=0.01, r=0.25, lam=100.0):
     return DoublingRecord(center=np.zeros(2), scale=scale, index_sup=idx,
-                          index_l2=None, index_q=None, context_r=r, lam=lam)
+                          context_r=r, lam=lam)
 
 
 def test_fit_growth_constant():
@@ -156,38 +141,6 @@ def test_rescaling_invariance_plumbing(rand25):
     assert a == b
 
 
-def test_three_ball_ratio_ensemble_shape(t2):
-    # for certified specs the ball-to-annulus ratio obeys
-    # ratio <= C * K2 (r sqrt(lambda))^n / K1 with C fitted at the smaller
-    # eigenvalue and the inequality shape holding at the larger one
-    from nodalscope.certify import (
-        certify_equidistribution,
-        default_k1,
-        default_k2,
-    )
-    from nodalscope.spectrum import random_eigenfunction
-
-    k1, k2 = default_k1(t2), default_k2(t2)
-    r = 0.25
-    rng = np.random.default_rng(3)
-
-    def ratios(spec):
-        return [
-            three_ball_ratio(spec, rng.random(2), min(20 * r, 0.5), tol=1e-2)
-            for _ in range(4)
-        ]
-
-    fit_spec = random_eigenfunction(100, t2, 0)
-    assert certify_equidistribution(fit_spec, r).passed
-    scale = k2 * (r * math.sqrt(fit_spec.lam)) ** 2 / k1
-    c_fit = max(ratios(fit_spec)) / scale
-
-    probe = random_eigenfunction(325, t2, 0)
-    assert certify_equidistribution(probe, r).passed
-    bound = 2 * c_fit * k2 * (r * math.sqrt(probe.lam)) ** 2 / k1
-    assert all(x <= bound for x in ratios(probe))
-
-
 def test_default_scale_sweep():
     lam = 4 * math.pi**2 * 25
     sweep = default_scale_sweep(lam, 0.25)
@@ -198,15 +151,9 @@ def test_default_scale_sweep():
 
 def test_scan_doubling_and_csv(tmp_path, rand25):
     centers = np.array([[0.1, 0.1], [0.6, 0.3]])
-    records = scan_doubling(rand25, 0.25, centers=centers, tol=1e-2,
-                            with_l2=True, with_q=True)
+    records = scan_doubling(rand25, 0.25, centers=centers, tol=1e-2)
     assert len(records) == 2 * len(default_scale_sweep(rand25.lam, 0.25))
     assert all(rec.index_sup >= -1e-2 for rec in records)
-    assert all(rec.index_l2 is not None for rec in records)
-    small = [rec for rec in records if 4 * rec.scale <= 0.5]
-    assert small and all(
-        rec.index_q is not None and rec.index_q >= -1e-2 for rec in small
-    )
     c_star = fit_growth_constant(records, 0.25, rand25.lam)
     assert c_star >= 0
     path = tmp_path / "records.csv"

@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from nodalscope.errors import BudgetError, EmbeddedBallError, ResolutionError
+from nodalscope.errors import BudgetError, EmbeddedBallError
 from nodalscope.fields import (
     MassEvaluator,
-    ball_mass_exact,
-    ball_stat,
     l2_on_ball,
     nyquist_resolution,
     q_on_ball,
-    sample,
     sup_global,
+    sup_on_annulus,
     sup_on_ball,
-    write_ball_stats_csv,
 )
 from nodalscope.geometry import ball_volume
-from nodalscope.spectrum import evaluate, random_eigenfunction
+from nodalscope.spectrum import evaluate, evaluate_grid, random_eigenfunction
 
 # Monte Carlo oracle, frozen before the build: 1e7 uniform samples of
 # 2 sin^2(2 pi x) over the ball of radius 0.5 centered at (0.25, 0),
@@ -31,30 +28,34 @@ def test_nyquist_bound():
     assert nyquist_resolution(25) == 12
 
 
-def test_sample_resolution_guard(t2):
-    spec = random_eigenfunction(100, t2, 0)
-    with pytest.raises(ResolutionError):
-        sample(spec, 16)
-
-
 def test_sample_values_closed_form(t2, sin1):
-    f = sample(sin1, 8)
-    assert f.values.shape == (8, 8)
+    values = evaluate_grid(sin1, 8)
+    assert values.shape == (8, 8)
     for j in range(8):
-        assert f.values[0, j] == pytest.approx(0.0, abs=1e-15)
-        assert f.values[2, j] == pytest.approx(math.sqrt(2), abs=1e-15)
+        assert values[0, j] == pytest.approx(0.0, abs=1e-15)
+        assert values[2, j] == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 def test_sample_subgrid_bit_identical(rand25):
-    coarse = sample(rand25, 32)
-    fine = sample(rand25, 64)
-    assert np.array_equal(coarse.values, fine.values[::2, ::2])
+    coarse = evaluate_grid(rand25, 32)
+    fine = evaluate_grid(rand25, 64)
+    assert np.array_equal(coarse, fine[::2, ::2])
 
 
 def test_sup_examples(sin1):
     assert sup_on_ball(sin1, (0.25, 0.25), 0.1) == pytest.approx(2.0, rel=1e-9)
     assert sup_on_ball(sin1, (0, 0), 0.125) == pytest.approx(1.0, rel=1e-9)
     assert sup_on_ball(sin1, (0, 0), 0.25) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_sup_on_annulus(sin1):
+    # the annulus 0.04 <= d(y, (1/4, 1/4)) <= 0.08 meets the line x = 1/4
+    # where psi^2 = 2
+    assert sup_on_annulus(sin1, (0.25, 0.25), 0.04, 0.08) == pytest.approx(
+        2.0, rel=1e-6
+    )
+    with pytest.raises(EmbeddedBallError):
+        sup_on_annulus(sin1, (0, 0), 0.1, 0.6)
 
 
 def test_sup_monotone_in_radius(rand25):
@@ -97,7 +98,7 @@ def test_l2_constant_field(t2):
 def test_l2_monte_carlo_oracle(sin1):
     mass = l2_on_ball(sin1, (0.25, 0.0), 0.5, tol=1e-3)
     assert abs(mass - MC_MASS) <= MC_3SIGMA + 1e-3 * MC_MASS
-    exact = ball_mass_exact(sin1, (0.25, 0.0), 0.5)
+    exact = MassEvaluator(sin1).mass((0.25, 0.0), 0.5)
     assert abs(exact - MC_MASS) <= MC_3SIGMA
 
 
@@ -139,14 +140,15 @@ def test_partition_mass_sums_to_norm(rand100):
 
 def test_mean_below_max(rand25):
     rng = np.random.default_rng(4)
+    ev = MassEvaluator(rand25)
     for _ in range(5):
         c = rng.random(2)
         r = rng.uniform(0.05, 0.4)
-        st = ball_stat(rand25, c, r)
+        sup_sq = sup_on_ball(rand25, c, r)
+        mass = ev.mass(c, r)
         vol = ball_volume(r, rand25.model)
-        assert st.sup_sq * vol >= st.mass * (1 - 1e-6)
-        assert 0 <= st.mass <= 1 + 1e-9
-        assert st.error_bound > 0
+        assert sup_sq * vol >= mass * (1 - 1e-6)
+        assert 0 <= mass <= 1 + 1e-9
 
 
 def test_l2_disjoint_additivity():
@@ -190,12 +192,3 @@ def test_q_dominates_amplitude_pointwise(rand25):
 
 def test_sup_global_single_mode(sin1):
     assert sup_global(sin1) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_ball_stats_csv(tmp_path, rand25):
-    stats = [ball_stat(rand25, (0.1, 0.2), 0.1)]
-    path = tmp_path / "stats.csv"
-    write_ball_stats_csv(stats, path, header_lines=["schema_version=1"])
-    text = path.read_text()
-    assert "center_0" in text and "sup_sq" in text
-    assert text.startswith("# schema_version=1")

@@ -89,8 +89,6 @@ def test_cube_budget_flag(rand25):
 def test_cube_guards(rand25):
     with pytest.raises(ScaleRangeError):
         cube_doubling_index(rand25, (0, 0), 0.3)
-    with pytest.raises(ValueError):
-        cube_doubling_index(rand25, (0, 0), 0.1, t_center=0.2)
 
 
 def test_chain_consistency(sin1, rand25):

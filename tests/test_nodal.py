@@ -6,6 +6,7 @@ import pytest
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import TorusModel, generate_cover, min_image
 from nodalscope.nodal import (
+    ZERO_TOL,
     SingularPoint,
     count_singular_in_balls,
     extract_nodal,
@@ -104,10 +105,27 @@ def test_length_eigenvalue_ratio_sin_family(sin_k):
 
 
 def test_random_length_self_convergence(rand25):
-    from nodalscope.nodal import extract_nodal_with_convergence
+    coarse = extract_nodal(rand25, 512).length
+    fine = extract_nodal(rand25, 1024).length
+    assert abs(fine - coarse) / fine < 5e-3
 
-    ns = extract_nodal_with_convergence(rand25, 1024)
-    assert ns.convergence_estimate < 5e-3
+
+def test_on_node_zeros_nudged_alike():
+    # psi vanishes on whole grid lines, where the grid sum leaves rounding
+    # noise of either sign (6112 nodes, none exactly 0); nudged to +, each
+    # of the 16 negative cells of the 8 x 4 pattern is one closed polyline
+    ns = extract_nodal(_translated_product(4, 2, (3 / 512, 5 / 512)), 512)
+    assert len(ns.polylines) == 16
+
+
+@pytest.mark.parametrize("m,N", [(325, 256), (1105, 1024), (5525, 1024)])
+def test_random_wave_nodes_above_zero_tol(t2, m, N):
+    # the smallest |psi| on these grids is >= 2e-8 ||c||_1, six orders
+    # above the rounding-level threshold: the nudge leaves waves alone
+    for seed in range(3):
+        spec = random_eigenfunction(m, t2, seed)
+        vals = evaluate_grid(spec, N)
+        assert np.abs(vals).min() > ZERO_TOL * spec.coeff_l1()
 
 
 def test_product_singular_points(product_spec):
