@@ -39,7 +39,7 @@ __all__ = [
     "report_from_json",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _unit_ball_volume(n: int) -> float:

@@ -30,7 +30,8 @@ from .doubling import (
     scan_doubling,
     write_records_csv,
 )
-from .errors import NodalscopeError, NoModesError
+from .errors import DimensionError, ManifestError, NodalscopeError, \
+    NoModesError
 from .geometry import TorusModel
 from .harness import (
     EnsembleMember,
@@ -150,8 +151,16 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    specs = [_load_spec(p) for p in manifest["specs"]]
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"manifest is not JSON: {exc}") from None
+    paths = manifest.get("specs") if isinstance(manifest, dict) else None
+    if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+        raise ManifestError("manifest has no list of spec paths under 'specs'")
+    specs = [_load_spec(p) for p in paths]
+    if any(spec.model.dim != 2 for spec in specs):
+        raise DimensionError("report needs 2-D specs")
     config = ReportConfig(
         beta=manifest.get("beta", 0.01),
         kappa=manifest.get("kappa", 1.0),

@@ -18,6 +18,14 @@ class SpecError(NodalscopeError, ValueError):
     |k|^2 != m, non-finite coefficients, repeated modes or a wrong norm."""
 
 
+class DimensionError(NodalscopeError, ValueError):
+    """A computation is defined in another torus dimension than the spec's."""
+
+
+class ManifestError(NodalscopeError, ValueError):
+    """A report manifest is not JSON or has no list of spec paths."""
+
+
 class NoModesError(NodalscopeError):
     """The requested squared norm has no lattice representations."""
 

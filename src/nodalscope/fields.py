@@ -7,7 +7,9 @@ is exact to rounding and is the path certificates use. l2_on_ball is midpoint
 quadrature over grid cells (interior cells full, boundary cells weighted by a
 4^n-subsample partial-volume fraction), kept as the independent cross-check
 of the closed forms. Sup queries go through the certified branch-and-bound
-scan.
+scan. Lifted sups are taken over balls centered at t = 0: a ball's t-offset
+scales both sups of a doubling pair by the same factor, so the harmonic
+lift's cube index does not depend on it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from scipy.special import j1
 from .errors import BudgetError, EmbeddedBallError
 from .geometry import wrap_point
 from .scan import (
-    EnergyDensity,
-    GradientSquared,
     LiftedSquared,
     RadialDomain,
-    SquaredAmplitude,
+    SpectralObjective,
     TorusDomain,
     certified_max,
 )
@@ -44,6 +44,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 MAX_QUAD_POINTS = 40_000_000
+MASS_BLOCK = 2**22  # largest centers x frequencies block mass_many builds
 
 
 def nyquist_resolution(m: int) -> int:
@@ -51,18 +52,19 @@ def nyquist_resolution(m: int) -> int:
     return 2 * math.ceil(math.sqrt(m)) + 2
 
 
+def _sup(spec: EigenfunctionSpec, center, domain, tol: float,
+         alpha: float = 0.0, beta: float = 1.0) -> float:
+    """Certified sup of alpha |grad psi|^2 + beta psi^2 over center + domain."""
+    obj = SpectralObjective(spec, wrap_point(center), alpha, beta)
+    return certified_max(obj, domain, tol).value
+
+
 def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
                 tol: float = DEFAULT_TOL) -> float:
-    """sup of |psi|^2 over the closed ball B_s(center), within rel. error tol.
-
-    Certified from below by the Bernstein bound |grad psi^2| <= 4 pi
-    sqrt(n m) sup|psi|^2 driving the scan's cell pruning.
-    """
+    """sup of |psi|^2 over the closed ball B_s(center), within rel. error tol."""
     if not 0.0 < s <= 0.5:
         raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
-    obj = SquaredAmplitude(spec, wrap_point(center))
-    res = certified_max(obj, RadialDomain(0.0, s), tol)
-    return res.value
+    return _sup(spec, center, RadialDomain(0.0, s), tol)
 
 
 def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
@@ -70,9 +72,7 @@ def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
     """sup of |psi|^2 over the closed annulus lo <= d(y, center) <= hi."""
     if hi > 0.5:
         raise EmbeddedBallError(f"annulus outer radius {hi} > 1/2")
-    obj = SquaredAmplitude(spec, wrap_point(center))
-    res = certified_max(obj, RadialDomain(lo, hi), tol)
-    return res.value
+    return _sup(spec, center, RadialDomain(lo, hi), tol)
 
 
 def q_on_ball(spec: EigenfunctionSpec, center, s: float,
@@ -80,28 +80,25 @@ def q_on_ball(spec: EigenfunctionSpec, center, s: float,
     """sup of q = |grad psi|^2 + (lambda/2)|psi|^2 over the closed ball."""
     if not 0.0 < s <= 0.5:
         raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
-    obj = EnergyDensity(spec, wrap_point(center))
-    res = certified_max(obj, RadialDomain(0.0, s), tol)
-    return res.value
+    return _sup(spec, center, RadialDomain(0.0, s), tol, 1.0, 0.5 * spec.lam)
 
 
 def sup_global(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL) -> float:
     """sup of |psi|^2 over the whole torus."""
-    obj = SquaredAmplitude(spec, np.zeros(spec.model.dim))
-    return certified_max(obj, TorusDomain(), tol).value
+    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), tol)
 
 
 def gradient_sup_global(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL
                         ) -> float:
     """sup of |grad psi|^2 over the whole torus."""
-    obj = GradientSquared(spec, np.zeros(spec.model.dim))
-    return certified_max(obj, TorusDomain(), tol).value
+    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), tol, 1.0, 0.0)
 
 
-def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, t_center: float,
-                       s: float, tol: float = DEFAULT_TOL) -> float:
-    """sup of H^2 = psi^2 exp(2 t sqrt(lambda)) over the (n+1)-ball B_s."""
-    obj = LiftedSquared(spec, wrap_point(x_center), t_center, s)
+def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, s: float,
+                       tol: float = DEFAULT_TOL) -> float:
+    """sup of H^2 = psi^2 exp(2 t sqrt(lambda)) over the (n+1)-ball B_s
+    centered at (x_center, 0); the cube index does not depend on t-offsets."""
+    obj = LiftedSquared(spec, wrap_point(x_center), s)
     return certified_max(obj, RadialDomain(0.0, s), tol).value
 
 
@@ -243,7 +240,10 @@ class MassEvaluator:
         if not 0.0 < r <= 0.5:
             raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
         w = self._ball_transform(r) * self.coefs
-        phases = np.exp(
-            2j * math.pi * (np.asarray(centers, dtype=float) @ self.freqs.T)
-        )
-        return np.real(phases @ w)
+        centers = np.asarray(centers, dtype=float)
+        step = max(1, MASS_BLOCK // len(self.freqs))
+        out = np.empty(len(centers))
+        for i in range(0, len(centers), step):
+            phases = np.exp(2j * math.pi * (centers[i:i + step] @ self.freqs.T))
+            out[i:i + step] = np.real(phases @ w)
+        return out

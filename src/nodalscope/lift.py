@@ -5,7 +5,9 @@ eigenvalue), which lets cube-based nodal bounds for harmonic functions apply
 to eigenfunctions. The cube doubling index N(H, Q) is the sup over Euclidean
 balls inside the cube of the log sup-ratio of H^2 between the double ball and
 the ball; the scan over (center, scale) pairs returns a certified lower bound
-of that sup.
+of that sup. Since H^2 = psi^2 exp(2 t sqrt(lambda)), moving a ball in t
+multiplies both sups of a pair by the same factor: a ball's log sup ratio,
+and so the cube index, does not depend on its t-offset.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     sub-grid of the cube (descending inscribed radius first), scales
     dyadically from the inscribed radius down to r/MIN_SCALE_DIV. On the
     flat torus Euclidean and geodesic balls coincide at these scales, so
-    ball sups reduce to the certified lifted-sup scan.
+    ball sups reduce to the certified lifted-sup scan. A center's t-offset
+    only caps its inscribed radius, so sups are cached per (x-offset, scale).
     The result is a lower bound of the continuum sup; scan_budget caps the
     number of (center, scale) ball-pair evaluations and exhaustion returns
     best-so-far with a flag.
@@ -112,11 +115,11 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     exhausted = False
     sup_cache: dict[tuple, float] = {}
 
-    def sup_at(xoff, toff, s) -> float:
-        key = (xoff, toff, round(s, 15))
+    def sup_at(xoff, s) -> float:
+        key = (xoff, round(s, 15))
         if key not in sup_cache:
             sup_cache[key] = lifted_sup_on_ball(
-                spec, cube_center + np.array(xoff), toff, s, tol
+                spec, cube_center + np.array(xoff), s, tol
             )
         return sup_cache[key]
 
@@ -130,8 +133,8 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
             if pairs >= scan_budget:
                 exhausted = True
                 break
-            num = sup_at(xoff, toff, 2.0 * s)
-            den = sup_at(xoff, toff, s)
+            num = sup_at(xoff, 2.0 * s)
+            den = sup_at(xoff, s)
             pairs += 1
             if den > 0.0:
                 val = math.log(num / den)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ResolutionError, ScaleRangeError
+from .errors import DimensionError, ResolutionError, ScaleRangeError
 from .fields import nyquist_resolution
 from .geometry import min_image, wrap_point
 from .spectrum import (
@@ -146,7 +146,7 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     crossing points are linear interpolants on the sign-change edges.
     """
     if spec.model.dim != 2:
-        raise ValueError("nodal extraction is 2-D only")
+        raise DimensionError("nodal extraction is 2-D only")
     required = 4 * nyquist_resolution(spec.m)
     if N < required:
         raise ResolutionError(N, required)
@@ -317,7 +317,7 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     its vanishing order.
     """
     if spec.model.dim != 2:
-        raise ValueError("singular-point search is 2-D only")
+        raise DimensionError("singular-point search is 2-D only")
     required = 4 * nyquist_resolution(spec.m)
     if N < required:
         raise ResolutionError(N, required)

@@ -15,10 +15,12 @@ supremum within the requested relative tolerance.
 Cells are integer lattice indices: the child of cell i on each axis is 2i or
 2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
 (ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Every
-objective is f = alpha |grad psi|^2 + beta psi^2 (the lifted one times its
-t-factor), and psi, grad psi and, when alpha != 0, the Hessian of psi come
-from one mode sum (spectrum.mode_sum) with the query center's phase folded
-into its weights. A level's phases are products of per-axis tables over the
+objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective, B2
+derived from alpha and beta) or psi^2 times the harmonic lift's t-factor
+(LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
+t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
+one mode sum (spectrum.mode_sum) with the query center's phase folded into
+its weights. A level's phases are products of per-axis tables over the
 level's distinct coordinates (spectrum.lattice_phases), so one GEMM
 evaluates the whole level.
 """
@@ -44,9 +46,7 @@ __all__ = [
     "ScanResult",
     "RadialDomain",
     "TorusDomain",
-    "SquaredAmplitude",
-    "GradientSquared",
-    "EnergyDensity",
+    "SpectralObjective",
     "LiftedSquared",
     "certified_max",
     "pattern_search",
@@ -62,7 +62,6 @@ MAX_POLISH_EVALS = 600
 class ScanResult:
     value: float        # certified lower bound, within rel. tol of the sup
     offset: np.ndarray  # offset (from the query center) achieving value
-    rel_gap: float      # certified relative gap to the true sup
     nodes: int          # total objective evaluations
 
 
@@ -93,7 +92,9 @@ class RadialDomain:
         return out
 
     def initial_lattice(self, h0: float) -> tuple[int, float, float]:
-        """(cells per axis, spacing, origin) of the first level."""
+        """(cells per axis, spacing, origin) of the first level; the spacing
+        is at most half the band width and at most the outer radius."""
+        h0 = min(h0, max((self.hi - self.lo) / 2.0, 1e-8), self.hi)
         count = max(2, int(math.ceil(2.0 * self.hi / h0)))
         return count, 2.0 * self.hi / count, -self.hi
 
@@ -115,13 +116,23 @@ class TorusDomain:
         return count, 1.0 / count, 0.0
 
 
-class _SpectralObjective:
+class SpectralObjective:
     """f = alpha |grad psi|^2 + beta psi^2 at center + offset.
 
     psi, grad psi and, when alpha != 0, the Hessian H of psi come from one
     mode sum whose weights carry the center's phase; grad f =
-    2 alpha H grad psi + 2 beta psi grad psi. Subclasses set hess_bound, a
-    bound on the Hessian norm of f.
+    2 alpha H grad psi + 2 beta psi grad psi.
+
+    hess_bound = 4 lambda A1^2 (beta + alpha lambda) bounds the Hessian norm
+    of f, A1 = sum_l |c_l| the coefficient l1 norm. Since
+
+        Hess f = 2 alpha (H^2 + sum_i d_i psi grad^2 d_i psi)
+                 + 2 beta (grad psi grad psi^T + psi H),
+
+    and mode by mode |psi| <= A1, |grad psi| <= sqrt(lambda) A1,
+    ||H|| <= lambda A1 and ||D^3 psi|| <= lambda^(3/2) A1, the alpha part is
+    at most 2 alpha (lambda^2 + lambda^2) A1^2 and the beta part at most
+    2 beta (lambda + lambda) A1^2. h0 is the first lattice spacing.
     """
 
     def __init__(self, spec: EigenfunctionSpec, center, alpha: float,
@@ -129,10 +140,12 @@ class _SpectralObjective:
         self.spec = spec
         self.center = np.asarray(center, dtype=float)
         self.dim = spec.model.dim
-        self.A1sq = spec.coeff_l1() ** 2
         self.alpha = alpha
         self.beta = beta
         self.weights = mode_weights(spec, 2 if alpha else 1, self.center)
+        self.hess_bound = (4.0 * spec.lam * spec.coeff_l1() ** 2
+                           * (beta + alpha * spec.lam))
+        self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
     def _value(self, parts: np.ndarray) -> np.ndarray:
         psi = parts[:, 0]
@@ -165,58 +178,26 @@ class _SpectralObjective:
         return f, f + slope * rho + 0.5 * self.hess_bound * rho * rho
 
 
-class SquaredAmplitude(_SpectralObjective):
-    """Objective |psi|^2; Hessian norm bound 4 lambda A1^2."""
+class LiftedSquared(SpectralObjective):
+    """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over an (n+1)-ball B_s
+    centered at t = 0.
 
-    def __init__(self, spec, center):
-        super().__init__(spec, center, alpha=0.0, beta=1.0)
-        self.hess_bound = 4.0 * spec.lam * self.A1sq
-
-    def suggested_h0(self) -> float:
-        return 1.0 / (6.0 * math.sqrt(self.spec.m))
-
-
-class GradientSquared(_SpectralObjective):
-    """Objective |grad psi|^2; Hessian norm bound 6 lambda^2 A1^2."""
-
-    def __init__(self, spec, center):
-        super().__init__(spec, center, alpha=1.0, beta=0.0)
-        self.hess_bound = 6.0 * spec.lam**2 * self.A1sq
-
-    def suggested_h0(self) -> float:
-        return 1.0 / (8.0 * math.sqrt(self.spec.m))
-
-
-class EnergyDensity(_SpectralObjective):
-    """Objective q = |grad psi|^2 + (lambda/2)|psi|^2; Hessian bound 8 lam^2 A1^2."""
-
-    def __init__(self, spec, center):
-        super().__init__(spec, center, alpha=1.0, beta=0.5 * spec.lam)
-        self.hess_bound = 8.0 * spec.lam**2 * self.A1sq
-
-    def suggested_h0(self) -> float:
-        return 1.0 / (8.0 * math.sqrt(self.spec.m))
-
-
-class LiftedSquared(SquaredAmplitude):
-    """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over an (n+1)-ball.
-
-    The t maximization is closed form (exp is increasing), reducing the
-    (n+1)-dimensional ball of radius s at (x0, t0) to the n-dimensional
-    objective psi(x0+d)^2 exp(2 sqrt(lambda)(t0 + sqrt(s^2-|d|^2))). Cell
-    bounds multiply the quadratic psi^2 bound by the exact cell maximum of
-    the monotone t-factor; value_and_slope is that of the psi^2 factor.
+    Moving the ball to t = tau multiplies the sup by exp(2 tau sqrt(lambda)),
+    so the log ratio of two concentric ball sups does not depend on tau. The
+    t maximization is closed form (exp is increasing), reducing the ball to
+    the n-dimensional objective psi(x0+d)^2 exp(2 sqrt(lambda) sqrt(s^2-|d|^2)).
+    Cell bounds multiply the quadratic psi^2 bound by the exact cell maximum
+    of the monotone t-factor; value_and_slope is that of the psi^2 factor.
     """
 
-    def __init__(self, spec, x_center, t_center: float, s: float):
-        super().__init__(spec, x_center)
-        self.t0 = float(t_center)
+    def __init__(self, spec, x_center, s: float):
+        super().__init__(spec, x_center, 0.0, 1.0)
         self.s = float(s)
         self.sqrt_lam = math.sqrt(spec.lam)
 
     def _t_factor(self, norms: np.ndarray) -> np.ndarray:
         g = np.sqrt(np.maximum(self.s**2 - norms**2, 0.0))
-        return np.exp(2.0 * self.sqrt_lam * (self.t0 + g))
+        return np.exp(2.0 * self.sqrt_lam * g)
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(offsets, axis=-1)
@@ -255,23 +236,19 @@ def pattern_search(objective, domain, d0, step: float):
     return d, v, evals
 
 
-def certified_max(objective, domain, tol: float, h0: float | None = None,
-                  node_budget: int = NODE_BUDGET) -> ScanResult:
+def certified_max(objective, domain, tol: float) -> ScanResult:
     """Max of the objective over the domain, within relative tolerance tol.
 
-    Raises BudgetError when tol is below the certification floor or the node
-    budget is exhausted before the bound gap closes.
+    The first level has spacing about objective.h0. Raises BudgetError when
+    tol is below the certification floor or NODE_BUDGET evaluations pass
+    before the bound gap closes.
     """
     if tol < TOL_FLOOR:
         raise BudgetError(
             f"tolerance {tol} below certification floor {TOL_FLOOR}"
         )
     dim = objective.center.shape[0]
-    if h0 is None:
-        h0 = objective.suggested_h0()
-    if isinstance(domain, RadialDomain):
-        h0 = min(h0, max((domain.hi - domain.lo) / 2.0, 1e-8), domain.hi)
-    count, spacing, origin = domain.initial_lattice(h0)
+    count, spacing, origin = domain.initial_lattice(objective.h0)
     rho = spacing * math.sqrt(dim) / 2.0
     # cell p has lattice index coords[a][inv[p, a]] on axis a
     coords = [np.arange(count)] * dim
@@ -291,13 +268,11 @@ def certified_max(objective, domain, tol: float, h0: float | None = None,
         if len(inv) == 0:
             if best_off is None:
                 raise BudgetError("scan found no admissible sample points")
-            return ScanResult(
-                value=best_val, offset=best_off, rel_gap=tol, nodes=nodes
-            )
+            return ScanResult(value=best_val, offset=best_off, nodes=nodes)
         nodes += len(inv)
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise BudgetError(
-                f"scan exceeded node budget {node_budget} (tol={tol})"
+                f"scan exceeded node budget {NODE_BUDGET} (tol={tol})"
             )
         vals, ubs = objective.cell_bounds(
             lattice_phases(objective.spec, xs, inv), offsets, rho

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from nodalscope.certify import (
+    SCHEMA_VERSION,
     default_k1,
     default_k2,
     lambda_threshold,
@@ -441,7 +442,8 @@ def test_criterion_10_conditional_report(ensembles_nodal, ensembles_lift):
         for rep in reports
     )
     serialized = [report_to_json(rep) for rep in reports]
-    round_trip_ok = all('"schema_version": 1' in s for s in serialized)
+    round_trip_ok = all(f'"schema_version": {SCHEMA_VERSION}' in s
+                        for s in serialized)
 
     verdicts = {}
     for rep in reports:

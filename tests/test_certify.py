@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from nodalscope.certify import (
+    SCHEMA_VERSION,
     EquidistCertificate,
     ReportConfig,
     build_report,
@@ -214,7 +215,7 @@ def test_report_round_trip():
     again = report_to_json(report_from_json(text))
     assert text == again
     payload = json.loads(text)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["config_hash"]
     for name in ("c2", "c3", "c4", "alpha", "beta", "kappa"):
         assert "provenance" in payload["constants"][name]

@@ -77,6 +77,51 @@ def test_bad_spec_exit_code(tmp_path, case, capsys):
     assert not list(tmp_path.glob("certificate_*.json"))
 
 
+_BAD_MANIFESTS = {
+    "not_json": "specs: [a.json]\n",
+    "no_specs": json.dumps({"beta": 0.01}),
+    "specs_not_a_list": json.dumps({"specs": "a.json"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+def test_bad_manifest_exit_code(tmp_path, case, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(_BAD_MANIFESTS[case])
+    assert run(["--out", str(tmp_path), "report", "--manifest",
+                str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "family_report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["nodal", "report"])
+def test_3d_spec_exit_code(tmp_path, command, capsys, monkeypatch):
+    # 3-D specs are refused with exit 2; report refuses them before it
+    # computes any certificate, even after a 2-D spec in the manifest
+    import nodalscope.cli as cli
+
+    def no_certificate(spec):
+        raise AssertionError("certificate computed for a refused report")
+
+    monkeypatch.setattr(cli, "largest_admissible_r", no_certificate)
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
+    assert run(["--out", out, "gen", "--m", "50", "--dim", "3",
+                "--seed", "0"]) == 0
+    spec3 = str(tmp_path / "spec_m50_dim3_seed0.json")
+    if command == "nodal":
+        args = ["nodal", "--spec", spec3]
+    else:
+        man_path = tmp_path / "manifest.json"
+        man_path.write_text(json.dumps({"specs": [
+            str(tmp_path / "spec_m25_dim2_seed7.json"), spec3]}))
+        args = ["report", "--manifest", str(man_path)]
+    assert run(["--out", out, *args]) == 2
+    assert "2-D" in capsys.readouterr().err
+    assert not list(tmp_path.glob("nodal_*")) + list(tmp_path.glob("report*"))
+    assert not (tmp_path / "family_report.csv").exists()
+
+
 def test_nodal_artifacts(tmp_path, sin1):
     out = str(tmp_path)
     sin_path = tmp_path / "sin.json"

@@ -131,6 +131,31 @@ def test_exact_mass_dim3(t3):
     assert ev.mass(c, r) == pytest.approx(mc, rel=2e-2)
 
 
+@pytest.mark.parametrize("dim,m,cover_r", [(2, 1105, 0.0625), (3, 50, 0.125)])
+def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
+    # a cover spanning several MASS_BLOCK blocks gives each center's own
+    # mass to 1e-12 relative; the covers of certified benchmark members
+    # (largest: m = 1105 at r = 1/8) stay a single block
+    from nodalscope import fields
+    from nodalscope.geometry import TorusModel, generate_cover
+
+    model = TorusModel(dim)
+    ev = MassEvaluator(random_eigenfunction(m, model, 2))
+    centers = generate_cover(cover_r, model).centers
+    r = cover_r / 2
+    whole = ev.mass_many(centers, r)
+    monkeypatch.setattr(fields, "MASS_BLOCK", 7 * len(ev.freqs))
+    blocked = ev.mass_many(centers, r)
+    assert len(centers) > 10 * 7
+    single = np.array([ev.mass(c, r) for c in centers])
+    assert np.max(np.abs(blocked - single) / single) <= 1e-12
+    assert np.max(np.abs(whole - single) / single) <= 1e-12
+    monkeypatch.undo()
+    bench = MassEvaluator(random_eigenfunction(1105, TorusModel(2), 0))
+    assert (len(generate_cover(0.0625, TorusModel(2)).centers)
+            * len(bench.freqs) <= fields.MASS_BLOCK)
+
+
 def test_partition_mass_sums_to_norm(rand100):
     from nodalscope.spectrum import evaluate_grid
 
@@ -180,10 +205,10 @@ def test_q_examples(sin1):
 
 
 def test_q_dominates_amplitude_pointwise(rand25):
-    from nodalscope.scan import EnergyDensity
+    from nodalscope.scan import SpectralObjective
 
     rng = np.random.default_rng(5)
-    obj = EnergyDensity(rand25, np.zeros(2))
+    obj = SpectralObjective(rand25, np.zeros(2), 1.0, 0.5 * rand25.lam)
     pts = rng.random((500, 2))
     q = obj.values(pts)
     psi = np.atleast_1d(evaluate(rand25, pts))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nodalscope.errors import LiftOverflowError, ScaleRangeError
+from nodalscope.fields import lifted_sup_on_ball
 from nodalscope.lift import (
     cube_doubling_index,
     cube_index_json,
@@ -125,3 +126,21 @@ def test_cube_index_json(rand25):
     payload = json.loads(cube_index_json(ci))
     assert payload["flags"]["lower_bound"] is True
     assert "argmax_ball" in payload and "N_value" in payload
+
+
+def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
+    # a ball's log sup ratio does not depend on its t-offset, so the 150
+    # pairs of the r = 1/8 cube scan each (x-offset, scale) once: 71 lifted
+    # scans in 2-D, against 2 per pair without sharing across t
+    import nodalscope.lift as lift
+
+    calls = []
+
+    def counted(spec, x_center, s, tol):
+        calls.append((tuple(x_center), s))
+        return lifted_sup_on_ball(spec, x_center, s, tol)
+
+    monkeypatch.setattr(lift, "lifted_sup_on_ball", counted)
+    ci = cube_doubling_index(rand25, (0.3, 0.6), 0.125, scan_budget=150)
+    assert ci.pairs_scanned == 150
+    assert len(calls) == len(set(calls)) == 71

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from nodalscope import scan
 from nodalscope.errors import BudgetError
 from nodalscope.geometry import TorusModel
 from nodalscope.scan import (
-    EnergyDensity,
-    GradientSquared,
     LiftedSquared,
     RadialDomain,
-    SquaredAmplitude,
+    SpectralObjective,
     TorusDomain,
     certified_max,
 )
@@ -19,6 +18,7 @@ from nodalscope.spectrum import (
     evaluate_gradient,
     evaluate_hessian,
     lattice_phases,
+    mode_spec,
     mode_sum,
     mode_weights,
     random_eigenfunction,
@@ -27,23 +27,29 @@ from nodalscope.spectrum import (
 # constructor, (alpha, beta) of f = alpha |grad psi|^2 + beta psi^2 (None:
 # lambda/2), and the power of 2 pi sqrt(m) that scales f
 OBJECTIVES = {
-    "amplitude": (SquaredAmplitude, 0.0, 1.0, 0),
-    "gradient": (GradientSquared, 1.0, 0.0, 2),
-    "energy": (EnergyDensity, 1.0, None, 2),
-    "lifted": (lambda s, c: LiftedSquared(s, c, 0.1, 0.05), 0.0, 1.0, 0),
+    "amplitude": (lambda s, c: SpectralObjective(s, c, 0.0, 1.0), 0.0, 1.0, 0),
+    "gradient": (lambda s, c: SpectralObjective(s, c, 1.0, 0.0), 1.0, 0.0, 2),
+    "energy": (lambda s, c: SpectralObjective(s, c, 1.0, 0.5 * s.lam),
+               1.0, None, 2),
+    "lifted": (lambda s, c: LiftedSquared(s, c, 0.05), 0.0, 1.0, 0),
 }
 
 
-def _lattice(rng, dim, spacing, origin, count=300):
-    """Random lattice cells: per-axis distinct indices and each cell's
-    position in them, as certified_max carries them."""
-    idx = rng.integers(-40, 40, size=(count, dim))
+def _cells(idx, spacing, origin):
+    """Lattice cells idx: per-axis distinct indices and each cell's position
+    in them, as certified_max carries them, and the cell-center offsets."""
+    dim = idx.shape[1]
     coords, inv = [], np.empty_like(idx)
     for a in range(dim):
         u, inv[:, a] = np.unique(idx[:, a], return_inverse=True)
         coords.append((u + 0.5) * spacing + origin)
     offsets = np.stack([coords[a][inv[:, a]] for a in range(dim)], axis=-1)
     return coords, inv, offsets
+
+
+def _lattice(rng, dim, spacing, origin, count=300):
+    """Random lattice cells with indices in [-40, 40) per axis."""
+    return _cells(rng.integers(-40, 40, size=(count, dim)), spacing, origin)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
@@ -143,25 +149,93 @@ def test_certified_max_brackets_dense_max(rand100, name, domain_name):
     dense = np.max(obj.values(_dense_offsets(domain, 301)))
     # the default first level, and a coarse one whose best cell need not
     # lie in the basin of the maximum, so that pruning decides the result
-    for h0 in (None, 0.3):
-        res = certified_max(obj, domain, tol, h0=h0)
+    for h0 in (obj.h0, 0.3):
+        obj.h0 = h0
+        res = certified_max(obj, domain, tol)
         assert dense <= res.value * (1 + tol)
         # the value is a pointwise evaluation at the offset it reports
         assert res.value == pytest.approx(
             obj.values(res.offset[None, :])[0], rel=1e-14)
         if isinstance(domain, RadialDomain):
             assert domain.contains(np.linalg.norm(res.offset))
-        assert res.nodes > 0 and res.rel_gap == tol
+        assert res.nodes > 0
 
 
-def test_certified_max_budget_errors(rand100):
-    obj = SquaredAmplitude(rand100, np.array([0.2, 0.4]))
+def test_certified_max_budget_errors(rand100, monkeypatch):
+    obj = SpectralObjective(rand100, np.array([0.2, 0.4]), 0.0, 1.0)
     with pytest.raises(BudgetError):
         certified_max(obj, RadialDomain(0.0, 0.1), 1e-12)
-    with pytest.raises(BudgetError):
-        certified_max(obj, RadialDomain(0.0, 0.1), 1e-6, node_budget=200)
     res = certified_max(obj, RadialDomain(0.0, 0.1), 1e-6)
     assert res.nodes > 200
+    monkeypatch.setattr(scan, "NODE_BUDGET", 200)
+    with pytest.raises(BudgetError):
+        certified_max(obj, RadialDomain(0.0, 0.1), 1e-6)
+
+
+def test_derived_constants(rand100):
+    # hess_bound = 4 lambda A1^2 (beta + alpha lambda): psi^2 keeps the
+    # hand-set 4 lambda A1^2 bit for bit; h0 is 1/(6 sqrt m) for psi^2 and
+    # 1/(8 sqrt m) once the gradient enters
+    lam, a1sq, root_m = rand100.lam, rand100.coeff_l1() ** 2, math.sqrt(100)
+    center = np.array([0.1, 0.2])
+    expected = {"amplitude": (4.0 * lam * a1sq, 6.0),
+                "gradient": (4.0 * lam**2 * a1sq, 8.0),
+                "energy": (6.0 * lam**2 * a1sq, 8.0),
+                "lifted": (4.0 * lam * a1sq, 6.0)}
+    for name, (bound, div) in expected.items():
+        obj = OBJECTIVES[name][0](rand100, center)
+        if name in ("amplitude", "lifted"):
+            assert obj.hess_bound == bound
+        else:
+            assert obj.hess_bound == pytest.approx(bound, rel=1e-15)
+        assert obj.h0 == 1.0 / (div * root_m)
+
+
+def _on_diagonal_mode(dim):
+    """psi = sqrt(2) sin(2 pi (x_1 + ... + x_n)): its gradient points along
+    the cell diagonal, so a cell's corners sit a full rho from its center."""
+    return mode_spec([((1,) * dim, 0.0, math.sqrt(2))], TorusModel(dim))
+
+
+def _cell_samples(spacing, dim, per_axis=5):
+    """Offsets of a per_axis^dim grid over a cell, center and corners
+    included."""
+    axis = np.linspace(-0.5 * spacing, 0.5 * spacing, per_axis)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_cell_bound_dominates_samples(name, dim, m):
+    # each cell's upper bound is at least the objective's largest value on
+    # dense samples inside the cell: on random waves, and on the diagonal
+    # single mode with cells centered on zeros of psi (index sum 0) and of
+    # |grad psi| (index sum 100 at spacing 1/400, where k.x = 1/4), where
+    # the slope vanishes and the rho^2 term alone must cover the cell
+    make = OBJECTIVES[name][0]
+    rng = np.random.default_rng(dim + 3)
+    wave = random_eigenfunction(m, TorusModel(dim), 11)
+    spacing = 0.5 / (2 * math.pi * math.sqrt(m))
+    cases = [(wave, rng.random(dim), _lattice(rng, dim, spacing, -0.05),
+              spacing)]
+    free = rng.integers(-30, 30, size=(60, dim - 1))
+    idx = np.concatenate([
+        np.hstack([free, -free.sum(axis=1, keepdims=True)]),
+        np.hstack([free, 100 - free.sum(axis=1, keepdims=True)]),
+    ])
+    cases.append((_on_diagonal_mode(dim), np.zeros(dim),
+                  _cells(idx, 1 / 400, -0.5 / 400), 1 / 400))
+    for spec, center, (coords, inv, offsets), h in cases:
+        obj = make(spec, center)
+        rho = h * math.sqrt(dim) / 2
+        vals, ubs = obj.cell_bounds(lattice_phases(spec, coords, inv),
+                                    offsets, rho)
+        samples = _cell_samples(h, dim)
+        pts = (offsets[:, None, :] + samples[None, :, :]).reshape(-1, dim)
+        dense = obj.values(pts).reshape(len(offsets), -1).max(axis=1)
+        assert np.all(ubs >= dense)
+        assert np.all(dense >= vals - 1e-12 * np.max(np.abs(vals)))
 
 
 def test_project_batch():
