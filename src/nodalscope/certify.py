@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+DYADIC_RADII = tuple(0.25 / 2**j for j in range(8))  # largest_admissible_r
 
 
 def _unit_ball_volume(n: int) -> float:
@@ -111,15 +112,10 @@ def certify_equidistribution(spec: EigenfunctionSpec, r: float,
 
 def largest_admissible_r(spec: EigenfunctionSpec,
                          k1: float | None = None,
-                         k2: float | None = None,
-                         r_grid: list[float] | None = None) -> float | None:
-    """Largest grid radius whose certificate passes; None when all fail."""
-    if r_grid is None:
-        r_grid = [0.25 / 2**j for j in range(8)]
-    lam_scale = spec.lam ** -0.5
-    grid = sorted((r for r in r_grid if lam_scale <= r <= 0.25),
-                  reverse=True)
-    for r in grid:
+                         k2: float | None = None) -> float | None:
+    """Largest of DYADIC_RADII at or above lambda^(-1/2) whose certificate
+    passes; None when all fail."""
+    for r in (r for r in DYADIC_RADII if r >= spec.lam ** -0.5):
         if certify_equidistribution(spec, r, k1, k2).passed:
             return r
     return None

@@ -30,8 +30,7 @@ from .doubling import (
     scan_doubling,
     write_records_csv,
 )
-from .errors import DimensionError, ManifestError, NodalscopeError, \
-    NoModesError
+from .errors import DimensionError, ManifestError, NodalscopeError
 from .geometry import TorusModel
 from .harness import (
     EnsembleMember,
@@ -70,12 +69,7 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    model = TorusModel(args.dim)
-    try:
-        spec = random_eigenfunction(args.m, model, args.seed)
-    except NoModesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = random_eigenfunction(args.m, TorusModel(args.dim), args.seed)
     path = _out_path(args, f"spec_m{args.m}_dim{args.dim}_seed{args.seed}.json")
     path.write_text(spec_to_json(spec) + "\n")
     print(f"wrote {path}")
@@ -253,10 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NodalscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (NodalscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

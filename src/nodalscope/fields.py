@@ -1,8 +1,9 @@
 """Ball measurements of eigenfunctions: sup |psi|^2, L^2 mass, and the
 auxiliary density q = |grad psi|^2 + (lambda/2)|psi|^2.
 
-Two mass routes are provided. MassEvaluator expands |psi|^2 in lattice modes
-and integrates each mode over the ball in closed form (Bessel transforms); it
+Two mass routes are provided. MassEvaluator writes a ball mass as a
+quadratic form in the spec's own modes, whose entries are closed-form ball
+integrals (Bessel transforms) of the pairwise mode sums and differences; it
 is exact to rounding and is the path certificates use. l2_on_ball is midpoint
 quadrature over grid cells (interior cells full, boundary cells weighted by a
 4^n-subsample partial-volume fraction), kept as the independent cross-check
@@ -28,7 +29,7 @@ from .scan import (
     TorusDomain,
     certified_max,
 )
-from .spectrum import EigenfunctionSpec
+from .spectrum import EigenfunctionSpec, point_phases
 
 __all__ = [
     "nyquist_resolution",
@@ -44,7 +45,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 MAX_QUAD_POINTS = 40_000_000
-MASS_BLOCK = 2**22  # largest centers x frequencies block mass_many builds
+MASS_BLOCK = 2**22  # largest centers x modes block mass_many builds
 
 
 def nyquist_resolution(m: int) -> int:
@@ -189,38 +190,26 @@ def l2_on_ball(spec: EigenfunctionSpec | None, center, r: float,
 
 
 class MassEvaluator:
-    """Closed-form ball masses of |psi|^2 via per-mode Bessel transforms.
+    """Closed-form ball masses of |psi|^2 as a quadratic form in the modes.
 
-    |psi|^2 expands over sums of signed modes; each lattice frequency q
-    contributes its exact integral over the Euclidean ball:
+    With c = a - ib and v_l = c_l exp(2 pi i k_l . x), psi = Re sum_l of
+    exp(2 pi i k_l . (y - x)) v_l, so the mass of B_r(x) is
+    (1/2) Re[v^T S v + v^H D v], where S and D hold the exact ball integral
+    W(|q|) of exp(2 pi i q . y) at q = k_l + k_l' and q = k_l - k_l':
     n=2: r J1(2 pi |q| r)/|q|; n=3: (sin z - z cos z)/(2 pi^2 |q|^3),
     z = 2 pi |q| r. Exact for embedded balls (r <= 1/2).
     """
 
     def __init__(self, spec: EigenfunctionSpec):
         self.spec = spec
-        self.dim = spec.model.dim
-        k_all = np.vstack([spec.k, -spec.k]).astype(float)
-        c_all = np.concatenate([
-            0.5 * (spec.a - 1j * spec.b),
-            0.5 * (spec.a + 1j * spec.b),
-        ])
-        sums = k_all[:, None, :] + k_all[None, :, :]
-        prods = c_all[:, None] * c_all[None, :]
-        flat = sums.reshape(-1, self.dim)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        coef = np.zeros(len(uniq), dtype=complex)
-        np.add.at(coef, inverse, prods.reshape(-1))
-        keep = np.abs(coef) > 1e-16
-        self.freqs = uniq[keep]
-        self.coefs = coef[keep]
-        self.freq_norms = np.linalg.norm(self.freqs, axis=-1)
+        k, k_t = spec.k[:, None, :], spec.k[None, :, :]
+        self.sum_norms = np.linalg.norm(k + k_t, axis=-1)
+        self.diff_norms = np.linalg.norm(k - k_t, axis=-1)
 
-    def _ball_transform(self, r: float) -> np.ndarray:
-        q = self.freq_norms
+    def _ball_transform(self, q: np.ndarray, r: float) -> np.ndarray:
         out = np.empty_like(q)
         zero = q < 1e-12
-        if self.dim == 2:
+        if self.spec.model.dim == 2:
             out[zero] = math.pi * r * r
             qs = q[~zero]
             out[~zero] = r * j1(2.0 * math.pi * qs * r) / qs
@@ -239,11 +228,18 @@ class MassEvaluator:
     def mass_many(self, centers: np.ndarray, r: float) -> np.ndarray:
         if not 0.0 < r <= 0.5:
             raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
-        w = self._ball_transform(r) * self.coefs
+        # with v = X + iY: Re[v^T S v + v^H D v] = X(S + D)X^T + Y(D - S)Y^T
+        s = self._ball_transform(self.sum_norms, r)
+        d = self._ball_transform(self.diff_norms, r)
+        form_re, form_im = 0.5 * (d + s), 0.5 * (d - s)
+        c = self.spec.a - 1j * self.spec.b
         centers = np.asarray(centers, dtype=float)
-        step = max(1, MASS_BLOCK // len(self.freqs))
+        step = max(1, MASS_BLOCK // self.spec.n_modes)
         out = np.empty(len(centers))
         for i in range(0, len(centers), step):
-            phases = np.exp(2j * math.pi * (centers[i:i + step] @ self.freqs.T))
-            out[i:i + step] = np.real(phases @ w)
+            v = point_phases(self.spec, centers[i:i + step])
+            v *= c
+            x, y = v.real, v.imag
+            out[i:i + step] = (np.einsum("pl,pl->p", x @ form_re, x)
+                               + np.einsum("pl,pl->p", y @ form_im, y))
         return out

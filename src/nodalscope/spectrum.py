@@ -51,10 +51,10 @@ def enumerate_lattice(m: int, n: int) -> list[tuple[int, ...]]:
     """All canonical representatives k with |k|^2 = m, lexicographic order.
 
     Canonical means the first nonzero coordinate is positive; the empty list
-    is returned when m is not a sum of n squares.
+    is returned when m is not a sum of n squares, and for every m < 1.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        return []
     if n not in (2, 3):
         raise ValueError(f"n must be 2 or 3, got {n}")
     kmax = math.isqrt(m)

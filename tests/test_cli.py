@@ -27,8 +27,13 @@ def test_gen_and_determinism(tmp_path):
     assert "lambda" not in payload
 
 
-def test_gen_no_modes_exit_code(tmp_path):
-    assert run(["--out", str(tmp_path), "gen", "--m", "3", "--dim", "2"]) == 2
+def test_gen_no_modes_exit_code(tmp_path, capsys):
+    # 3 is not a sum of two squares; m < 1 has no modes at all
+    for m in ("3", "0", "-4"):
+        assert run(["--out", str(tmp_path), "gen", "--m", m, "--dim",
+                    "2"]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spec_*.json"))
 
 
 def test_certify_exit_codes(tmp_path, t2, sin1):
@@ -62,11 +67,13 @@ _BAD_SPECS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_SPECS, "not_json"])
+@pytest.mark.parametrize("case", [*_BAD_SPECS, "not_json", "directory"])
 def test_bad_spec_exit_code(tmp_path, case, capsys):
     path = tmp_path / "spec.json"
     if case == "not_json":
         path.write_text("m = 1\n")
+    elif case == "directory":
+        path.mkdir()
     else:
         k1, a1, k2, a2 = _BAD_SPECS[case]
         path.write_text(json.dumps({"dim": 2, "m": 1, "seed": None, "modes": [

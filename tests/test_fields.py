@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalscope.errors import BudgetError, EmbeddedBallError
 from nodalscope.fields import (
@@ -13,8 +15,13 @@ from nodalscope.fields import (
     sup_on_annulus,
     sup_on_ball,
 )
-from nodalscope.geometry import ball_volume
-from nodalscope.spectrum import evaluate, evaluate_grid, random_eigenfunction
+from nodalscope.geometry import TorusModel, ball_volume
+from nodalscope.spectrum import (
+    evaluate,
+    evaluate_grid,
+    random_eigenfunction,
+    translate,
+)
 
 # Monte Carlo oracle, frozen before the build: 1e7 uniform samples of
 # 2 sin^2(2 pi x) over the ball of radius 0.5 centered at (0.25, 0),
@@ -131,29 +138,85 @@ def test_exact_mass_dim3(t3):
     assert ev.mass(c, r) == pytest.approx(mc, rel=2e-2)
 
 
+def _per_frequency_masses(spec, centers, r):
+    # sum over q = (+-k_l) + (+-k_l') of w_q(r) exp(2 pi i q . x), with w_q
+    # the ball integral of exp(2 pi i q . y) times the product coefficient
+    from scipy.special import j1
+
+    k = np.vstack([spec.k, -spec.k]).astype(float)
+    c = 0.5 * np.concatenate([spec.a - 1j * spec.b, spec.a + 1j * spec.b])
+    freqs = (k[:, None, :] + k[None, :, :]).reshape(-1, k.shape[1])
+    q = np.linalg.norm(freqs, axis=1)
+    qs = np.where(q > 0, q, 1.0)
+    z = 2 * math.pi * qs * r
+    if k.shape[1] == 2:
+        w = np.where(q > 0, r * j1(z) / qs, math.pi * r * r)
+    else:
+        ball = (np.sin(z) - z * np.cos(z)) / (2 * math.pi**2 * qs**3)
+        w = np.where(q > 0, ball, 4 / 3 * math.pi * r**3)
+    w = w * np.outer(c, c).ravel()
+    return np.concatenate([
+        np.real(np.exp(2j * math.pi * (block @ freqs.T)) @ w)
+        for block in np.array_split(centers, max(1, len(centers) // 256))])
+
+
 @pytest.mark.parametrize("dim,m,cover_r", [(2, 1105, 0.0625), (3, 50, 0.125)])
 def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
     # a cover spanning several MASS_BLOCK blocks gives each center's own
-    # mass to 1e-12 relative; the covers of certified benchmark members
-    # (largest: m = 1105 at r = 1/8) stay a single block
+    # mass and the per-frequency sum's mass to 1e-12 relative; the covers of
+    # certified benchmark members (largest: m = 1105 at r = 1/8) stay a
+    # single block
     from nodalscope import fields
-    from nodalscope.geometry import TorusModel, generate_cover
+    from nodalscope.geometry import generate_cover
 
     model = TorusModel(dim)
-    ev = MassEvaluator(random_eigenfunction(m, model, 2))
+    spec = random_eigenfunction(m, model, 2)
+    ev = MassEvaluator(spec)
     centers = generate_cover(cover_r, model).centers
     r = cover_r / 2
     whole = ev.mass_many(centers, r)
-    monkeypatch.setattr(fields, "MASS_BLOCK", 7 * len(ev.freqs))
+    monkeypatch.setattr(fields, "MASS_BLOCK", 7 * spec.n_modes)
     blocked = ev.mass_many(centers, r)
     assert len(centers) > 10 * 7
     single = np.array([ev.mass(c, r) for c in centers])
-    assert np.max(np.abs(blocked - single) / single) <= 1e-12
-    assert np.max(np.abs(whole - single) / single) <= 1e-12
+    direct = _per_frequency_masses(spec, centers, r)
+    for masses in (blocked, whole, direct):
+        assert np.max(np.abs(masses - single) / single) <= 1e-12
     monkeypatch.undo()
-    bench = MassEvaluator(random_eigenfunction(1105, TorusModel(2), 0))
+    bench = random_eigenfunction(1105, TorusModel(2), 0)
     assert (len(generate_cover(0.0625, TorusModel(2)).centers)
-            * len(bench.freqs) <= fields.MASS_BLOCK)
+            * bench.n_modes <= fields.MASS_BLOCK)
+
+
+_TRANSLATED = {dim: random_eigenfunction(m, TorusModel(dim), 0)
+               for dim, m in ((2, 1105), (3, 50))}
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.sampled_from([2, 3]), st.lists(unit, min_size=6, max_size=6),
+       st.floats(min_value=0.01, max_value=0.5))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mass_translation_invariance(dim, coords, r):
+    # translate(spec, tau) is x -> psi(x - tau): its ball masses at x + tau
+    # are the spec's at x, to rounding on the density mass / |B_r|
+    spec = _TRANSLATED[dim]
+    x, tau = np.array(coords[:dim]), np.array(coords[3:3 + dim])
+    moved = MassEvaluator(translate(spec, tau)).mass(x + tau, r)
+    vol = ball_volume(r, spec.model)
+    assert abs(moved - MassEvaluator(spec).mass(x, r)) <= 1e-12 * vol
+
+
+@given(st.sampled_from([2, 3]), st.lists(st.integers(0, 7), min_size=6,
+                                         max_size=6))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_sup_translation_invariance(dim, steps):
+    # tau on the grid (1/8)Z^n: certified ball sups agree within tol
+    spec = _TRANSLATED[dim]
+    x = np.full(dim, 0.3)
+    tau = np.array(steps[:dim]) / 8
+    tol = 1e-3
+    moved = sup_on_ball(translate(spec, tau), x + tau, 0.05, tol)
+    assert moved == pytest.approx(sup_on_ball(spec, x, 0.05, tol), rel=tol)
 
 
 def test_partition_mass_sums_to_norm(rand100):
