@@ -112,13 +112,12 @@ def member_nodal_stats(member: EnsembleMember) -> None:
         member.max_singular_count = 0
 
 
-def member_lift_index(member: EnsembleMember, scan_budget: int = 150) -> None:
+def member_lift_index(member: EnsembleMember) -> None:
     """Cube doubling index at the certified radius capped to the cube range."""
     spec = member.spec
     r_cube = min(member.r, 0.125)
     member.lift_index = cube_doubling_index(
-        spec, np.full(spec.model.dim, 0.5), r_cube, scan_budget=scan_budget,
-        tol=ENSEMBLE_SUP_TOL,
+        spec, np.full(spec.model.dim, 0.5), r_cube, tol=ENSEMBLE_SUP_TOL,
     )
 
 

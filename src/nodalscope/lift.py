@@ -35,6 +35,7 @@ __all__ = [
 
 EXP_GUARD = 700.0
 MIN_SCALE_DIV = 64
+PAIR_BUDGET = 150
 
 
 @dataclass
@@ -82,8 +83,7 @@ def harmonicity_residual(spec: EigenfunctionSpec, x, t: float,
 
 
 def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
-                        scan_budget: int = 2000, tol: float = 1e-2
-                        ) -> CubeIndex:
+                        tol: float = 1e-2) -> CubeIndex:
     """Scan sup over Euclidean balls B_s inside the cube of the H^2 log ratio.
 
     The cube is centered on the t = 0 slice. Centers run over a 9^(n+1)
@@ -92,7 +92,7 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     flat torus Euclidean and geodesic balls coincide at these scales, so
     ball sups reduce to the certified lifted-sup scan. A center's t-offset
     only caps its inscribed radius, so sups are cached per (x-offset, scale).
-    The result is a lower bound of the continuum sup; scan_budget caps the
+    The result is a lower bound of the continuum sup; PAIR_BUDGET caps the
     number of (center, scale) ball-pair evaluations and exhaustion returns
     best-so-far with a flag.
     """
@@ -130,7 +130,7 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
         xoff, toff = u[:n], u[n]
         s = inscribed(u)
         while s >= s_floor:
-            if pairs >= scan_budget:
+            if pairs >= PAIR_BUDGET:
                 exhausted = True
                 break
             num = sup_at(xoff, 2.0 * s)

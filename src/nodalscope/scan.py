@@ -1,28 +1,30 @@
 """Certified maximization of field quantities over balls, annuli, and the torus.
 
 The engine is a branch-and-bound over offset cells. Every cell carries an
-upper bound of the objective over the cell,
+upper bound of the objective over the cell, built by squaring first-order
+Taylor enclosures of psi and grad psi on the ball of radius rho around the
+cell center,
 
-    f(center) + |grad f(center)| rho + (1/2) B2 rho^2,
+    |psi| <= |psi(center)| + |grad psi(center)| rho + (1/2) D2 rho^2,
+    |grad psi| <= |grad psi(center)| + ||H psi(center)|| rho + (1/2) D3 rho^2,
 
-with B2 a global bound on the Hessian norm (Bernstein-type, from the lattice
-mode radius and the coefficient l1 norm). Cells that cannot beat the incumbent
-by more than the relative tolerance are pruned, survivors are subdivided, and
-the incumbent is polished by projected pattern search. The returned value is a
-pointwise evaluation at the returned offset, a lower bound of the true
-supremum within the requested relative tolerance.
+with D_j = ||c||_1 (2 pi sqrt(m))^j, which bounds the j-th derivative tensor
+of psi mode by mode. Cells that cannot beat the incumbent by more than the
+relative tolerance are pruned, survivors are subdivided, and the incumbent
+is polished by projected pattern search. The returned value is a pointwise
+evaluation at the returned offset, a lower bound of the true supremum within
+the requested relative tolerance.
 
 Cells are integer lattice indices: the child of cell i on each axis is 2i or
 2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
 (ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Every
-objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective, B2
-derived from alpha and beta) or psi^2 times the harmonic lift's t-factor
-(LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
-t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
-one mode sum (spectrum.mode_sum) with the query center's phase folded into
-its weights. A level's phases are products of per-axis tables over the
-level's distinct coordinates (spectrum.lattice_phases), so one GEMM
-evaluates the whole level.
+objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective) or psi^2
+times the harmonic lift's t-factor (LiftedSquared, balls at t = 0: the cube
+index does not depend on a ball's t-offset). psi, grad psi and, when
+alpha != 0, the Hessian of psi come from one mode sum (spectrum.mode_sum) with
+the query center's phase folded into its weights. A level's phases are
+products of per-axis tables over the level's distinct coordinates
+(spectrum.lattice_phases), so one GEMM evaluates the whole level.
 """
 
 from __future__ import annotations
@@ -120,19 +122,12 @@ class SpectralObjective:
     """f = alpha |grad psi|^2 + beta psi^2 at center + offset.
 
     psi, grad psi and, when alpha != 0, the Hessian H of psi come from one
-    mode sum whose weights carry the center's phase; grad f =
-    2 alpha H grad psi + 2 beta psi grad psi.
-
-    hess_bound = 4 lambda A1^2 (beta + alpha lambda) bounds the Hessian norm
-    of f, A1 = sum_l |c_l| the coefficient l1 norm. Since
-
-        Hess f = 2 alpha (H^2 + sum_i d_i psi grad^2 d_i psi)
-                 + 2 beta (grad psi grad psi^T + psi H),
-
-    and mode by mode |psi| <= A1, |grad psi| <= sqrt(lambda) A1,
-    ||H|| <= lambda A1 and ||D^3 psi|| <= lambda^(3/2) A1, the alpha part is
-    at most 2 alpha (lambda^2 + lambda^2) A1^2 and the beta part at most
-    2 beta (lambda + lambda) A1^2. h0 is the first lattice spacing.
+    mode sum whose weights carry the center's phase. A cell's bound is
+    beta U_psi^2 + alpha U_grad^2, U_psi and U_grad the Taylor enclosures of
+    |psi| and |grad psi| on the cell's ball (module docstring); d2 and d3 are
+    their remainder constants D2 = lambda A1 and D3 = lambda^(3/2) A1,
+    A1 = sum_l |c_l| the coefficient l1 norm. h0 is the first lattice
+    spacing.
     """
 
     def __init__(self, spec: EigenfunctionSpec, center, alpha: float,
@@ -143,8 +138,9 @@ class SpectralObjective:
         self.alpha = alpha
         self.beta = beta
         self.weights = mode_weights(spec, 2 if alpha else 1, self.center)
-        self.hess_bound = (4.0 * spec.lam * spec.coeff_l1() ** 2
-                           * (beta + alpha * spec.lam))
+        growth = 2.0 * math.pi * math.sqrt(spec.m)
+        self.d2 = spec.coeff_l1() * growth**2
+        self.d3 = spec.coeff_l1() * growth**3
         self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
     def _value(self, parts: np.ndarray) -> np.ndarray:
@@ -155,17 +151,6 @@ class SpectralObjective:
             f += self.alpha * np.einsum("pa,pa->p", g, g)
         return f
 
-    def value_and_slope(self, phases: np.ndarray):
-        """f and |grad f| at the offsets whose mode phases are given."""
-        n = self.dim
-        parts = mode_sum(phases, self.weights)
-        psi, g = parts[:, 0], parts[:, 1:n + 1]
-        grad = (2.0 * self.beta * psi)[:, None] * g
-        if self.alpha:
-            hess = parts[:, n + 1:].reshape(-1, n, n)
-            grad += 2.0 * self.alpha * np.einsum("pab,pb->pa", hess, g)
-        return self._value(parts), np.sqrt(np.einsum("pa,pa->p", grad, grad))
-
     def values(self, offsets: np.ndarray) -> np.ndarray:
         """Pointwise f at a batch of offsets (P, n)."""
         return self._value(mode_sum(point_phases(self.spec, offsets),
@@ -174,8 +159,17 @@ class SpectralObjective:
     def cell_bounds(self, phases: np.ndarray, offsets: np.ndarray,
                     rho: float):
         """f at the cell centers and its upper bound over each cell."""
-        f, slope = self.value_and_slope(phases)
-        return f, f + slope * rho + 0.5 * self.hess_bound * rho * rho
+        parts = mode_sum(phases, self.weights)
+        g = parts[:, 1:self.dim + 1]
+        slope = np.sqrt(np.einsum("pa,pa->p", g, g))
+        u_psi = np.abs(parts[:, 0]) + slope * rho + 0.5 * self.d2 * rho * rho
+        ub = self.beta * u_psi * u_psi
+        if self.alpha:
+            hess = parts[:, self.dim + 1:]
+            u_grad = (slope + np.sqrt(np.einsum("pa,pa->p", hess, hess)) * rho
+                      + 0.5 * self.d3 * rho * rho)
+            ub += self.alpha * u_grad * u_grad
+        return self._value(parts), ub
 
 
 class LiftedSquared(SpectralObjective):
@@ -186,8 +180,8 @@ class LiftedSquared(SpectralObjective):
     so the log ratio of two concentric ball sups does not depend on tau. The
     t maximization is closed form (exp is increasing), reducing the ball to
     the n-dimensional objective psi(x0+d)^2 exp(2 sqrt(lambda) sqrt(s^2-|d|^2)).
-    Cell bounds multiply the quadratic psi^2 bound by the exact cell maximum
-    of the monotone t-factor; value_and_slope is that of the psi^2 factor.
+    Cell bounds multiply the squared psi enclosure by the exact cell maximum
+    of the monotone t-factor.
     """
 
     def __init__(self, spec, x_center, s: float):

@@ -74,7 +74,7 @@ def ensembles_nodal(ensembles):
 def ensembles_lift(ensembles):
     for members in ensembles["members"].values():
         for mb in members[:2]:
-            member_lift_index(mb, scan_budget=150)
+            member_lift_index(mb)
     return ensembles
 
 

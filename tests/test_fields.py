@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nodalscope.errors import BudgetError, EmbeddedBallError
 from nodalscope.fields import (
+    DEFAULT_TOL,
     MassEvaluator,
     l2_on_ball,
     nyquist_resolution,
@@ -280,3 +281,13 @@ def test_q_dominates_amplitude_pointwise(rand25):
 
 def test_sup_global_single_mode(sin1):
     assert sup_global(sin1) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim,m,N", [(3, 50, 64), (2, 32045, 1024)])
+def test_sup_global_completes_torus_wide(dim, m, N):
+    # torus-wide scans at the default tol finish within NODE_BUDGET: at
+    # least the largest psi^2 on a dense grid (less tol), at most ||c||_1^2
+    spec = random_eigenfunction(m, TorusModel(dim), 0)
+    value = sup_global(spec)
+    dense = float(np.max(evaluate_grid(spec, N) ** 2))
+    assert dense / (1 + DEFAULT_TOL) <= value <= spec.coeff_l1() ** 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nodalscope import lift
 from nodalscope.errors import LiftOverflowError, ScaleRangeError
 from nodalscope.fields import lifted_sup_on_ball
 from nodalscope.lift import (
@@ -66,22 +67,25 @@ def test_residual_t0_consistency(rand25):
     assert abs(lift_r - lap_r) <= lap_r + slack
 
 
-def test_cube_index_nonnegative_and_t_growth(sin1):
+def test_cube_index_nonnegative_and_t_growth(sin1, monkeypatch):
     # at a psi max the t-direction alone forces N >= 2 s sqrt(lambda) - o(1)
-    ci = cube_doubling_index(sin1, (0.25, 0.0), 0.05, scan_budget=300)
+    monkeypatch.setattr(lift, "PAIR_BUDGET", 300)
+    ci = cube_doubling_index(sin1, (0.25, 0.0), 0.05)
     assert ci.n_value >= 0.0
     s = 0.05
     assert ci.n_value >= 2 * s * math.sqrt(sin1.lam) - 0.2
 
 
-def test_cube_index_monotone_in_r(rand25):
-    small = cube_doubling_index(rand25, (0.3, 0.6), 0.05, scan_budget=200)
-    large = cube_doubling_index(rand25, (0.3, 0.6), 0.1, scan_budget=200)
+def test_cube_index_monotone_in_r(rand25, monkeypatch):
+    monkeypatch.setattr(lift, "PAIR_BUDGET", 200)
+    small = cube_doubling_index(rand25, (0.3, 0.6), 0.05)
+    large = cube_doubling_index(rand25, (0.3, 0.6), 0.1)
     assert large.n_value >= small.n_value - 0.1
 
 
-def test_cube_budget_flag(rand25):
-    ci = cube_doubling_index(rand25, (0.2, 0.2), 0.1, scan_budget=3)
+def test_cube_budget_flag(rand25, monkeypatch):
+    monkeypatch.setattr(lift, "PAIR_BUDGET", 3)
+    ci = cube_doubling_index(rand25, (0.2, 0.2), 0.1)
     assert ci.budget_exhausted
     assert ci.pairs_scanned <= 3
     assert ci.n_value >= 0.0
@@ -99,7 +103,7 @@ def test_chain_consistency(sin1, rand25):
 
     for spec in (sin1, rand25):
         r = 0.1
-        ci = cube_doubling_index(spec, (0.4, 0.7), r, scan_budget=150)
+        ci = cube_doubling_index(spec, (0.4, 0.7), r)
         records = scan_doubling(
             spec, r, centers=np.array([[0.4, 0.7]]), tol=1e-2
         )
@@ -121,8 +125,9 @@ def test_cube_zero_set_bound_examples():
         cube_zero_set_bound(1.0, 0.1, 0.4, 1.0, 3)
 
 
-def test_cube_index_json(rand25):
-    ci = cube_doubling_index(rand25, (0.2, 0.2), 0.05, scan_budget=50)
+def test_cube_index_json(rand25, monkeypatch):
+    monkeypatch.setattr(lift, "PAIR_BUDGET", 50)
+    ci = cube_doubling_index(rand25, (0.2, 0.2), 0.05)
     payload = json.loads(cube_index_json(ci))
     assert payload["flags"]["lower_bound"] is True
     assert "argmax_ball" in payload and "N_value" in payload
@@ -130,10 +135,9 @@ def test_cube_index_json(rand25):
 
 def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
     # a ball's log sup ratio does not depend on its t-offset, so the 150
-    # pairs of the r = 1/8 cube scan each (x-offset, scale) once: 71 lifted
-    # scans in 2-D, against 2 per pair without sharing across t
-    import nodalscope.lift as lift
-
+    # pairs (PAIR_BUDGET) of the r = 1/8 cube scan each (x-offset, scale)
+    # once: 71 lifted scans in 2-D, against 2 per pair without sharing
+    # across t
     calls = []
 
     def counted(spec, x_center, s, tol):
@@ -141,6 +145,6 @@ def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
         return lifted_sup_on_ball(spec, x_center, s, tol)
 
     monkeypatch.setattr(lift, "lifted_sup_on_ball", counted)
-    ci = cube_doubling_index(rand25, (0.3, 0.6), 0.125, scan_budget=150)
-    assert ci.pairs_scanned == 150
+    ci = cube_doubling_index(rand25, (0.3, 0.6), 0.125)
+    assert ci.pairs_scanned == lift.PAIR_BUDGET == 150
     assert len(calls) == len(set(calls)) == 71

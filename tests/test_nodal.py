@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import TorusModel, generate_cover, min_image
@@ -116,6 +118,53 @@ def test_on_node_zeros_nudged_alike():
     # of the 16 negative cells of the 8 x 4 pattern is one closed polyline
     ns = extract_nodal(_translated_product(4, 2, (3 / 512, 5 / 512)), 512)
     assert len(ns.polylines) == 16
+
+
+KAC_RICE = 1.0 / (2.0 * math.sqrt(2.0))  # E[length] / sqrt(lambda)
+
+
+@pytest.mark.parametrize("m", [325, 1105])
+def test_kac_rice_mean_length(t2, m):
+    # Gaussian arithmetic random waves have E[length] = sqrt(lambda)/(2 sqrt 2)
+    # for every m (Rudnick-Wigman 2008). Seeds 0-15 at N = 1024, fixed up
+    # front. The gate is 4 sample standard errors plus marching squares'
+    # second-order error, a relative (h sqrt(lambda))^2 with h = 1/N: chords
+    # cut arcs of curvature ~sqrt(lambda) by (kappa l)^2 / 24, l <= sqrt(2) h,
+    # and interpolated edge points move by ~h^2 |psi''| / (8 |grad psi|).
+    # The variance depends on the angular spread of the lattice points
+    # (Krishnapur-Kurlberg-Wigman 2013), so it is printed, not gated.
+    N = 1024
+    specs = [random_eigenfunction(m, t2, seed) for seed in range(16)]
+    ratios = np.array([extract_nodal(spec, N).length for spec in specs])
+    ratios /= math.sqrt(specs[0].lam)
+    n, mean, s = len(ratios), float(ratios.mean()), float(ratios.std(ddof=1))
+    allowance = (2 * math.pi * math.sqrt(m) / N) ** 2 * KAC_RICE
+    print(f"Kac-Rice m={m}: mean length/sqrt(lambda) {mean:.6f} vs "
+          f"{KAC_RICE:.6f}, sample variance {s * s:.3e} (n={n}, observed)")
+    assert abs(mean - KAC_RICE) <= 4 * s / math.sqrt(n) + allowance
+
+
+# random waves, and a product mode whose zero lines run through grid nodes
+_GRID_SHIFTED = {
+    "wave325": (random_eigenfunction(325, TorusModel(2), 0), 256),
+    "wave1105": (random_eigenfunction(1105, TorusModel(2), 5), 512),
+    "product42": (_translated_product(4, 2, (3 / 512, 5 / 512)), 512),
+}
+
+
+@given(st.sampled_from(sorted(_GRID_SHIFTED)), st.integers(0, 511),
+       st.integers(0, 511))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_nodal_translation_on_grid(spec_id, i, j):
+    # tau = (i, j) / N, a grid shift up to a period, permutes the grid
+    # values: the same segments and polylines, and the length to rounding
+    # (worst measured 5.8e-16 relative)
+    spec, N = _GRID_SHIFTED[spec_id]
+    ref = extract_nodal(spec, N)
+    moved = extract_nodal(translate(spec, np.array([i, j]) / N), N)
+    assert len(moved.segments) == len(ref.segments)
+    assert len(moved.polylines) == len(ref.polylines)
+    assert moved.length == pytest.approx(ref.length, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m,N", [(325, 256), (1105, 1024), (5525, 1024)])

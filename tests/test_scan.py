@@ -77,9 +77,9 @@ def test_lattice_kernel_matches_pointwise(dim, m):
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 @pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
 def test_objective_values_and_slopes(name, dim, m):
-    # f and |grad f| of each objective on the lattice path, against f and
-    # grad f = 2 alpha H grad psi + 2 beta psi grad psi built from
-    # evaluate, evaluate_gradient and evaluate_hessian
+    # f of each objective on the lattice path (the cell-center values of
+    # cell_bounds) and pointwise, against f built from evaluate and
+    # evaluate_gradient
     make, alpha, beta, power = OBJECTIVES[name]
     spec = random_eigenfunction(m, TorusModel(dim), 11)
     if beta is None:
@@ -91,24 +91,17 @@ def test_objective_values_and_slopes(name, dim, m):
     x = center + offsets
     psi = evaluate(spec, x)
     g = evaluate_gradient(spec, x)
-    hess = evaluate_hessian(spec, x)
     f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
-    grad_ref = 2 * alpha * np.einsum("pab,pb->pa", hess, g) \
-        + 2 * beta * psi[:, None] * g
-    slope_ref = np.linalg.norm(grad_ref, axis=-1)
 
     phases = lattice_phases(spec, coords, inv)
-    f, slope = obj.value_and_slope(phases)
-    scale = spec.coeff_l1() ** 2 * (2 * math.pi * math.sqrt(m)) ** power
-    freq = 2 * math.pi * math.sqrt(m)
-    assert np.max(np.abs(f - f_ref)) <= 1e-12 * scale
-    assert np.max(np.abs(slope - slope_ref)) <= 1e-12 * scale * freq
-
     vals, ubs = obj.cell_bounds(phases, offsets, 1e-3)
     pointwise = obj.values(offsets)
+    factor = 1.0
     if name == "lifted":
         factor = obj._t_factor(np.linalg.norm(offsets, axis=-1))
-        f_ref = f_ref * factor
+    scale = spec.coeff_l1() ** 2 * (2 * math.pi * math.sqrt(m)) ** power
+    assert np.max(np.abs(vals / factor - f_ref)) <= 1e-12 * scale
+    f_ref = f_ref * factor
     assert np.max(np.abs(vals - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
     assert np.max(np.abs(pointwise - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
     assert np.all(ubs >= vals)
@@ -173,21 +166,16 @@ def test_certified_max_budget_errors(rand100, monkeypatch):
 
 
 def test_derived_constants(rand100):
-    # hess_bound = 4 lambda A1^2 (beta + alpha lambda): psi^2 keeps the
-    # hand-set 4 lambda A1^2 bit for bit; h0 is 1/(6 sqrt m) for psi^2 and
-    # 1/(8 sqrt m) once the gradient enters
-    lam, a1sq, root_m = rand100.lam, rand100.coeff_l1() ** 2, math.sqrt(100)
+    # the Taylor remainders D2 = lambda A1 and D3 = lambda^(3/2) A1 bound
+    # ||D^2 psi|| and ||D^3 psi|| for every objective; h0 is 1/(6 sqrt m)
+    # for psi^2 and 1/(8 sqrt m) once the gradient enters
+    lam, a1, root_m = rand100.lam, rand100.coeff_l1(), math.sqrt(100)
     center = np.array([0.1, 0.2])
-    expected = {"amplitude": (4.0 * lam * a1sq, 6.0),
-                "gradient": (4.0 * lam**2 * a1sq, 8.0),
-                "energy": (6.0 * lam**2 * a1sq, 8.0),
-                "lifted": (4.0 * lam * a1sq, 6.0)}
-    for name, (bound, div) in expected.items():
+    divs = {"amplitude": 6.0, "gradient": 8.0, "energy": 8.0, "lifted": 6.0}
+    for name, div in divs.items():
         obj = OBJECTIVES[name][0](rand100, center)
-        if name in ("amplitude", "lifted"):
-            assert obj.hess_bound == bound
-        else:
-            assert obj.hess_bound == pytest.approx(bound, rel=1e-15)
+        assert obj.d2 == pytest.approx(lam * a1, rel=1e-15)
+        assert obj.d3 == pytest.approx(lam**1.5 * a1, rel=1e-15)
         assert obj.h0 == 1.0 / (div * root_m)
 
 
