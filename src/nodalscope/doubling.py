@@ -139,8 +139,9 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
                   tol: float = 1e-3) -> list[DoublingRecord]:
     """Doubling records over a center grid and a dyadic scale sweep.
 
-    Sup queries are cached along each dyadic chain (the double ball at one
-    scale is the base ball at the next), halving the query count.
+    Each distinct ball radius is one lockstep scan over all centers, and the
+    dyadic chain shares radii (the double ball at one scale is the base ball
+    at the next), so D scales take D + 1 scans.
     """
     model = spec.model
     if centers is None:
@@ -148,22 +149,17 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
     if deltas is None:
         deltas = default_scale_sweep(spec.lam, r)
     deltas = [d for d in deltas if 2.0 * d <= 0.5 and d < 10.0 * r]
-    records = []
-    for center in centers:
-        cache: dict[float, float] = {}
-
-        def sup_at(s: float) -> float:
-            if s not in cache:
-                cache[s] = sup_on_ball(spec, center, s, tol)
-            return cache[s]
-
-        for delta in deltas:
-            records.append(DoublingRecord(
-                center=np.array(center), scale=delta,
-                index_sup=_log_ratio(sup_at(2.0 * delta), sup_at(delta)),
-                context_r=r, lam=spec.lam,
-            ))
-    return records
+    centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
+    sups = {s: sup_on_ball(spec, centers, s, tol)
+            for s in sorted({s for d in deltas for s in (d, 2.0 * d)})}
+    return [
+        DoublingRecord(
+            center=np.array(center), scale=delta,
+            index_sup=_log_ratio(sups[2.0 * delta][i], sups[delta][i]),
+            context_r=r, lam=spec.lam,
+        )
+        for i, center in enumerate(centers) for delta in deltas
+    ]
 
 
 def write_records_csv(records: list[DoublingRecord], path,

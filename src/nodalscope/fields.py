@@ -53,16 +53,27 @@ def nyquist_resolution(m: int) -> int:
     return 2 * math.ceil(math.sqrt(m)) + 2
 
 
+def _sups(result, center):
+    """The scan's sups: a float for one center (n,), else an array (B,)."""
+    return float(result.value[0]) if np.ndim(center) == 1 else result.value
+
+
 def _sup(spec: EigenfunctionSpec, center, domain, tol: float,
-         alpha: float = 0.0, beta: float = 1.0) -> float:
-    """Certified sup of alpha |grad psi|^2 + beta psi^2 over center + domain."""
+         alpha: float = 0.0, beta: float = 1.0):
+    """Certified sup of alpha |grad psi|^2 + beta psi^2 over center + domain,
+    for one center (n,) or, in one lockstep scan, for each of centers
+    (B, n)."""
     obj = SpectralObjective(spec, wrap_point(center), alpha, beta)
-    return certified_max(obj, domain, tol).value
+    return _sups(certified_max(obj, domain, tol), center)
 
 
 def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
-                tol: float = DEFAULT_TOL) -> float:
-    """sup of |psi|^2 over the closed ball B_s(center), within rel. error tol."""
+                tol: float = DEFAULT_TOL):
+    """sup of |psi|^2 over the closed ball B_s(center), within rel. error tol.
+
+    center (n,) gives a float; centers (B, n) give the B sups as an array,
+    each equal bit for bit to its own single-center call.
+    """
     if not 0.0 < s <= 0.5:
         raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
     return _sup(spec, center, RadialDomain(0.0, s), tol)
@@ -77,8 +88,9 @@ def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
 
 
 def q_on_ball(spec: EigenfunctionSpec, center, s: float,
-              tol: float = DEFAULT_TOL) -> float:
-    """sup of q = |grad psi|^2 + (lambda/2)|psi|^2 over the closed ball."""
+              tol: float = DEFAULT_TOL):
+    """sup of q = |grad psi|^2 + (lambda/2)|psi|^2 over the closed ball;
+    one center or a batch, as sup_on_ball."""
     if not 0.0 < s <= 0.5:
         raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
     return _sup(spec, center, RadialDomain(0.0, s), tol, 1.0, 0.5 * spec.lam)
@@ -96,11 +108,13 @@ def gradient_sup_global(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL
 
 
 def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, s: float,
-                       tol: float = DEFAULT_TOL) -> float:
+                       tol: float = DEFAULT_TOL):
     """sup of H^2 = psi^2 exp(2 t sqrt(lambda)) over the (n+1)-ball B_s
-    centered at (x_center, 0); the cube index does not depend on t-offsets."""
+    centered at (x_center, 0); the cube index does not depend on t-offsets.
+    One x-center or a batch, as sup_on_ball. Raises LiftOverflowError when
+    2 s sqrt(lambda) exceeds scan.EXP_GUARD."""
     obj = LiftedSquared(spec, wrap_point(x_center), s)
-    return certified_max(obj, RadialDomain(0.0, s), tol).value
+    return _sups(certified_max(obj, RadialDomain(0.0, s), tol), x_center)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import LiftOverflowError, ScaleRangeError
 from .fields import lifted_sup_on_ball
 from .geometry import wrap_point
+from .scan import EXP_GUARD
 from .spectrum import EigenfunctionSpec, evaluate
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "cube_index_json",
 ]
 
-EXP_GUARD = 700.0
 MIN_SCALE_DIV = 64
 PAIR_BUDGET = 150
 
@@ -91,10 +91,11 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     dyadically from the inscribed radius down to r/MIN_SCALE_DIV. On the
     flat torus Euclidean and geodesic balls coincide at these scales, so
     ball sups reduce to the certified lifted-sup scan. A center's t-offset
-    only caps its inscribed radius, so sups are cached per (x-offset, scale).
-    The result is a lower bound of the continuum sup; PAIR_BUDGET caps the
-    number of (center, scale) ball-pair evaluations and exhaustion returns
-    best-so-far with a flag.
+    only caps its inscribed radius, so each (x-offset, radius) ball is
+    scanned once, in one lockstep scan per radius. The result is a lower
+    bound of the continuum sup; PAIR_BUDGET caps the number of
+    (center, scale) ball pairs, and exhaustion returns the best of the first
+    PAIR_BUDGET pairs with a flag.
     """
     if not 0.0 < r <= 0.125:
         raise ScaleRangeError(f"need 0 < r <= 1/8, got {r}")
@@ -108,48 +109,48 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
 
     grid.sort(key=lambda u: (-inscribed(u), u))
 
-    best = 0.0
-    best_center = np.concatenate([cube_center, [0.0]])
-    best_scale = r / MIN_SCALE_DIV
-    pairs = 0
-    exhausted = False
-    sup_cache: dict[tuple, float] = {}
-
-    def sup_at(xoff, s) -> float:
-        key = (xoff, round(s, 15))
-        if key not in sup_cache:
-            sup_cache[key] = lifted_sup_on_ball(
-                spec, cube_center + np.array(xoff), s, tol
-            )
-        return sup_cache[key]
-
+    # the (center, scale) pairs in scan order, the first PAIR_BUDGET kept
     s_floor = r / MIN_SCALE_DIV
+    pairs = []
     for u in grid:
-        if exhausted:
-            break
-        xoff, toff = u[:n], u[n]
         s = inscribed(u)
         while s >= s_floor:
-            if pairs >= PAIR_BUDGET:
-                exhausted = True
-                break
-            num = sup_at(xoff, 2.0 * s)
-            den = sup_at(xoff, s)
-            pairs += 1
-            if den > 0.0:
-                val = math.log(num / den)
-                if val > best:
-                    best = val
-                    best_center = np.concatenate(
-                        [wrap_point(cube_center + np.array(xoff)),
-                         [toff]]
-                    )
-                    best_scale = s
+            pairs.append((u, s))
             s /= 2.0
+    exhausted = len(pairs) > PAIR_BUDGET
+    pairs = pairs[:PAIR_BUDGET]
+
+    # one lockstep scan per radius (to 15 digits; the first one asked for
+    # stands for the rest) over the x-offsets whose pairs need it
+    balls: dict[float, tuple[float, dict]] = {}
+    for u, s in pairs:
+        for radius in (2.0 * s, s):
+            balls.setdefault(round(radius, 15), (radius, {}))[1][u[:n]] = None
+    sup = {}
+    for key, (radius, xoffs) in balls.items():
+        values = lifted_sup_on_ball(
+            spec, cube_center + np.array(list(xoffs)), radius, tol
+        )
+        sup.update(((xoff, key), v) for xoff, v in zip(xoffs, values))
+
+    best = 0.0
+    best_center = np.concatenate([cube_center, [0.0]])
+    best_scale = s_floor
+    for u, s in pairs:
+        xoff = u[:n]
+        den = sup[xoff, round(s, 15)]
+        if den > 0.0:
+            val = math.log(sup[xoff, round(2.0 * s, 15)] / den)
+            if val > best:
+                best = val
+                best_center = np.concatenate(
+                    [wrap_point(cube_center + np.array(xoff)), [u[n]]]
+                )
+                best_scale = s
     return CubeIndex(
         center=cube_center, half_side=r, n_value=best,
         argmax_center=best_center, argmax_scale=best_scale,
-        pairs_scanned=pairs, budget_exhausted=exhausted,
+        pairs_scanned=len(pairs), budget_exhausted=exhausted,
     )
 
 

@@ -231,21 +231,21 @@ def vanishing_order(spec: EigenfunctionSpec, x) -> int:
     """Order of vanishing of psi at x: its first nonzero derivative tensor.
 
     D^j psi(x) = Re sum_l c_l exp(2 pi i k_l . x) (2 pi i k_l)^(tensor j)
-    is read off one mode sum at zero offset, with x folded into the weights
-    (spectrum.mode_weights). Its Frobenius norm is at most
+    is read off one mode sum over the phases at x (spectrum.mode_weights).
+    Its Frobenius norm is at most
     ||c||_1 (2 pi sqrt(m))^j, and the order is the first j at which it
     exceeds ORDER_TOL times that bound. A nonzero point has order 0
     (precondition violation, logged).
     """
     x = wrap_point(x)
     n = spec.model.dim
-    at_x = point_phases(spec, np.zeros((1, n)))
+    at_x = point_phases(spec, x[None, :])
     scale = ORDER_TOL * spec.coeff_l1()
     growth = 2.0 * math.pi * math.sqrt(spec.m)
     # psi is a sum over the 2M frequencies +-k_l, so a nonzero psi has a
     # nonzero derivative of some order below 2M
     for order in range(2 * spec.n_modes):
-        tensor = mode_sum(at_x, mode_weights(spec, order, x))[0, -n**order:]
+        tensor = mode_sum(at_x, mode_weights(spec, order))[0, -n**order:]
         if np.linalg.norm(tensor) > scale * growth**order:
             if order == 0:
                 logger.warning("vanishing_order at %s: psi = %.3g, point is "

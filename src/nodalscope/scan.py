@@ -15,16 +15,28 @@ is polished by projected pattern search. The returned value is a pointwise
 evaluation at the returned offset, a lower bound of the true supremum within
 the requested relative tolerance.
 
+One scan serves a batch of B balls that share a domain (the same offsets
+around B centers) in lockstep: every cell belongs to one ball, each ball
+keeps its own incumbent, prune threshold and node count, and each level is
+evaluated in one pass over all balls' cells. A ball's value does not depend
+on the balls that share its batch, to the last bit: every step is
+elementwise or reduces within one row (spectrum.mode_sum, point_phases).
+Balls enter a lockstep group until its first level's cells times the
+spec's modes reach LOCKSTEP_BLOCK, which bounds the memory one group takes
+(a ball too large for it is a group of its own).
+
 Cells are integer lattice indices: the child of cell i on each axis is 2i or
 2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
-(ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Every
-objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective) or psi^2
-times the harmonic lift's t-factor (LiftedSquared, balls at t = 0: the cube
-index does not depend on a ball's t-offset). psi, grad psi and, when
-alpha != 0, the Hessian of psi come from one mode sum (spectrum.mode_sum) with
-the query center's phase folded into its weights. A level's phases are
-products of per-axis tables over the level's distinct coordinates
-(spectrum.lattice_phases), so one GEMM evaluates the whole level.
+(ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Axis-0
+indices are kept per ball, so that cell p belongs to the ball that owns its
+axis-0 index. Every objective is f = alpha |grad psi|^2 + beta psi^2
+(SpectralObjective) or psi^2 times the harmonic lift's t-factor
+(LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
+t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
+one mode sum (spectrum.mode_sum). A level's phases are products of per-axis
+tables over the level's coordinates (spectrum.lattice_phases), the phase of
+each ball's center folded into its rows of the axis-0 table, so one product
+evaluates the whole level.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, LiftOverflowError
 from .spectrum import (
     EigenfunctionSpec,
     lattice_phases,
@@ -58,13 +70,15 @@ TOL_FLOOR = 1e-9
 NODE_BUDGET = 4_000_000
 STEP_FLOOR = 1e-9
 MAX_POLISH_EVALS = 600
+EXP_GUARD = 700.0  # largest exponent of the harmonic lift's t-factor
+LOCKSTEP_BLOCK = 2**16  # first-level cells x modes of one lockstep group
 
 
 @dataclass
 class ScanResult:
-    value: float        # certified lower bound, within rel. tol of the sup
-    offset: np.ndarray  # offset (from the query center) achieving value
-    nodes: int          # total objective evaluations
+    value: np.ndarray   # (B,) certified lower bounds, within rel. tol
+    offset: np.ndarray  # (B, n) offsets from each center achieving value
+    nodes: int          # objective evaluations, summed over the batch
 
 
 class RadialDomain:
@@ -75,6 +89,11 @@ class RadialDomain:
             raise ValueError(f"invalid radial band [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
+
+    def __str__(self):
+        if self.lo == 0.0:
+            return f"ball of radius {self.hi:g}"
+        return f"annulus of radii [{self.lo:g}, {self.hi:g}]"
 
     def contains(self, norms: np.ndarray) -> np.ndarray:
         eps = 1e-14
@@ -104,6 +123,9 @@ class RadialDomain:
 class TorusDomain:
     """All offsets; used for full-torus suprema."""
 
+    def __str__(self):
+        return "the torus"
+
     def contains(self, norms):
         return np.ones_like(norms, dtype=bool)
 
@@ -119,10 +141,13 @@ class TorusDomain:
 
 
 class SpectralObjective:
-    """f = alpha |grad psi|^2 + beta psi^2 at center + offset.
+    """f = alpha |grad psi|^2 + beta psi^2 at center_b + offset, for each of
+    the centers (B, n) (a single center (n,) is a batch of one).
 
     psi, grad psi and, when alpha != 0, the Hessian H of psi come from one
-    mode sum whose weights carry the center's phase. A cell's bound is
+    mode sum over the phases exp(2 pi i k . x) of the points; on the scan's
+    lattice these are the offsets' phases times shifts[b], the phases of the
+    ball's center x_b. A cell's bound is
     beta U_psi^2 + alpha U_grad^2, U_psi and U_grad the Taylor enclosures of
     |psi| and |grad psi| on the cell's ball (module docstring); d2 and d3 are
     their remainder constants D2 = lambda A1 and D3 = lambda^(3/2) A1,
@@ -130,14 +155,15 @@ class SpectralObjective:
     spacing.
     """
 
-    def __init__(self, spec: EigenfunctionSpec, center, alpha: float,
+    def __init__(self, spec: EigenfunctionSpec, centers, alpha: float,
                  beta: float):
         self.spec = spec
-        self.center = np.asarray(center, dtype=float)
+        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.dim = spec.model.dim
         self.alpha = alpha
         self.beta = beta
-        self.weights = mode_weights(spec, 2 if alpha else 1, self.center)
+        self.weights = mode_weights(spec, 2 if alpha else 1)
+        self.shifts = point_phases(spec, self.centers)
         growth = 2.0 * math.pi * math.sqrt(spec.m)
         self.d2 = spec.coeff_l1() * growth**2
         self.d3 = spec.coeff_l1() * growth**3
@@ -151,14 +177,16 @@ class SpectralObjective:
             f += self.alpha * np.einsum("pa,pa->p", g, g)
         return f
 
-    def values(self, offsets: np.ndarray) -> np.ndarray:
-        """Pointwise f at a batch of offsets (P, n)."""
-        return self._value(mode_sum(point_phases(self.spec, offsets),
-                                    self.weights))
+    def values(self, offsets: np.ndarray, balls) -> np.ndarray:
+        """Pointwise f at offsets (P, n) from the centers of balls (P,)."""
+        return self._value(mode_sum(
+            point_phases(self.spec, self.centers[balls] + offsets),
+            self.weights))
 
     def cell_bounds(self, phases: np.ndarray, offsets: np.ndarray,
                     rho: float):
-        """f at the cell centers and its upper bound over each cell."""
+        """f at the cell centers and its upper bound over each cell, from
+        the cells' phases relative to the origin (shifts included)."""
         parts = mode_sum(phases, self.weights)
         g = parts[:, 1:self.dim + 1]
         slope = np.sqrt(np.einsum("pa,pa->p", g, g))
@@ -173,29 +201,35 @@ class SpectralObjective:
 
 
 class LiftedSquared(SpectralObjective):
-    """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over an (n+1)-ball B_s
-    centered at t = 0.
+    """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over (n+1)-balls B_s
+    centered at t = 0, one per x-center.
 
     Moving the ball to t = tau multiplies the sup by exp(2 tau sqrt(lambda)),
     so the log ratio of two concentric ball sups does not depend on tau. The
     t maximization is closed form (exp is increasing), reducing the ball to
     the n-dimensional objective psi(x0+d)^2 exp(2 sqrt(lambda) sqrt(s^2-|d|^2)).
     Cell bounds multiply the squared psi enclosure by the exact cell maximum
-    of the monotone t-factor.
+    of the monotone t-factor. Raises LiftOverflowError when the t-factor's
+    exponent 2 s sqrt(lambda) exceeds EXP_GUARD, where the sup would overflow.
     """
 
-    def __init__(self, spec, x_center, s: float):
-        super().__init__(spec, x_center, 0.0, 1.0)
+    def __init__(self, spec, x_centers, s: float):
+        super().__init__(spec, x_centers, 0.0, 1.0)
         self.s = float(s)
         self.sqrt_lam = math.sqrt(spec.lam)
+        arg = 2.0 * self.sqrt_lam * self.s
+        if arg > EXP_GUARD:
+            raise LiftOverflowError(
+                f"2 s sqrt(lambda) = {arg:.1f} exceeds {EXP_GUARD} at s = {s}"
+            )
 
     def _t_factor(self, norms: np.ndarray) -> np.ndarray:
         g = np.sqrt(np.maximum(self.s**2 - norms**2, 0.0))
         return np.exp(2.0 * self.sqrt_lam * g)
 
-    def values(self, offsets: np.ndarray) -> np.ndarray:
+    def values(self, offsets, balls):
         norms = np.linalg.norm(offsets, axis=-1)
-        return super().values(offsets) * self._t_factor(norms)
+        return super().values(offsets, balls) * self._t_factor(norms)
 
     def cell_bounds(self, phases, offsets, rho):
         psi_sq, psi_ub = super().cell_bounds(phases, offsets, rho)
@@ -204,55 +238,97 @@ class LiftedSquared(SpectralObjective):
         return psi_sq * self._t_factor(norms), psi_ub * factor_max
 
 
-def pattern_search(objective, domain, d0, step: float):
-    """Projected compass search for a local max of the objective from d0.
+def pattern_search(objective, domain, balls, d0, step: float):
+    """Projected compass search for a local max of each ball's objective
+    from its start d0 (A, n), balls (A,) their ball ids.
 
-    Each step probes all 2n axis directions at the current step length in
-    one objective.values call and moves to the best probe that improves,
-    or halves the step when none does; it stops below STEP_FLOOR or after
-    MAX_POLISH_EVALS evaluations. Returns (offset, value, evaluations), value a
-    pointwise evaluation at offset.
+    Each step probes all 2n axis directions at every running ball's step
+    length in one objective.values call; a ball moves to its best probe that
+    improves, or halves its step when none does, and stops below STEP_FLOOR.
+    All balls stop once a ball has had MAX_POLISH_EVALS evaluations. Returns
+    (offsets, values, evaluations) per ball, each value a pointwise
+    evaluation at its offset.
     """
     d = np.array(d0, dtype=float)
-    v = float(objective.values(d[None, :])[0])
-    evals = 1
-    dim = d.shape[0]
+    v = objective.values(d, balls)
+    used = np.ones(len(d), dtype=int)
+    dim = d.shape[1]
     dirs = np.vstack([np.eye(dim), -np.eye(dim)])
-    while step > STEP_FLOOR and evals < MAX_POLISH_EVALS:
-        cand = domain.project(d + step * dirs)
-        cv = objective.values(cand)
-        evals += len(cand)
-        best = cv.argmax()
-        if cv[best] > v:
-            d, v = cand[best], float(cv[best])
-        else:
-            step *= 0.5
-    return d, v, evals
+    # running balls: their positions in d, offsets, values and steps, and
+    # the flat index of each one's first probe
+    run = np.arange(len(d) if step > STEP_FLOOR else 0)
+    rd, rv, rs = d[run], v[run], np.full(len(run), float(step))
+    probe_balls = np.repeat(balls[run], 2 * dim)
+    base = 2 * dim * np.arange(len(run))
+    evals = 1
+    while len(run) and evals < MAX_POLISH_EVALS:
+        cand = domain.project(
+            (rd[:, None, :] + rs[:, None, None] * dirs).reshape(-1, dim))
+        cv = objective.values(cand, probe_balls).reshape(len(run), 2 * dim)
+        evals += 2 * dim
+        top = np.maximum.reduce(cv, axis=1)
+        up = top > rv
+        rd = np.where(up[:, None], cand[base + cv.argmax(axis=1)], rd)
+        rv = np.maximum(top, rv)
+        rs = np.where(up, rs, 0.5 * rs)
+        done = rs <= STEP_FLOOR
+        if done.any():
+            stop = run[done]
+            d[stop], v[stop], used[stop] = rd[done], rv[done], evals
+            run, rd, rv, rs = run[~done], rd[~done], rv[~done], rs[~done]
+            probe_balls = np.repeat(balls[run], 2 * dim)
+            base = base[:len(run)]
+    d[run], v[run], used[run] = rd, rv, evals
+    return d, v, used
 
 
 def certified_max(objective, domain, tol: float) -> ScanResult:
-    """Max of the objective over the domain, within relative tolerance tol.
+    """Max of the objective over the domain around each of its centers,
+    within relative tolerance tol.
 
     The first level has spacing about objective.h0. Raises BudgetError when
-    tol is below the certification floor or NODE_BUDGET evaluations pass
-    before the bound gap closes.
+    tol is below the certification floor, or, naming the ball, when one
+    ball's NODE_BUDGET evaluations pass before its bound gap closes.
     """
     if tol < TOL_FLOOR:
         raise BudgetError(
             f"tolerance {tol} below certification floor {TOL_FLOOR}"
         )
-    dim = objective.center.shape[0]
+    count = domain.initial_lattice(objective.h0)[0]
+    n_balls = len(objective.centers)
+    group = max(1, LOCKSTEP_BLOCK // (count**objective.dim
+                                      * objective.spec.n_modes))
+    best = np.full(n_balls, -math.inf)
+    best_off = np.full((n_balls, objective.dim), np.nan)
+    nodes = np.zeros(n_balls, dtype=np.int64)
+    for start in range(0, n_balls, group):
+        _lockstep(objective, domain, tol,
+                  np.arange(start, min(start + group, n_balls)),
+                  best, best_off, nodes)
+    return ScanResult(value=best, offset=best_off, nodes=int(nodes.sum()))
+
+
+def _ball_name(objective, domain, b: int) -> str:
+    center = ", ".join(f"{c:g}" for c in objective.centers[b])
+    return f"{domain} at center ({center})"
+
+
+def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
+    """Branch-and-bound of the given balls in lockstep, updating their
+    entries of best, best_off and nodes (arrays over all balls) in place."""
+    dim = objective.dim
     count, spacing, origin = domain.initial_lattice(objective.h0)
     rho = spacing * math.sqrt(dim) / 2.0
-    # cell p has lattice index coords[a][inv[p, a]] on axis a
-    coords = [np.arange(count)] * dim
-    inv = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    inv = inv.reshape(-1, dim)
+    # cell p has lattice index coords[a][inv[p, a]] on axis a and belongs
+    # to ball owner[inv[p, 0]]; cells stay sorted by ball
+    axis = np.arange(count)
+    coords = [np.tile(axis, len(balls))] + [axis] * (dim - 1)
+    owner = np.repeat(balls, count)
+    cells = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    inv = np.tile(cells.reshape(-1, dim), (len(balls), 1))
+    inv[:, 0] += np.repeat(count * np.arange(len(balls)), count**dim)
     bits = np.array(list(product((0, 1), repeat=dim)))
 
-    best_val = -math.inf
-    best_off = None
-    nodes = 0
     while True:
         xs = [(c + 0.5) * spacing + origin for c in coords]
         offsets = np.stack([xs[a][inv[:, a]] for a in range(dim)], axis=-1)
@@ -260,34 +336,51 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
         band = domain.band_mask(norms, rho)
         inv, offsets, norms = inv[band], offsets[band], norms[band]
         if len(inv) == 0:
-            if best_off is None:
-                raise BudgetError("scan found no admissible sample points")
-            return ScanResult(value=best_val, offset=best_off, nodes=nodes)
-        nodes += len(inv)
-        if nodes > NODE_BUDGET:
+            break
+        ball = owner[inv[:, 0]]
+        nodes += np.bincount(ball, minlength=len(nodes))
+        over = np.flatnonzero(nodes > NODE_BUDGET)
+        if len(over):
             raise BudgetError(
-                f"scan exceeded node budget {NODE_BUDGET} (tol={tol})"
+                f"scan of the {_ball_name(objective, domain, over[0])} "
+                f"exceeded node budget {NODE_BUDGET} (tol={tol})"
             )
         vals, ubs = objective.cell_bounds(
-            lattice_phases(objective.spec, xs, inv), offsets, rho
+            lattice_phases(objective.spec, xs, inv, objective.shifts[owner]),
+            offsets, rho,
         )
-        inside = domain.contains(norms)
-        if np.any(inside):
-            idx = int(np.argmax(np.where(inside, vals, -math.inf)))
-            if vals[idx] > best_val:
-                d, v, used = pattern_search(objective, domain, offsets[idx],
-                                            2.0 * rho)
-                nodes += used
-                if v > best_val:
-                    best_val, best_off = v, d
-        threshold = best_val * (1.0 + tol) if best_val > 0 else best_val
-        inv = inv[ubs > threshold]
+        # each ball's first best cell inside the domain: segment k of the
+        # cells (sorted by ball) is the k-th ball present
+        starts = np.r_[True, ball[1:] != ball[:-1]]
+        seg = np.cumsum(starts) - 1
+        inner = np.where(domain.contains(norms), vals, -math.inf)
+        top = np.maximum.reduceat(inner, np.flatnonzero(starts))
+        hits = np.flatnonzero(inner == top[seg])
+        first = hits[np.r_[True, seg[hits[1:]] != seg[hits[:-1]]]]
+        gain = first[top > best[ball[first]]]
+        if len(gain):
+            polished = ball[gain]
+            d, v, used = pattern_search(objective, domain, polished,
+                                        offsets[gain], 2.0 * rho)
+            nodes[polished] += used
+            up = v > best[polished]
+            best[polished[up]], best_off[polished[up]] = v[up], d[up]
+        threshold = np.where(best > 0, best * (1.0 + tol), best)
+        inv = inv[ubs > threshold[ball]]
         # children 2i + {0, 1} per axis, tables kept to the used coordinates
         for a in range(dim):
             used = np.zeros(len(coords[a]), dtype=bool)
             used[inv[:, a]] = True
             coords[a] = (2 * coords[a][used][:, None] + (0, 1)).ravel()
+            if a == 0:
+                owner = np.repeat(owner[used], 2)
             inv[:, a] = 2 * (np.cumsum(used) - 1)[inv[:, a]]
         inv = (inv[:, None, :] + bits[None, :, :]).reshape(-1, dim)
         spacing *= 0.5
         rho *= 0.5
+    lost = balls[np.isnan(best_off[balls, 0])]
+    if len(lost):
+        raise BudgetError(
+            f"scan of the {_ball_name(objective, domain, lost[0])} found no "
+            "admissible sample points"
+        )

@@ -210,20 +210,18 @@ def _grid_sum(spec: EigenfunctionSpec, N: int, c: np.ndarray) -> np.ndarray:
     return out.reshape((N,) * n + (c.shape[1],))
 
 
-def mode_weights(spec: EigenfunctionSpec, order: int, x0) -> np.ndarray:
+def mode_weights(spec: EigenfunctionSpec, order: int) -> np.ndarray:
     """Real (2M, Q) weights of the mode sum giving psi and its derivatives.
 
     The complex columns are the derivative tensors of orders 0..order,
     (2 pi i)^j k^(tensor j) c for order j: c = a - ib (psi), 2 pi i k_d c
     (d_d psi), (2 pi i)^2 k_a k_b c (d_a d_b psi), and so on, each block of
-    n^j columns row-major over its axes. c is multiplied by
-    exp(2 pi i k . x0): a sum over the phases exp(2 pi i k . d) then gives
-    the derivatives at x0 + d. Rows alternate Re C and -Im C, matching a
-    complex128 phase array viewed as float64 (re, im) pairs, so that
-    Re(E @ C) is one real GEMM (mode_sum).
+    n^j columns row-major over its axes. A sum over the phases
+    exp(2 pi i k . x) gives the derivatives at x. Rows alternate Re C and
+    -Im C, matching a complex128 phase array viewed as float64 (re, im)
+    pairs, so that Re(E @ C) is one real product (mode_sum).
     """
-    x0 = np.asarray(x0, dtype=float)
-    c = (spec.a - 1j * spec.b) * np.exp((1j * TWO_PI) * (spec.k @ x0))
+    c = spec.a - 1j * spec.b
     ik = (1j * TWO_PI) * spec.k
     powers = [np.ones((len(c), 1))]
     for _ in range(order):
@@ -233,22 +231,36 @@ def mode_weights(spec: EigenfunctionSpec, order: int, x0) -> np.ndarray:
     return np.stack([cols.real, -cols.imag], axis=1).reshape(2 * len(c), -1)
 
 
-def point_phases(spec: EigenfunctionSpec, d) -> np.ndarray:
-    """exp(2 pi i k_j . d_p) for offsets d (P, n); shape (P, M)."""
-    return np.exp((1j * TWO_PI) * (np.asarray(d, dtype=float) @ spec.k.T))
+def point_phases(spec: EigenfunctionSpec, x) -> np.ndarray:
+    """exp(2 pi i k_j . x_p) for points or offsets x (P, n); shape (P, M).
+
+    Each row depends on its own point only (no BLAS product, whose rows can
+    round differently with the rows beside them).
+    """
+    x = np.asarray(x, dtype=float)
+    arg = np.multiply.outer(x[:, 0], spec.k[:, 0])
+    for a in range(1, x.shape[1]):
+        arg += np.multiply.outer(x[:, a], spec.k[:, a])
+    return np.exp((1j * TWO_PI) * arg)
 
 
-def lattice_phases(spec: EigenfunctionSpec, coords, inv) -> np.ndarray:
-    """exp(2 pi i k_j . d_p) for lattice offsets d_p[a] = coords[a][inv[p, a]].
+def lattice_phases(spec: EigenfunctionSpec, coords, inv,
+                   shift: np.ndarray) -> np.ndarray:
+    """exp(2 pi i k_j . d_p) for lattice offsets d_p[a] = coords[a][inv[p, a]],
+    times the shift row of the offset's axis-0 coordinate.
 
-    One table exp(2 pi i k_ja x) per axis a over that axis's distinct
-    coordinates, multiplied across axes: a complex exp per (coordinate,
-    mode) and a complex product per (offset, mode, axis).
+    One table exp(2 pi i k_ja x) per axis a over that axis's coordinates,
+    multiplied across axes: a complex exp per (coordinate, mode) and a
+    complex product per (offset, mode, axis). shift, one row of M phases
+    per axis-0 coordinate (or one row for all), multiplies the axis-0 table:
+    the scan passes the phases exp(2 pi i k_j . x_b) of the center of the
+    ball that coordinate belongs to.
     """
     phases = None
     for a, x in enumerate(coords):
         table = np.exp((1j * TWO_PI) * np.multiply.outer(x, spec.k[:, a]))
         if phases is None:
+            table *= shift
             phases = table[inv[:, a]]
         else:
             phases *= table[inv[:, a]]
@@ -256,8 +268,15 @@ def lattice_phases(spec: EigenfunctionSpec, coords, inv) -> np.ndarray:
 
 
 def mode_sum(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Re(phases @ C) for the columns C that mode_weights packs; (P, Q)."""
-    return np.ascontiguousarray(phases).view(np.float64) @ weights
+    """Re(phases @ C) for the columns C that mode_weights packs; (P, Q).
+
+    Summed row by row over the modes without BLAS, so that a row's value
+    does not depend on which rows share the call: the certified scan
+    evaluates many balls in one call and must give each ball the value it
+    gets alone.
+    """
+    real = np.ascontiguousarray(phases).view(np.float64)
+    return np.einsum("pk,qk->pq", real, np.ascontiguousarray(weights.T))
 
 
 def evaluate_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from nodalscope.doubling import (
 )
 from nodalscope.errors import ScaleRangeError
 from nodalscope.fields import MassEvaluator, l2_on_ball, sup_on_ball
+from nodalscope.spectrum import random_eigenfunction
 
 
 def test_index_sup_at_max_center(sin1):
@@ -159,3 +160,16 @@ def test_scan_doubling_and_csv(tmp_path, rand25):
     path = tmp_path / "records.csv"
     write_records_csv(records, path, header_lines=["schema_version=1"])
     assert path.read_text().startswith("# schema_version=1")
+
+
+def test_scan_doubling_records_are_log_ratios_of_ball_sups(t2):
+    # each record's index is exactly the log ratio of its two balls' sups
+    # as single-center calls give them, although the scan takes every ball
+    # of one radius in one lockstep batch
+    spec = random_eigenfunction(1105, t2, 0)
+    records = scan_doubling(spec, 0.25, tol=1e-2)
+    picks = np.random.default_rng(0).choice(len(records), 12, replace=False)
+    for rec in (records[i] for i in picks):
+        num = sup_on_ball(spec, rec.center, 2.0 * rec.scale, 1e-2)
+        den = sup_on_ball(spec, rec.center, rec.scale, 1e-2)
+        assert rec.index_sup == math.log(num / den)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalscope import scan
 from nodalscope.errors import BudgetError, EmbeddedBallError
 from nodalscope.fields import (
     DEFAULT_TOL,
     MassEvaluator,
     l2_on_ball,
+    lifted_sup_on_ball,
     nyquist_resolution,
     q_on_ball,
     sup_global,
     sup_on_annulus,
     sup_on_ball,
 )
-from nodalscope.geometry import TorusModel, ball_volume
+from nodalscope.geometry import TorusModel, ball_volume, generate_cover
 from nodalscope.spectrum import (
     evaluate,
     evaluate_grid,
@@ -220,6 +222,48 @@ def test_sup_translation_invariance(dim, steps):
     assert moved == pytest.approx(sup_on_ball(spec, x, 0.05, tol), rel=tol)
 
 
+BALL_SUPS = {"psi2": sup_on_ball, "q": q_on_ball,
+             "lifted": lifted_sup_on_ball}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SUPS))
+@pytest.mark.parametrize("dim,m,s", [(2, 1105, 0.02), (3, 50, 0.03)])
+def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
+    # a ball's sup does not depend on the balls that share its lockstep
+    # scan: a cover scanned whole, shuffled and split in two, and in
+    # lockstep groups of one or two balls gives every ball its own
+    # single-center value bit for bit
+    sup = BALL_SUPS[name]
+    spec = random_eigenfunction(m, TorusModel(dim), 4)
+    centers = generate_cover(0.25, spec.model).centers[:8]
+    single = np.array([sup(spec, c, s, 1e-2) for c in centers])
+    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    order = np.random.default_rng(dim).permutation(len(centers))
+    parts = np.split(centers[order], [3])
+    assert np.array_equal(
+        np.concatenate([sup(spec, part, s, 1e-2) for part in parts]),
+        single[order])
+    count = scan.RadialDomain(0.0, s).initial_lattice(
+        scan.SpectralObjective(spec, centers[0], 0.0, 1.0).h0)[0]
+    monkeypatch.setattr(scan, "LOCKSTEP_BLOCK", 2 * count**dim * spec.n_modes)
+    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+
+
+def test_batch_budget_error_names_the_ball(rand100, monkeypatch):
+    # in a batch, the ball that runs out of NODE_BUDGET is named by its
+    # center and radius
+    centers = np.array([[0.2, 0.4], [0.65, 0.15], [0.9, 0.55]])
+    dom = scan.RadialDomain(0.0, 0.1)
+    nodes = [scan.certified_max(scan.SpectralObjective(rand100, c, 0.0, 1.0),
+                                dom, 1e-6).nodes for c in centers]
+    heavy = int(np.argmax(nodes))
+    monkeypatch.setattr(scan, "NODE_BUDGET", sorted(nodes)[1])
+    with pytest.raises(BudgetError) as err:
+        sup_on_ball(rand100, centers, 0.1, 1e-6)
+    name = "center ({:g}, {:g})".format(*centers[heavy])
+    assert name in str(err.value) and "radius 0.1" in str(err.value)
+
+
 def test_partition_mass_sums_to_norm(rand100):
     from nodalscope.spectrum import evaluate_grid
 
@@ -274,7 +318,7 @@ def test_q_dominates_amplitude_pointwise(rand25):
     rng = np.random.default_rng(5)
     obj = SpectralObjective(rand25, np.zeros(2), 1.0, 0.5 * rand25.lam)
     pts = rng.random((500, 2))
-    q = obj.values(pts)
+    q = obj.values(pts, 0)
     psi = np.atleast_1d(evaluate(rand25, pts))
     assert np.all(q >= 0.5 * rand25.lam * psi**2 - 1e-12)
 

@@ -14,6 +14,7 @@ from nodalscope.lift import (
     lift_evaluate,
     cube_zero_set_bound,
 )
+from nodalscope.scan import LiftedSquared
 from nodalscope.spectrum import evaluate, laplacian_residual, random_eigenfunction
 
 
@@ -39,6 +40,19 @@ def test_lift_guards(t2):
         lift_evaluate(big, (0.1, 0.1), 0.9999)
     with pytest.raises(ScaleRangeError):
         lift_evaluate(big, (0.1, 0.1), 1.5)
+
+
+def test_lifted_scan_overflow_raises(t2):
+    # the lifted sup on B_s carries exp(2 s sqrt(lambda)), 801 at m = 65000
+    # and s = 1/4: past the guard lift_evaluate uses, the lifted scan and
+    # the cube index raise instead of returning inf
+    big = random_eigenfunction(65000, t2, 0)
+    s_max = lift.EXP_GUARD / (2.0 * math.sqrt(big.lam))
+    LiftedSquared(big, (0.5, 0.5), s_max * (1 - 1e-9))
+    with pytest.raises(LiftOverflowError):
+        lifted_sup_on_ball(big, (0.5, 0.5), s_max * (1 + 1e-9))
+    with pytest.raises(LiftOverflowError):
+        cube_doubling_index(big, (0.5, 0.5), 0.125, tol=1e-2)
 
 
 def test_harmonicity_residual_bound(sin1):
@@ -136,15 +150,17 @@ def test_cube_index_json(rand25, monkeypatch):
 def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
     # a ball's log sup ratio does not depend on its t-offset, so the 150
     # pairs (PAIR_BUDGET) of the r = 1/8 cube scan each (x-offset, scale)
-    # once: 71 lifted scans in 2-D, against 2 per pair without sharing
-    # across t
-    calls = []
+    # once: 71 lifted balls in 2-D, against 2 per pair without sharing
+    # across t, in one lockstep scan per scale
+    balls, scans = [], []
 
-    def counted(spec, x_center, s, tol):
-        calls.append((tuple(x_center), s))
-        return lifted_sup_on_ball(spec, x_center, s, tol)
+    def counted(spec, x_centers, s, tol):
+        balls.extend((tuple(x), s) for x in x_centers)
+        scans.append(s)
+        return lifted_sup_on_ball(spec, x_centers, s, tol)
 
     monkeypatch.setattr(lift, "lifted_sup_on_ball", counted)
     ci = cube_doubling_index(rand25, (0.3, 0.6), 0.125)
     assert ci.pairs_scanned == lift.PAIR_BUDGET == 150
-    assert len(calls) == len(set(calls)) == 71
+    assert len(balls) == len(set(balls)) == 71
+    assert len(scans) == len(set(scans))

@@ -21,6 +21,7 @@ from nodalscope.spectrum import (
     mode_spec,
     mode_sum,
     mode_weights,
+    point_phases,
     random_eigenfunction,
 )
 
@@ -62,8 +63,9 @@ def test_lattice_kernel_matches_pointwise(dim, m):
     center = rng.random(dim)
     coords, inv, offsets = _lattice(rng, dim, 1.7e-3, -0.05)
     x = center + offsets
-    parts = mode_sum(lattice_phases(spec, coords, inv),
-                     mode_weights(spec, 2, center))
+    parts = mode_sum(lattice_phases(spec, coords, inv,
+                                    point_phases(spec, center[None])),
+                     mode_weights(spec, 2))
     scale = spec.coeff_l1()
     freq = 2 * math.pi * math.sqrt(m)
     assert np.max(np.abs(parts[:, 0] - evaluate(spec, x))) <= 1e-12 * scale
@@ -72,6 +74,22 @@ def test_lattice_kernel_matches_pointwise(dim, m):
     hess = parts[:, dim + 1:].reshape(-1, dim, dim)
     assert np.max(np.abs(hess - evaluate_hessian(spec, x))) \
         <= 1e-12 * scale * freq**2
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_kernel_rows_do_not_depend_on_the_batch(dim, m):
+    # a ball in a lockstep scan gets its single-ball value bit for bit only
+    # if point_phases and mode_sum compute each row from that row alone:
+    # rows of a 4096-point call equal the same rows computed one at a time
+    # and in slices of other lengths
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    x = np.random.default_rng(dim).random((4096, dim))
+    phases = point_phases(spec, x)
+    weights = mode_weights(spec, 2)
+    full = mode_sum(phases, weights)
+    for lo, hi in ((0, 1), (7, 8), (5, 9), (100, 233), (1000, 4096)):
+        assert np.array_equal(point_phases(spec, x[lo:hi]), phases[lo:hi])
+        assert np.array_equal(mode_sum(phases[lo:hi], weights), full[lo:hi])
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -93,9 +111,9 @@ def test_objective_values_and_slopes(name, dim, m):
     g = evaluate_gradient(spec, x)
     f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
 
-    phases = lattice_phases(spec, coords, inv)
+    phases = lattice_phases(spec, coords, inv, obj.shifts)
     vals, ubs = obj.cell_bounds(phases, offsets, 1e-3)
-    pointwise = obj.values(offsets)
+    pointwise = obj.values(offsets, 0)
     factor = 1.0
     if name == "lifted":
         factor = obj._t_factor(np.linalg.norm(offsets, axis=-1))
@@ -139,18 +157,18 @@ def test_certified_max_brackets_dense_max(rand100, name, domain_name):
     domain = DOMAINS[domain_name]()
     if name == "lifted":
         domain = RadialDomain(0.0, obj.s)
-    dense = np.max(obj.values(_dense_offsets(domain, 301)))
+    dense = np.max(obj.values(_dense_offsets(domain, 301), 0))
     # the default first level, and a coarse one whose best cell need not
     # lie in the basin of the maximum, so that pruning decides the result
     for h0 in (obj.h0, 0.3):
         obj.h0 = h0
         res = certified_max(obj, domain, tol)
-        assert dense <= res.value * (1 + tol)
+        assert dense <= res.value[0] * (1 + tol)
         # the value is a pointwise evaluation at the offset it reports
-        assert res.value == pytest.approx(
-            obj.values(res.offset[None, :])[0], rel=1e-14)
+        assert res.value[0] == pytest.approx(
+            obj.values(res.offset, 0)[0], rel=1e-14)
         if isinstance(domain, RadialDomain):
-            assert domain.contains(np.linalg.norm(res.offset))
+            assert domain.contains(np.linalg.norm(res.offset[0]))
         assert res.nodes > 0
 
 
@@ -217,11 +235,12 @@ def test_cell_bound_dominates_samples(name, dim, m):
     for spec, center, (coords, inv, offsets), h in cases:
         obj = make(spec, center)
         rho = h * math.sqrt(dim) / 2
-        vals, ubs = obj.cell_bounds(lattice_phases(spec, coords, inv),
+        vals, ubs = obj.cell_bounds(lattice_phases(spec, coords, inv,
+                                                   obj.shifts),
                                     offsets, rho)
         samples = _cell_samples(h, dim)
         pts = (offsets[:, None, :] + samples[None, :, :]).reshape(-1, dim)
-        dense = obj.values(pts).reshape(len(offsets), -1).max(axis=1)
+        dense = obj.values(pts, 0).reshape(len(offsets), -1).max(axis=1)
         assert np.all(ubs >= dense)
         assert np.all(dense >= vals - 1e-12 * np.max(np.abs(vals)))
 
