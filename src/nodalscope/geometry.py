@@ -29,16 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TorusModel:
-    """Unit flat torus of dimension 2 or 3 (side fixed to 1, volume 1)."""
+    """Unit flat torus of dimension 2 or 3 (side 1, volume 1)."""
 
     dim: int
-    side: float = 1.0
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.side != 1.0:
-            raise ValueError("only the unit torus is supported")
 
     @property
     def injectivity_radius(self) -> float:

@@ -9,11 +9,14 @@ cell center,
     |grad psi| <= |grad psi(center)| + ||H psi(center)|| rho + (1/2) D3 rho^2,
 
 with D_j = ||c||_1 (2 pi sqrt(m))^j, which bounds the j-th derivative tensor
-of psi mode by mode. Cells that cannot beat the incumbent by more than the
-relative tolerance are pruned, survivors are subdivided, and the incumbent
-is polished by projected pattern search. The returned value is a pointwise
-evaluation at the returned offset, a lower bound of the true supremum within
-the requested relative tolerance.
+of psi mode by mode. Each ball keeps its best cell-center value inside the
+domain; cells whose bound cannot beat it by more than the relative
+tolerance are pruned, and survivors are subdivided. A cell-center value is
+a point value, no larger than the sup, so the pruning stays certified.
+Once every ball's gap has closed, one projected pattern search polishes
+every ball's best cell. The returned value is a pointwise evaluation at the
+returned offset, a lower bound of the true supremum within the requested
+relative tolerance.
 
 One scan serves a batch of B balls that share a domain (the same offsets
 around B centers) in lockstep: every cell belongs to one ball, each ball
@@ -22,8 +25,9 @@ evaluated in one pass over all balls' cells. A ball's value does not depend
 on the balls that share its batch, to the last bit: every step is
 elementwise or reduces within one row (spectrum.mode_sum, point_phases).
 Balls enter a lockstep group until its first level's cells times the
-spec's modes reach LOCKSTEP_BLOCK, which bounds the memory one group takes
-(a ball too large for it is a group of its own).
+spec's modes reach LOCKSTEP_BLOCK, and every level's phases are built in
+chunks of at most LOCKSTEP_BLOCK cells x modes, which bounds the memory a
+level takes (a ball too large for a group is a group of its own).
 
 Cells are integer lattice indices: the child of cell i on each axis is 2i or
 2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
@@ -34,9 +38,9 @@ axis-0 index. Every objective is f = alpha |grad psi|^2 + beta psi^2
 (LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
 t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
 one mode sum (spectrum.mode_sum). A level's phases are products of per-axis
-tables over the level's coordinates (spectrum.lattice_phases), the phase of
-each ball's center folded into its rows of the axis-0 table, so one product
-evaluates the whole level.
+tables over the level's coordinates (spectrum.axis_phases, lattice_phases),
+the phase of each ball's center folded into its rows of the axis-0 table, so
+one product evaluates a chunk of the level.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import numpy as np
 from .errors import BudgetError, LiftOverflowError
 from .spectrum import (
     EigenfunctionSpec,
+    axis_phases,
     lattice_phases,
     mode_sum,
     mode_weights,
@@ -71,7 +76,7 @@ NODE_BUDGET = 4_000_000
 STEP_FLOOR = 1e-9
 MAX_POLISH_EVALS = 600
 EXP_GUARD = 700.0  # largest exponent of the harmonic lift's t-factor
-LOCKSTEP_BLOCK = 2**16  # first-level cells x modes of one lockstep group
+LOCKSTEP_BLOCK = 2**16  # cells x modes of a group's first level and of a chunk
 
 
 @dataclass
@@ -245,9 +250,10 @@ def pattern_search(objective, domain, balls, d0, step: float):
     Each step probes all 2n axis directions at every running ball's step
     length in one objective.values call; a ball moves to its best probe that
     improves, or halves its step when none does, and stops below STEP_FLOOR.
-    All balls stop once a ball has had MAX_POLISH_EVALS evaluations. Returns
-    (offsets, values, evaluations) per ball, each value a pointwise
-    evaluation at its offset.
+    All balls stop once a ball has had MAX_POLISH_EVALS evaluations. Every
+    ball starts at iteration 0 with the same step, so a ball's path does not
+    depend on the balls beside it. Returns (offsets, values, evaluations)
+    per ball, each value a pointwise evaluation at its offset.
     """
     d = np.array(d0, dtype=float)
     v = objective.values(d, balls)
@@ -286,15 +292,19 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
     """Max of the objective over the domain around each of its centers,
     within relative tolerance tol.
 
-    The first level has spacing about objective.h0. Raises BudgetError when
-    tol is below the certification floor, or, naming the ball, when one
-    ball's NODE_BUDGET evaluations pass before its bound gap closes.
+    The first level has spacing about objective.h0. The branch-and-bound
+    finds each ball's best cell center; one pattern_search over all balls
+    then polishes them from there. It starts at twice the first level's cell
+    radius: from a cell next to a maximum on the domain's boundary, a
+    shorter step crawls along the boundary until MAX_POLISH_EVALS stops it.
+    Raises BudgetError when tol is below the certification floor, or,
+    naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
     if tol < TOL_FLOOR:
         raise BudgetError(
             f"tolerance {tol} below certification floor {TOL_FLOOR}"
         )
-    count = domain.initial_lattice(objective.h0)[0]
+    count, spacing, _ = domain.initial_lattice(objective.h0)
     n_balls = len(objective.centers)
     group = max(1, LOCKSTEP_BLOCK // (count**objective.dim
                                       * objective.spec.n_modes))
@@ -305,7 +315,12 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
         _lockstep(objective, domain, tol,
                   np.arange(start, min(start + group, n_balls)),
                   best, best_off, nodes)
-    return ScanResult(value=best, offset=best_off, nodes=int(nodes.sum()))
+    offset, value, used = pattern_search(
+        objective, domain, np.arange(n_balls), best_off,
+        spacing * math.sqrt(objective.dim))
+    nodes += used
+    _check_budget(objective, domain, tol, nodes)
+    return ScanResult(value=value, offset=offset, nodes=int(nodes.sum()))
 
 
 def _ball_name(objective, domain, b: int) -> str:
@@ -313,9 +328,41 @@ def _ball_name(objective, domain, b: int) -> str:
     return f"{domain} at center ({center})"
 
 
+def _check_budget(objective, domain, tol, nodes):
+    over = np.flatnonzero(nodes > NODE_BUDGET)
+    if len(over):
+        raise BudgetError(
+            f"scan of the {_ball_name(objective, domain, over[0])} "
+            f"exceeded node budget {NODE_BUDGET} (tol={tol})"
+        )
+
+
+def _level_bounds(objective, xs, inv, owner, offsets, rho):
+    """objective.cell_bounds of a level's cells, in chunks of at most
+    LOCKSTEP_BLOCK cells x modes. The tables of axes 1.. are built once per
+    level; a chunk's axis-0 table spans its cells' lowest to highest axis-0
+    coordinate, about its own balls' coordinates since cells stay sorted by
+    ball."""
+    spec = objective.spec
+    size = max(1, LOCKSTEP_BLOCK // spec.n_modes)
+    rest = [axis_phases(spec, xs[a], a) for a in range(1, len(xs))]
+    vals, ubs = np.empty(len(inv)), np.empty(len(inv))
+    for lo in range(0, len(inv), size):
+        part = slice(lo, lo + size)
+        idx = inv[part].copy()
+        first, last = idx[:, 0].min(), idx[:, 0].max() + 1
+        idx[:, 0] -= first
+        head = (axis_phases(spec, xs[0][first:last], 0)
+                * objective.shifts[owner[first:last]])
+        vals[part], ubs[part] = objective.cell_bounds(
+            lattice_phases([head] + rest, idx), offsets[part], rho)
+    return vals, ubs
+
+
 def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
     """Branch-and-bound of the given balls in lockstep, updating their
-    entries of best, best_off and nodes (arrays over all balls) in place."""
+    entries of best, best_off (each ball's best cell center inside the
+    domain) and nodes (arrays over all balls) in place."""
     dim = objective.dim
     count, spacing, origin = domain.initial_lattice(objective.h0)
     rho = spacing * math.sqrt(dim) / 2.0
@@ -339,16 +386,8 @@ def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
             break
         ball = owner[inv[:, 0]]
         nodes += np.bincount(ball, minlength=len(nodes))
-        over = np.flatnonzero(nodes > NODE_BUDGET)
-        if len(over):
-            raise BudgetError(
-                f"scan of the {_ball_name(objective, domain, over[0])} "
-                f"exceeded node budget {NODE_BUDGET} (tol={tol})"
-            )
-        vals, ubs = objective.cell_bounds(
-            lattice_phases(objective.spec, xs, inv, objective.shifts[owner]),
-            offsets, rho,
-        )
+        _check_budget(objective, domain, tol, nodes)
+        vals, ubs = _level_bounds(objective, xs, inv, owner, offsets, rho)
         # each ball's first best cell inside the domain: segment k of the
         # cells (sorted by ball) is the k-th ball present
         starts = np.r_[True, ball[1:] != ball[:-1]]
@@ -358,13 +397,7 @@ def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
         hits = np.flatnonzero(inner == top[seg])
         first = hits[np.r_[True, seg[hits[1:]] != seg[hits[:-1]]]]
         gain = first[top > best[ball[first]]]
-        if len(gain):
-            polished = ball[gain]
-            d, v, used = pattern_search(objective, domain, polished,
-                                        offsets[gain], 2.0 * rho)
-            nodes[polished] += used
-            up = v > best[polished]
-            best[polished[up]], best_off[polished[up]] = v[up], d[up]
+        best[ball[gain]], best_off[ball[gain]] = vals[gain], offsets[gain]
         threshold = np.where(best > 0, best * (1.0 + tol), best)
         inv = inv[ubs > threshold[ball]]
         # children 2i + {0, 1} per axis, tables kept to the used coordinates

@@ -36,6 +36,7 @@ __all__ = [
     "evaluate_grid",
     "mode_weights",
     "point_phases",
+    "axis_phases",
     "lattice_phases",
     "mode_sum",
     "laplacian_residual",
@@ -244,26 +245,23 @@ def point_phases(spec: EigenfunctionSpec, x) -> np.ndarray:
     return np.exp((1j * TWO_PI) * arg)
 
 
-def lattice_phases(spec: EigenfunctionSpec, coords, inv,
-                   shift: np.ndarray) -> np.ndarray:
-    """exp(2 pi i k_j . d_p) for lattice offsets d_p[a] = coords[a][inv[p, a]],
-    times the shift row of the offset's axis-0 coordinate.
+def axis_phases(spec: EigenfunctionSpec, x, axis: int) -> np.ndarray:
+    """exp(2 pi i k_j[axis] x_c) for coordinates x (C,) along one axis;
+    shape (C, M): one complex exp per (coordinate, mode)."""
+    return np.exp((1j * TWO_PI) * np.multiply.outer(x, spec.k[:, axis]))
 
-    One table exp(2 pi i k_ja x) per axis a over that axis's coordinates,
-    multiplied across axes: a complex exp per (coordinate, mode) and a
-    complex product per (offset, mode, axis). shift, one row of M phases
-    per axis-0 coordinate (or one row for all), multiplies the axis-0 table:
-    the scan passes the phases exp(2 pi i k_j . x_b) of the center of the
-    ball that coordinate belongs to.
+
+def lattice_phases(tables, inv) -> np.ndarray:
+    """exp(2 pi i k_j . d_p) for lattice offsets d_p[a] = coords[a][inv[p, a]],
+    from the per-axis tables (axis_phases over coords[a]).
+
+    Row inv[p, a] of each table, multiplied across axes: a complex product
+    per (offset, mode, axis). The scan folds the phases exp(2 pi i k_j . x_b)
+    of each ball's center into the axis-0 rows of that ball's coordinates.
     """
-    phases = None
-    for a, x in enumerate(coords):
-        table = np.exp((1j * TWO_PI) * np.multiply.outer(x, spec.k[:, a]))
-        if phases is None:
-            table *= shift
-            phases = table[inv[:, a]]
-        else:
-            phases *= table[inv[:, a]]
+    phases = tables[0][inv[:, 0]]
+    for a in range(1, len(tables)):
+        phases *= tables[a][inv[:, a]]
     return phases
 
 

@@ -231,8 +231,9 @@ BALL_SUPS = {"psi2": sup_on_ball, "q": q_on_ball,
 def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     # a ball's sup does not depend on the balls that share its lockstep
     # scan: a cover scanned whole, shuffled and split in two, and in
-    # lockstep groups of one or two balls gives every ball its own
-    # single-center value bit for bit
+    # lockstep groups of one or two balls (levels built in several chunks)
+    # gives every ball its own single-center value bit for bit; the groups
+    # of one scan share a single polish
     sup = BALL_SUPS[name]
     spec = random_eigenfunction(m, TorusModel(dim), 4)
     centers = generate_cover(0.25, spec.model).centers[:8]
@@ -246,7 +247,38 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     count = scan.RadialDomain(0.0, s).initial_lattice(
         scan.SpectralObjective(spec, centers[0], 0.0, 1.0).h0)[0]
     monkeypatch.setattr(scan, "LOCKSTEP_BLOCK", 2 * count**dim * spec.n_modes)
+    calls = {"pattern_search": 0, "_lockstep": 0}
+
+    def counted(attr):
+        inner = getattr(scan, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return inner(*args)
+        return wrapper
+
+    for fn in calls:
+        monkeypatch.setattr(scan, fn, counted(fn))
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    assert calls["pattern_search"] == 1 and calls["_lockstep"] >= 4
+
+
+def test_boundary_maxima_in_a_batch(sin1):
+    # 2 sin^2(2 pi x) over B_s(c) is 2 where [c_x - s, c_x + s] holds a
+    # crest x = 1/4 + k/2, else the larger endpoint value: most of these
+    # balls take their max on the sphere, where the polish must reach it
+    # from the best cell near it
+    centers = np.array([[0.02, 0.3], [0.33, 0.81], [0.47, 0.5],
+                        [0.61, 0.07], [0.9, 0.66]])
+    for s in (1 / 8, 1 / 16, 0.03):
+        lo, hi = centers[:, 0] - s, centers[:, 0] + s
+        crest = np.floor(2 * hi - 0.5) >= np.ceil(2 * lo - 0.5)
+        ends = 2 * np.maximum(np.sin(2 * np.pi * lo)**2,
+                              np.sin(2 * np.pi * hi)**2)
+        exact = np.where(crest, 2.0, ends)
+        assert np.count_nonzero(~crest) >= 3
+        got = sup_on_ball(sin1, centers, s, 1e-3)
+        assert np.max(np.abs(got / exact - 1)) <= 1e-9
 
 
 def test_batch_budget_error_names_the_ball(rand100, monkeypatch):

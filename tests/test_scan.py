@@ -14,6 +14,7 @@ from nodalscope.scan import (
     certified_max,
 )
 from nodalscope.spectrum import (
+    axis_phases,
     evaluate,
     evaluate_gradient,
     evaluate_hessian,
@@ -48,6 +49,14 @@ def _cells(idx, spacing, origin):
     return coords, inv, offsets
 
 
+def _lattice_phases(spec, coords, inv, shift):
+    """lattice_phases of the cells, the center phases shift folded into the
+    axis-0 table as the scan folds them."""
+    tables = [axis_phases(spec, x, a) for a, x in enumerate(coords)]
+    tables[0] = tables[0] * shift
+    return lattice_phases(tables, inv)
+
+
 def _lattice(rng, dim, spacing, origin, count=300):
     """Random lattice cells with indices in [-40, 40) per axis."""
     return _cells(rng.integers(-40, 40, size=(count, dim)), spacing, origin)
@@ -63,8 +72,8 @@ def test_lattice_kernel_matches_pointwise(dim, m):
     center = rng.random(dim)
     coords, inv, offsets = _lattice(rng, dim, 1.7e-3, -0.05)
     x = center + offsets
-    parts = mode_sum(lattice_phases(spec, coords, inv,
-                                    point_phases(spec, center[None])),
+    parts = mode_sum(_lattice_phases(spec, coords, inv,
+                                     point_phases(spec, center[None])),
                      mode_weights(spec, 2))
     scale = spec.coeff_l1()
     freq = 2 * math.pi * math.sqrt(m)
@@ -111,7 +120,7 @@ def test_objective_values_and_slopes(name, dim, m):
     g = evaluate_gradient(spec, x)
     f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
 
-    phases = lattice_phases(spec, coords, inv, obj.shifts)
+    phases = _lattice_phases(spec, coords, inv, obj.shifts)
     vals, ubs = obj.cell_bounds(phases, offsets, 1e-3)
     pointwise = obj.values(offsets, 0)
     factor = 1.0
@@ -235,8 +244,8 @@ def test_cell_bound_dominates_samples(name, dim, m):
     for spec, center, (coords, inv, offsets), h in cases:
         obj = make(spec, center)
         rho = h * math.sqrt(dim) / 2
-        vals, ubs = obj.cell_bounds(lattice_phases(spec, coords, inv,
-                                                   obj.shifts),
+        vals, ubs = obj.cell_bounds(_lattice_phases(spec, coords, inv,
+                                                    obj.shifts),
                                     offsets, rho)
         samples = _cell_samples(h, dim)
         pts = (offsets[:, None, :] + samples[None, :, :]).reshape(-1, dim)
