@@ -4,16 +4,22 @@ The zero set is traced by marching squares on the exact node samples, as
 array operations: a (pattern, center sign) table gives each crossing cell's
 edge pairs, saddle cells are resolved by the exact sign of psi at their
 centers (one batched evaluation), and crossing points are linear
-interpolants on the sign-change edges. Segments are stitched into closed
-polylines across the torus seam through integer grid-edge ids: every
-sign-change edge is shared by exactly two segment endpoints.
+interpolants on the sign-change edges. Cell, node and edge indices are
+int32 wherever the grid allows, and every N^2- or segment-sized temporary
+is released once read. Segments are stitched into closed polylines across
+the torus seam through integer grid-edge ids: every sign-change edge is
+shared by exactly two segment endpoints, so the chains are the cycles of
+an endpoint permutation, walked by scipy's compiled graph traversals.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
-components change sign nearby; a result counts when its residual
+components change sign nearby; each iteration takes grad psi and the
+Hessian from one mode sum over the phases at the points (the kernel the
+certified scan uses). A result counts when its residual
 max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is
 exact: the first j whose derivative tensor D^j psi is not zero relative to
-||c||_1 (2 pi sqrt(m))^j, read off the same mode sum the certified scan uses.
+||c||_1 (2 pi sqrt(m))^j, its Frobenius norm read off a Gram quadratic
+form in the spec's modes, with no n^j tensor.
 """
 
 from __future__ import annotations
@@ -33,10 +39,8 @@ from .geometry import min_image, wrap_point
 from .spectrum import (
     EigenfunctionSpec,
     evaluate,
-    evaluate_gradient,
     evaluate_gradient_grid,
     evaluate_grid,
-    evaluate_hessian,
     mode_sum,
     mode_weights,
     point_phases,
@@ -59,6 +63,7 @@ NUDGE = 1e-12
 ZERO_TOL = 64.0 * np.finfo(float).eps
 RESIDUAL_TOL = 1e-8
 ORDER_TOL = 1e-6
+NEWTON_ITERATIONS = 50
 
 # Corners c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1) give the 4-bit
 # positivity pattern of a cell; its edges are e0=c0c1, e1=c1c2, e2=c3c2,
@@ -79,13 +84,14 @@ _SADDLES = {
 }
 # local edge e -> (di, dj, axis): e runs from node (i+di, j+dj) one step
 # along the axis
-_EDGE_BASE = np.array([(0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)])
+_EDGE_BASE = np.array([(0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)],
+                      dtype=np.int8)
 
 
 def _pair_table() -> tuple[np.ndarray, np.ndarray]:
     """(pattern, center_positive, slot) -> edge pair, and pairs per pattern."""
-    table = np.zeros((16, 2, 2, 2), dtype=np.intp)
-    count = np.zeros(16, dtype=np.intp)
+    table = np.zeros((16, 2, 2, 2), dtype=np.uint8)
+    count = np.zeros(16, dtype=np.uint8)
     for pat, pairs in _SEGMENTS.items():
         table[pat, :, 0] = pairs[0]
         count[pat] = 1
@@ -135,7 +141,7 @@ def _signed_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:
     if zero_nodes:
         logger.info("nudged %d rounding-level grid nodes to +%g", zero_nodes,
                     NUDGE)
-        vals = np.where(zero, NUDGE, vals)
+        vals[zero] = NUDGE
     return vals
 
 
@@ -150,38 +156,48 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     required = 4 * nyquist_resolution(spec.m)
     if N < required:
         raise ResolutionError(N, required)
-    vals = _signed_grid(spec, N)
+    vals = _signed_grid(spec, N).ravel()
     h = 1.0 / N
-    pattern = _cell_patterns(vals)
-    ii, jj = np.nonzero(_N_PAIRS[pattern])
-    pats = pattern[ii, jj]
+    # node and cell indices below N^2, grid-edge ids below 2 N^2
+    index = np.int32 if 2 * N * N <= np.iinfo(np.int32).max else np.int64
+    pattern = _cell_patterns(vals.reshape(N, N)).ravel()
+    cells = np.flatnonzero(_N_PAIRS[pattern]).astype(index)
+    pats = pattern[cells]
+    del pattern
+    n_pairs = _N_PAIRS[pats]
+    ii, jj = np.divmod(cells, N)
+    del cells
 
-    center_pos = np.zeros(len(ii), dtype=np.intp)
-    saddle = np.flatnonzero(_N_PAIRS[pats] == 2)
+    center_pos = np.zeros(len(pats), dtype=np.uint8)
+    saddle = np.flatnonzero(n_pairs == 2)
     centers = np.stack([(ii[saddle] + 0.5) * h, (jj[saddle] + 0.5) * h],
                        axis=-1)
     center_pos[saddle] = evaluate(spec, centers) > 0.0
 
-    # one row per segment, in cell order then pair order
-    n_pairs = _N_PAIRS[pats]
-    cell = np.repeat(np.arange(len(ii)), n_pairs)
-    slot = np.zeros(len(cell), dtype=np.intp)
-    slot[1:] = cell[1:] == cell[:-1]
-    edges = _PAIRS[pats[cell], center_pos[cell], slot]  # (S, 2) local edges
-    base = _EDGE_BASE[edges]                            # (S, 2, 3)
-    i0 = ii[cell, None] + base[..., 0]
-    j0 = jj[cell, None] + base[..., 1]
+    # one row per segment, in cell order then pair order; endpoint e lies
+    # on the grid edge from node (i0, j0), unwrapped, one step along axis
+    in_cell = np.arange(2) < n_pairs[:, None]
+    base = _EDGE_BASE[_PAIRS[pats, center_pos][in_cell]]  # (S, 2, 3)
+    i0 = np.repeat(ii, n_pairs)[:, None] + base[..., 0]
+    j0 = np.repeat(jj, n_pairs)[:, None] + base[..., 1]
     axis = base[..., 2]
-    iw, jw = i0 % N, j0 % N
-    v0 = vals[iw, jw]
-    v1 = vals[(iw + 1 - axis) % N, (jw + axis) % N]
+    del ii, jj, pats, base
+    node = (i0 % N) * N + j0 % N
+    v0 = vals[node]
+    v1 = vals[((i0 + 1 - axis) % N) * N + (j0 + axis) % N]
+    del vals
     t = v0 / (v0 - v1)
-    x = np.where(axis == 0, (i0 + t) * h, i0 * h)
-    y = np.where(axis == 1, (j0 + t) * h, j0 * h)
-    seg_arr = np.stack([x, y], axis=-1).reshape(-1, 4)
-    edge_ids = 2 * (iw * N + jw) + axis
+    del v0, v1
+    seg = np.empty(i0.shape + (2,))
+    seg[..., 0] = i0 + t * (axis == 0)
+    seg[..., 1] = j0 + t * (axis == 1)
+    seg *= h
+    del i0, j0, t
+    edge_ids = (2 * node + axis).ravel()
+    del node, axis
+    seg_arr = seg.reshape(-1, 4)
     length = _segments_length(seg_arr)
-    polylines = _stitch(seg_arr, edge_ids.ravel())
+    polylines = _stitch(seg_arr, edge_ids)
     return NodalSet(polylines=polylines, resolution=N, length=length,
                     segments=seg_arr)
 
@@ -198,92 +214,116 @@ def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
 
     Endpoint p = 2 s + side of segment s lies on grid edge edge_ids[p]. Every
     sign-change edge borders two cells and carries one endpoint from each,
-    so sorting the ids pairs each endpoint with its partner, and a chain
-    walks segment to segment by integers alone. Chains start at the lowest
-    unused segment and run from its first endpoint through its second.
+    so sorting the ids pairs each endpoint with its partner. The segments
+    then form disjoint cycles, and a chain is one cycle: it starts at the
+    lowest segment s of its cycle (the chains are ordered by s) and runs
+    from endpoint 2 s through the tips t -> partner[t] ^ 1 from 2 s + 1,
+    one per segment. Both walks run in compiled code: connected components
+    of the segment graph give each cycle's lowest segment and size, and one
+    depth-first order of the tip map, from a root linked to the first tip
+    of every chain in chain order, lists every chain's tips.
     """
-    order = np.argsort(edge_ids, kind="stable")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, depth_first_order
+
+    n_ends = len(edge_ids)
+    if not n_ends:
+        return []
+    order = np.argsort(edge_ids).astype(edge_ids.dtype)
     partner = np.empty_like(order)
     partner[order[0::2]] = order[1::2]
     partner[order[1::2]] = order[0::2]
-    partner = partner.tolist()
-    points = np.mod(segments.reshape(-1, 2), 1.0)
-    used = bytearray(len(segments))
-    chains = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = 1
-        path = [2 * start]
-        tip = 2 * start + 1
-        while True:
-            path.append(tip)
-            nxt = partner[tip]
-            if used[nxt >> 1]:
-                break
-            used[nxt >> 1] = 1
-            tip = nxt ^ 1
-        chains.append(points[path])
-    return chains
+    del order
+    n_seg = n_ends // 2
+    _, label = connected_components(
+        csr_matrix((np.ones(n_ends), partner >> 1,
+                    np.arange(0, n_ends + 1, 2)), shape=(n_seg, n_seg)),
+        directed=False)
+    _, starts, sizes = np.unique(label, return_index=True,
+                                 return_counts=True)
+    del label
+    # scipy does not promise labels in order of their lowest segment
+    by_start = np.argsort(starts)
+    starts, sizes = starts[by_start], sizes[by_start]
+    root = n_ends
+    tip_map = csr_matrix(
+        (np.ones(n_ends + len(starts)),
+         np.concatenate([partner ^ 1, 2 * starts + 1]),
+         np.append(np.arange(n_ends + 1), n_ends + len(starts))),
+        shape=(n_ends + 1, n_ends + 1))
+    del partner
+    tips = depth_first_order(tip_map, root, return_predecessors=False)[1:]
+    del tip_map
+    path = np.insert(tips, np.cumsum(sizes) - sizes, 2 * starts)
+    points = np.mod(segments.reshape(-1, 2)[path], 1.0)
+    return np.split(points, np.cumsum(sizes + 1)[:-1])
 
 
 def vanishing_order(spec: EigenfunctionSpec, x) -> int:
     """Order of vanishing of psi at x: its first nonzero derivative tensor.
 
     D^j psi(x) = Re sum_l c_l exp(2 pi i k_l . x) (2 pi i k_l)^(tensor j)
-    is read off one mode sum over the phases at x (spectrum.mode_weights).
-    Its Frobenius norm is at most
-    ||c||_1 (2 pi sqrt(m))^j, and the order is the first j at which it
-    exceeds ORDER_TOL times that bound. A nonzero point has order 0
-    (precondition violation, logged).
+    = (2 pi)^j sum_l u_l k_l^(tensor j), u_l = Re(i^j c_l exp(2 pi i k_l . x)),
+    and <k^(tensor j), k'^(tensor j)> = (k . k')^j, so its Frobenius norm
+    over its largest possible growth (2 pi sqrt(m))^j is
+    sqrt(u^T (K K^T / m)^(entrywise j) u): one M x M Gram form per order,
+    its entries at most 1 in size, and no n^j tensor. The order is the
+    first j at which that norm exceeds ORDER_TOL ||c||_1. The form's
+    rounding is about eps ||c||_1^2, far under ORDER_TOL^2 ||c||_1^2. A
+    nonzero point has order 0 (precondition violation, logged).
     """
     x = wrap_point(x)
-    n = spec.model.dim
-    at_x = point_phases(spec, x[None, :])
-    scale = ORDER_TOL * spec.coeff_l1()
-    growth = 2.0 * math.pi * math.sqrt(spec.m)
+    v = (spec.a - 1j * spec.b) * point_phases(spec, x[None, :])[0]
+    # u is +-Re v for even j and +-Im v for odd j; the form ignores signs
+    parts = (v.real, v.imag)
+    cosines = (spec.k @ spec.k.T) / spec.m
+    gram = np.ones_like(cosines)
+    threshold = (ORDER_TOL * spec.coeff_l1()) ** 2
     # psi is a sum over the 2M frequencies +-k_l, so a nonzero psi has a
     # nonzero derivative of some order below 2M
     for order in range(2 * spec.n_modes):
-        tensor = mode_sum(at_x, mode_weights(spec, order))[0, -n**order:]
-        if np.linalg.norm(tensor) > scale * growth**order:
+        u = parts[order % 2]
+        if u @ gram @ u > threshold:
             if order == 0:
                 logger.warning("vanishing_order at %s: psi = %.3g, point is "
                                "not a zero of psi", np.array2string(x),
-                               tensor[0])
+                               u.sum())
             return order
+        gram *= cosines
     raise ValueError(f"psi vanishes to order {2 * spec.n_modes} at {x}")
 
 
-def _newton_singular(spec: EigenfunctionSpec, x: np.ndarray,
-                     max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def _newton_singular(spec: EigenfunctionSpec,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Newton on grad psi from the rows of x (P, 2).
 
-    Closed-form gradients and 2x2 Hessians of the active points, with an
-    explicit 2x2 solve. A point leaves the active set when its step drops
-    below 1e-13 or its Hessian is singular. Every point is then judged by
-    its residual max(|psi|, |grad psi|), returned with the locations: near
-    a zero of order >= 3 the Hessian vanishes and Newton converges only
-    linearly, so a step test alone would drop such zeros.
+    Each iteration takes grad psi and the 2x2 Hessian of the active points
+    from one mode sum over their phases, with an explicit 2x2 solve. A
+    point leaves the active set when its step drops below 1e-13 or its
+    Hessian is singular, or after NEWTON_ITERATIONS steps. Every point is
+    then judged by its residual max(|psi|, |grad psi|), returned with the
+    locations: near a zero of order >= 3 the Hessian vanishes and Newton
+    converges only linearly, so a step test alone would drop such zeros.
     """
+    # columns: psi, d_x, d_y, d_xx, d_xy, d_yx, d_yy
+    weights = mode_weights(spec, 2)
     x = wrap_point(x)
     active = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITERATIONS):
         if not len(active):
             break
-        g = evaluate_gradient(spec, x[active])
-        hess = evaluate_hessian(spec, x[active])
-        hxx, hxy, hyy = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        d = mode_sum(point_phases(spec, x[active]), weights)
+        gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
         det = hxx * hyy - hxy * hxy
         ok = det != 0.0
-        step = np.stack([hxy * g[:, 1] - hyy * g[:, 0],
-                         hxy * g[:, 0] - hxx * g[:, 1]], axis=-1)[ok]
+        step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
+                        axis=-1)[ok]
         step /= det[ok, None]
         moved = active[ok]
         x[moved] = wrap_point(x[moved] + step)
         active = moved[np.linalg.norm(step, axis=-1) >= 1e-13]
-    resid = np.maximum(np.abs(evaluate(spec, x)),
-                       np.linalg.norm(evaluate_gradient(spec, x), axis=-1))
+    d = mode_sum(point_phases(spec, x), weights[:, :3])
+    resid = np.maximum(np.abs(d[:, 0]), np.linalg.norm(d[:, 1:], axis=-1))
     return x, resid
 
 
@@ -322,12 +362,13 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     if N < required:
         raise ResolutionError(N, required)
     h = 1.0 / N
-    vals = _signed_grid(spec, N)
+    gate = _N_PAIRS[_cell_patterns(_signed_grid(spec, N))] > 0
     grad = evaluate_gradient_grid(spec, N)
-    gate = _N_PAIRS[_cell_patterns(vals)] > 0
     for d in range(2):
         gate &= _dilate(grad[..., d] > 0.0) & _dilate(grad[..., d] < 0.0)
+    del grad
     candidates = np.argwhere(gate)
+    del gate
     x, resid = _newton_singular(spec, (candidates + 0.5) * h)
     hit = resid < RESIDUAL_TOL
     if not np.all(hit):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalscope import nodal
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import TorusModel, generate_cover, min_image
 from nodalscope.nodal import (
@@ -66,6 +69,60 @@ def _sin_cube():
                       ((1, -1, 1), 0.0, 0.5 ** 0.5),
                       ((1, 1, -1), 0.0, 0.5 ** 0.5),
                       ((1, 1, 1), 0.0, -0.5 ** 0.5)], TorusModel(3))
+
+
+def _deepest_even_zero(m, dim):
+    """Cosine-only mode at m with D^j psi(0) = 0 for every j below the
+    largest possible order, and that order.
+
+    With b = 0, psi is even and its odd derivatives vanish at the origin;
+    its even ones vanish when (K K^T)^(entrywise j) a = 0. Stacking these
+    Gram powers (scaled by m^-j) for even j = 0, 2, ... until their common
+    null space is empty, a in the last nonempty one gives a zero of order
+    J, the first even j not stacked.
+    """
+    k = np.array(enumerate_lattice(m, dim), dtype=float)
+    cosines = k @ k.T / m
+    rows, gram = [np.ones_like(cosines)], cosines * cosines
+    space = scipy.linalg.null_space(rows[0])
+    while True:
+        deeper = scipy.linalg.null_space(np.vstack(rows + [gram]))
+        if deeper.shape[1] == 0:
+            break
+        rows.append(gram)
+        space, gram = deeper, gram * cosines * cosines
+    a = space[:, 0] / math.sqrt(0.5 * float(space[:, 0] @ space[:, 0]))
+    spec = mode_spec([(tuple(int(c) for c in kk), float(aa), 0.0)
+                      for kk, aa in zip(k, a)], TorusModel(dim))
+    return spec, 2 * len(rows)
+
+
+def _stitch_reference(segments, edge_ids):
+    """Segment-by-segment walk over the endpoint partners: chains start at
+    the lowest unused segment and run from its first endpoint."""
+    order = np.argsort(edge_ids, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]] = order[1::2]
+    partner[order[1::2]] = order[0::2]
+    partner = partner.tolist()
+    points = np.mod(segments.reshape(-1, 2), 1.0)
+    used = bytearray(len(segments))
+    chains = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = 1
+        path = [2 * start]
+        tip = 2 * start + 1
+        while True:
+            path.append(tip)
+            nxt = partner[tip]
+            if used[nxt >> 1]:
+                break
+            used[nxt >> 1] = 1
+            tip = nxt ^ 1
+        chains.append(points[path])
+    return chains
 
 
 def test_single_mode_two_circles(sin1):
@@ -167,6 +224,67 @@ def test_nodal_translation_on_grid(spec_id, i, j):
     assert moved.length == pytest.approx(ref.length, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("spec_id", ["wave325", "wave1105", "wave5525",
+                                     "product_4_2"])
+def test_stitch_matches_reference_walk(monkeypatch, spec_id):
+    # the compiled chain walk gives the loop walker's chains: same count,
+    # same order, same vertices bit for bit
+    spec, N = {
+        "wave325": (random_eigenfunction(325, TorusModel(2), 0), 256),
+        "wave1105": (random_eigenfunction(1105, TorusModel(2), 5), 512),
+        "wave5525": (random_eigenfunction(5525, TorusModel(2), 2), 1024),
+        "product_4_2": (_translated_product(4, 2, (3 / 512, 5 / 512)), 512),
+    }[spec_id]
+    seen = []
+    stitch = nodal._stitch
+
+    def spy(segments, edge_ids):
+        seen.append((segments, edge_ids.copy()))
+        return stitch(segments, edge_ids)
+
+    monkeypatch.setattr(nodal, "_stitch", spy)
+    chains = extract_nodal(spec, N).polylines
+    ref = _stitch_reference(*seen[0])
+    assert len(chains) == len(ref)
+    for got, want in zip(chains, ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_stitch_empty():
+    no_segments = np.empty((0, 4))
+    no_ids = np.empty(0, dtype=np.int32)
+    assert nodal._stitch(no_segments, no_ids) == []
+    assert _stitch_reference(no_segments, no_ids) == []
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_peak(t2):
+    # the grid (8.4 MB), int32 index temporaries released once read, and
+    # the result (4.6 MB); int64 temporaries held into the stitch read
+    # 53 MB
+    peak = _traced_peak_mb(extract_nodal, random_eigenfunction(1105, t2, 5),
+                           1024)
+    assert peak < 25.0
+
+
+def test_singular_memory_peak(t2):
+    # Newton's phases over the 27k candidate cells (about 26 MB), with the
+    # psi and gradient grids (8.4 and 16.8 MB) released before it; held
+    # through Newton, the grids read 51 MB
+    peak = _traced_peak_mb(find_singular_points,
+                           random_eigenfunction(5525, t2, 7), 1024)
+    assert peak < 34.0
+
+
 @pytest.mark.parametrize("m,N", [(325, 256), (1105, 1024), (5525, 1024)])
 def test_random_wave_nodes_above_zero_tol(t2, m, N):
     # the smallest |psi| on these grids is >= 2e-8 ||c||_1, six orders
@@ -232,6 +350,23 @@ _ZEROS = [
 ])
 def test_vanishing_orders(make, x, order):
     assert vanishing_order(make(), x) == order
+
+
+@pytest.mark.parametrize("m,dim,order", [(1105, 2, 16), (5525, 2, 24),
+                                         (50, 3, 10), (101, 3, 14)])
+def test_high_vanishing_orders(monkeypatch, m, dim, order):
+    # designed zeros far above the orders of random members, at the origin
+    # and moved off it; the Gram form's rounding (measured below
+    # 6e-9 ||c||_1) stays a decade under the threshold, so a ten times
+    # smaller ORDER_TOL reads the same orders
+    spec, designed = _deepest_even_zero(m, dim)
+    assert designed == order
+    tau = np.full(dim, 0.3141)
+    moved = translate(spec, tau)
+    for tol in (nodal.ORDER_TOL, nodal.ORDER_TOL / 10):
+        monkeypatch.setattr(nodal, "ORDER_TOL", tol)
+        assert vanishing_order(spec, np.zeros(dim)) == order
+        assert vanishing_order(moved, tau) == order
 
 
 def test_count_singular_in_balls(product_spec):
