@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 DYADIC_RADII = tuple(0.25 / 2**j for j in range(8))  # largest_admissible_r
+ALPHA_GRID = (0.51, 0.6, 0.7, 0.8, 0.9, 1.0)  # eq2 exponents, all > 1/2
 
 
 def _unit_ball_volume(n: int) -> float:
@@ -148,24 +149,12 @@ def lambda_threshold(family: list[EigenfunctionSpec], r: float,
 
 @dataclass
 class ReportConfig:
-    alpha_grid: tuple = (0.51, 0.6, 0.7, 0.8, 0.9, 1.0)
     beta: float = 0.01
     kappa: float = 1.0
     c3: float | None = None         # length-curve constant, calibrated
     c4: float | None = None         # singular-count constant, fitted
     c3_provenance: str = "config"
     c4_provenance: str = "config"
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha_grid": list(self.alpha_grid),
-            "beta": self.beta,
-            "kappa": self.kappa,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c3_provenance": self.c3_provenance,
-            "c4_provenance": self.c4_provenance,
-        }
 
 
 def config_hash(payload: dict) -> str:
@@ -220,7 +209,7 @@ def build_report(certificate: EquidistCertificate, nodal_stats: dict,
 
     eq2 = []
     if n_lift is not None:
-        for alpha in config.alpha_grid:
+        for alpha in ALPHA_GRID:
             value = config.kappa * c0 * n_lift ** (2.0 * alpha) / r
             eq2.append({"alpha": alpha, "value": value})
     eq3 = c2 * root
@@ -262,7 +251,7 @@ def build_report(certificate: EquidistCertificate, nodal_stats: dict,
         "c2": {"value": c2, "provenance": "fitted"},
         "c3": {"value": c3, "provenance": config.c3_provenance},
         "c4": {"value": c4, "provenance": config.c4_provenance},
-        "alpha": {"value": list(config.alpha_grid), "provenance": "config"},
+        "alpha": {"value": list(ALPHA_GRID), "provenance": "config"},
         "beta": {"value": config.beta, "provenance": "config"},
         "kappa": {"value": config.kappa, "provenance": "config"},
     }
@@ -279,7 +268,7 @@ def build_report(certificate: EquidistCertificate, nodal_stats: dict,
         predicted={"eq2": eq2, "eq3": eq3, "eq4": eq4, "eq5": eq5},
         constants=constants,
         verdicts=verdicts,
-        config_digest=config_hash(config.as_dict()),
+        config_digest=config_hash(asdict(config)),
     )
 
 

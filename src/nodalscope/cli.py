@@ -2,8 +2,9 @@
 run doubling scans, and assemble family reports.
 
 Exit codes: 0 success (or certificate pass), 1 hypothesis failure
-(certificate fail), 2 input error. Every artifact embeds the schema version
-and a hash of the producing configuration. All paths are relative to --out.
+(certificate fail), 2 input error. Every file a command writes embeds the
+schema version and the hash of that command's inputs. All paths are
+relative to --out.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .certify import (
@@ -21,26 +23,20 @@ from .certify import (
     config_hash,
     default_k1,
     default_k2,
-    largest_admissible_r,
     report_to_json,
 )
-from .doubling import (
-    doubling_summary_json,
-    fit_growth_constant,
-    scan_doubling,
-    write_records_csv,
-)
+from .doubling import fit_growth_constant, scan_doubling, write_records_csv
 from .errors import DimensionError, ManifestError, NodalscopeError
 from .geometry import TorusModel
 from .harness import (
     EnsembleMember,
+    certified_member,
     member_doubling,
     member_lift_index,
     member_nodal_stats,
     run_family_report,
 )
-from .nodal import extract_nodal, find_singular_points, singular_points_json, \
-    write_segments_csv
+from .nodal import extract_nodal, find_singular_points, write_segments_csv
 from .spectrum import random_eigenfunction, spec_from_json, spec_to_json
 
 
@@ -114,9 +110,13 @@ def cmd_nodal(args) -> int:
     summary_path = _out_path(args, f"nodal_summary_m{spec.m}_N{args.grid}.json")
     _write_json(summary_path, {
         "length": ns.length,
-        "n_segments": 0 if ns.segments is None else len(ns.segments),
+        "n_segments": len(ns.segments),
         "n_polylines": len(ns.polylines),
-        "singular_points": json.loads(singular_points_json(points)),
+        "singular_points": [
+            {"location": [float(c) for c in p.location],
+             "vanishing_order": p.vanishing_order, "residual": p.residual}
+            for p in points
+        ],
         "length_over_sqrt_lambda": ns.length / math.sqrt(spec.lam),
     }, digest)
     print(f"wrote {seg_path}")
@@ -136,8 +136,11 @@ def cmd_doubling(args) -> int:
         f"schema_version={SCHEMA_VERSION} config={digest}"
     ])
     sum_path = _out_path(args, f"doubling_summary_m{spec.m}_r{args.r}.json")
-    _write_json(sum_path, json.loads(doubling_summary_json(
-        spec, records, args.r)), digest)
+    _write_json(sum_path, {
+        "m": spec.m, "lambda": spec.lam, "r": args.r, "c_star": c_star,
+        "max_index": max(rec.index_sup for rec in records),
+        "n_records": len(records),
+    }, digest)
     print(f"wrote {rec_path}")
     print(f"wrote {sum_path}")
     print(f"c_star = {c_star:.6f} over {len(records)} records")
@@ -162,12 +165,10 @@ def cmd_report(args) -> int:
     members_by_m: dict[int, list[EnsembleMember]] = {}
     failed = []
     for spec in specs:
-        r = largest_admissible_r(spec)
-        if r is None:
+        member = certified_member(spec)
+        if member is None:
             failed.append(spec)
             continue
-        cert = certify_equidistribution(spec, r)
-        member = EnsembleMember(spec=spec, r=r, certificate=cert)
         member_doubling(member)
         member_nodal_stats(member)
         member_lift_index(member)
@@ -190,7 +191,8 @@ def cmd_report(args) -> int:
             path = _out_path(
                 args, f"report_m{meta['m']}_seed{meta['seed']}.json"
             )
-            path.write_text(report_to_json(rep) + "\n")
+            path.write_text(
+                report_to_json(replace(rep, config_digest=digest)) + "\n")
             fh.write(
                 f"{meta['m']},{meta['seed']},{meta['lambda']},{meta['r']},"
                 f"{meas['nodal_length']},{meas['c_star']},{meas['N_lift']},"

@@ -10,7 +10,6 @@ lower-bound check.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ __all__ = [
     "scan_doubling",
     "default_scale_sweep",
     "write_records_csv",
-    "doubling_summary_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -141,14 +139,20 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
 
     Each distinct ball radius is one lockstep scan over all centers, and the
     dyadic chain shares radii (the double ball at one scale is the base ball
-    at the next), so D scales take D + 1 scans.
+    at the next), so D scales take D + 1 scans. Scales with 2 delta > 1/2
+    or delta >= 10 r are dropped; when none is left, ScaleRangeError is
+    raised before the cover is built.
     """
     model = spec.model
-    if centers is None:
-        centers = generate_cover(min(r, 0.25), model).centers
     if deltas is None:
         deltas = default_scale_sweep(spec.lam, r)
     deltas = [d for d in deltas if 2.0 * d <= 0.5 and d < 10.0 * r]
+    if not deltas:
+        raise ScaleRangeError(
+            f"no scale of the sweep has 2 delta <= 1/2 and delta below "
+            f"10 r = {10 * r:.4g}")
+    if centers is None:
+        centers = generate_cover(min(r, 0.25), model).centers
     centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
     sups = {s: sup_on_ball(spec, centers, s, tol)
             for s in sorted({s for d in deltas for s in (d, 2.0 * d)})}
@@ -179,16 +183,3 @@ def write_records_csv(records: list[DoublingRecord], path,
                 + [f"{rec.scale:.17g}", f"{rec.index_sup:.17g}",
                    f"{rec.context_r:.17g}", f"{rec.lam:.17g}"]
             )
-
-
-def doubling_summary_json(spec: EigenfunctionSpec, records, r: float) -> str:
-    c_star = fit_growth_constant(records, r, spec.lam)
-    payload = {
-        "m": spec.m,
-        "lambda": spec.lam,
-        "r": r,
-        "c_star": c_star,
-        "max_index": max(rec.index_sup for rec in records),
-        "n_records": len(records),
-    }
-    return json.dumps(payload, sort_keys=True)

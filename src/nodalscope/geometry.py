@@ -43,8 +43,12 @@ class TorusModel:
 
 
 def wrap_point(x) -> np.ndarray:
-    """Reduce coordinates into [0, 1)."""
-    return np.mod(np.asarray(x, dtype=float), 1.0)
+    """Reduce coordinates into [0, 1).
+
+    np.mod rounds a tiny negative coordinate up to 1.0; the second mod
+    takes that to 0.0 and leaves every coordinate in [0, 1) as it is.
+    """
+    return np.mod(np.mod(np.asarray(x, dtype=float), 1.0), 1.0)
 
 
 def geodesic_distance(a, b, model: TorusModel) -> float:

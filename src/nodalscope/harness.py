@@ -11,7 +11,7 @@ calibrated on the smallest certified eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .certify import (
     build_report,
     calibrate_length_constant,
     certify_equidistribution,
+    config_hash,
     largest_admissible_r,
 )
 from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
@@ -33,6 +34,7 @@ from .spectrum import EigenfunctionSpec, random_eigenfunction
 
 __all__ = [
     "EnsembleMember",
+    "certified_member",
     "collect_certified_members",
     "member_doubling",
     "member_nodal_stats",
@@ -58,6 +60,16 @@ class EnsembleMember:
     lift_index: CubeIndex | None = None
 
 
+def certified_member(spec: EigenfunctionSpec) -> EnsembleMember | None:
+    """The spec with its certificate at the largest admissible radius;
+    None when no radius certifies at the default thresholds."""
+    r = largest_admissible_r(spec)
+    if r is None:
+        return None
+    return EnsembleMember(spec=spec, r=r,
+                          certificate=certify_equidistribution(spec, r))
+
+
 def collect_certified_members(m: int, model: TorusModel, count: int = 8):
     """First `count` seeds (ascending) whose spec certifies at the default
     thresholds and radius grid; pass fraction too.
@@ -69,11 +81,9 @@ def collect_certified_members(m: int, model: TorusModel, count: int = 8):
     scanned = 0
     for seed in range(MAX_SEED):
         scanned += 1
-        spec = random_eigenfunction(m, model, seed)
-        r = largest_admissible_r(spec)
-        if r is not None:
-            cert = certify_equidistribution(spec, r)
-            members.append(EnsembleMember(spec=spec, r=r, certificate=cert))
+        member = certified_member(random_eigenfunction(m, model, seed))
+        if member is not None:
+            members.append(member)
             if len(members) == count:
                 break
     if len(members) < count:
@@ -137,27 +147,24 @@ def run_family_report(members_by_m: dict[int, list[EnsembleMember]],
     Members must already carry doubling and nodal measurements. c3 is set to
     the largest calibration constant among smallest-m members (so the curve
     is tight there and a falsifiable prediction above); c4 likewise from
-    singular counts (zero when the ensembles have none).
+    singular counts (zero when the ensembles have none). The constants go
+    into a copy of `config`; every report carries the hash of `config` as
+    given, so it names the inputs and not the calibrated values.
     """
     if config is None:
         config = ReportConfig()
+    digest = config_hash(asdict(config))
     ms = sorted(members_by_m)
-    base = members_by_m[ms[0]]
-    beta = config.beta
-    c3 = max(
-        calibrate_length_constant(mb.nodal_length, mb.r, mb.spec.lam, beta)
-        for mb in base
+    calibrated = replace(
+        config,
+        c3=max(calibrate_length_constant(mb.nodal_length, mb.r, mb.spec.lam,
+                                         config.beta)
+               for mb in members_by_m[ms[0]]),
+        c3_provenance=f"calibrated at m={ms[0]}",
+        c4=max(mb.max_singular_count / (mb.r * math.sqrt(mb.spec.lam))
+               for mlist in members_by_m.values() for mb in mlist),
+        c4_provenance="fitted (max over ensembles)",
     )
-    root = lambda mb: mb.r * math.sqrt(mb.spec.lam)
-    counts = [
-        mb.max_singular_count / root(mb)
-        for mlist in members_by_m.values() for mb in mlist
-    ]
-    c4 = max(counts) if counts else 0.0
-    config.c3 = c3
-    config.c3_provenance = f"calibrated at m={ms[0]}"
-    config.c4 = c4
-    config.c4_provenance = "fitted (max over ensembles)"
 
     reports = []
     for m in ms:
@@ -169,7 +176,7 @@ def run_family_report(members_by_m: dict[int, list[EnsembleMember]],
             meta = {"m": m, "seed": mb.spec.seed}
             if pass_fractions and m in pass_fractions:
                 meta["certification_pass_fraction"] = pass_fractions[m]
-            reports.append(build_report(
+            reports.append(replace(build_report(
                 mb.certificate,
                 {
                     "nodal_length": mb.nodal_length,
@@ -183,7 +190,7 @@ def run_family_report(members_by_m: dict[int, list[EnsembleMember]],
                     ),
                 },
                 lift_stats,
-                config,
+                calibrated,
                 meta_extra=meta,
-            ))
+            ), config_digest=digest))
     return reports

@@ -12,7 +12,6 @@ and so the cube index, does not depend on its t-offset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -31,7 +30,6 @@ __all__ = [
     "harmonicity_residual",
     "cube_doubling_index",
     "cube_zero_set_bound",
-    "cube_index_json",
 ]
 
 MIN_SCALE_DIV = 64
@@ -168,21 +166,3 @@ def cube_zero_set_bound(n_value: float, r: float, alpha: float, kappa: float,
         raise ValueError(f"n_value must be >= 0, got {n_value}")
     diam = 2.0 * r * math.sqrt(dim_d)
     return kappa * diam ** (dim_d - 1) * n_value ** (2.0 * alpha)
-
-
-def cube_index_json(ci: CubeIndex) -> str:
-    payload = {
-        "center": [float(c) for c in ci.center],
-        "r": ci.half_side,
-        "N_value": ci.n_value,
-        "argmax_ball": {
-            "center": [float(c) for c in ci.argmax_center],
-            "scale": ci.argmax_scale,
-        },
-        "flags": {
-            "budget_exhausted": ci.budget_exhausted,
-            "lower_bound": True,
-        },
-        "pairs_scanned": ci.pairs_scanned,
-    }
-    return json.dumps(payload, sort_keys=True)

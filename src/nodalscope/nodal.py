@@ -25,7 +25,6 @@ form in the spec's modes, with no n^j tensor.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ __all__ = [
     "vanishing_order",
     "count_singular_in_balls",
     "write_segments_csv",
-    "singular_points_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -109,7 +107,7 @@ class NodalSet:
     polylines: list          # list of (V, 2) vertex arrays, wrapped mod 1
     resolution: int
     length: float
-    segments: np.ndarray | None = None  # (S, 4): x1, y1, x2, y2
+    segments: np.ndarray     # (S, 4): x1, y1, x2, y2
 
 
 @dataclass
@@ -336,13 +334,6 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _in_unit_box(x) -> np.ndarray:
-    """Coordinates in [0, 1), as a periodic cKDTree needs them: np.mod may
-    round a tiny negative coordinate up to 1.0."""
-    x = wrap_point(x)
-    return np.where(x < 1.0, x, 0.0)
-
-
 def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]:
     """Common zeros of psi and grad psi by batched Newton on grad psi.
 
@@ -353,8 +344,10 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     all candidate cell centers at once; a result is accepted when
     max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
     and points within h of an earlier accepted one are merged by a
-    periodic k-d tree. Points are returned sorted by location, each with
-    its vanishing order.
+    periodic k-d tree. Points are returned in row-major order of their
+    nearest grid node, an integer key that ulp-level moves of a point
+    cannot flip (its float coordinates can: points on one grid line tie
+    up to rounding), each with its vanishing order.
     """
     if spec.model.dim != 2:
         raise DimensionError("singular-point search is 2-D only")
@@ -377,17 +370,17 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     x, resid = x[hit], resid[hit]
     keep = np.ones(len(x), dtype=bool)
     if len(x) > 1:
-        tree = cKDTree(_in_unit_box(x), boxsize=1.0)
+        tree = cKDTree(x, boxsize=1.0)
         for a, b in sorted(tree.query_pairs(h)):
             if keep[a]:
                 keep[b] = False
-    found = [
-        SingularPoint(location=loc, vanishing_order=vanishing_order(spec, loc),
-                      residual=float(r))
-        for loc, r in zip(x[keep], resid[keep])
+    x, resid = x[keep], resid[keep]
+    node = np.round(x * N).astype(np.int64) % N
+    return [
+        SingularPoint(location=x[i], vanishing_order=vanishing_order(spec, x[i]),
+                      residual=float(resid[i]))
+        for i in np.lexsort((node[:, 1], node[:, 0]))
     ]
-    found.sort(key=lambda p: (p.location[0], p.location[1]))
-    return found
 
 
 def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
@@ -405,8 +398,8 @@ def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
     if not points:
         return [0] * len(centers)
     weights = np.array([p.vanishing_order - 1 for p in points])
-    tree = cKDTree(_in_unit_box([p.location for p in points]), boxsize=1.0)
-    hits = tree.query_ball_point(_in_unit_box(centers), radius)
+    tree = cKDTree(wrap_point([p.location for p in points]), boxsize=1.0)
+    hits = tree.query_ball_point(wrap_point(centers), radius)
     return [int(weights[h].sum()) for h in hits]
 
 
@@ -416,15 +409,5 @@ def write_segments_csv(ns: NodalSet, path, header_lines=()) -> None:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["x1", "y1", "x2", "y2"])
-        for seg in (ns.segments if ns.segments is not None else []):
+        for seg in ns.segments:
             writer.writerow([f"{c:.17g}" for c in seg])
-
-
-def singular_points_json(points: list[SingularPoint]) -> str:
-    payload = [
-        {"location": [float(c) for c in p.location],
-         "vanishing_order": p.vanishing_order,
-         "residual": p.residual}
-        for p in points
-    ]
-    return json.dumps(payload, sort_keys=True)

@@ -105,12 +105,12 @@ def test_bad_manifest_exit_code(tmp_path, case, capsys):
 def test_3d_spec_exit_code(tmp_path, command, capsys, monkeypatch):
     # 3-D specs are refused with exit 2; report refuses them before it
     # computes any certificate, even after a 2-D spec in the manifest
-    import nodalscope.cli as cli
+    import nodalscope.harness as harness
 
     def no_certificate(spec):
         raise AssertionError("certificate computed for a refused report")
 
-    monkeypatch.setattr(cli, "largest_admissible_r", no_certificate)
+    monkeypatch.setattr(harness, "largest_admissible_r", no_certificate)
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
     assert run(["--out", out, "gen", "--m", "50", "--dim", "3",
@@ -143,6 +143,26 @@ def test_nodal_artifacts(tmp_path, sin1):
     assert seg_text.startswith(f"# schema_version={SCHEMA_VERSION} config=")
 
 
+def test_nodal_singular_points_artifact(tmp_path, product_spec):
+    # the four order-2 crossings of 2 sin(2 pi x) sin(2 pi y), with the
+    # segment count and the CSV header hash matching the summary's
+    spec_path = tmp_path / "product.json"
+    spec_path.write_text(spec_to_json(product_spec))
+    assert run(["--out", str(tmp_path), "nodal", "--spec", str(spec_path),
+                "--grid", "512"]) == 0
+    summary = json.loads(
+        (tmp_path / "nodal_summary_m2_N512.json").read_text()
+    )
+    points = summary["singular_points"]
+    assert len(points) == 4
+    assert all(p["vanishing_order"] == 2 for p in points)
+    assert all(p["residual"] < 1e-8 for p in points)
+    seg_lines = (tmp_path / "nodal_segments_m2_N512.csv").read_text() \
+        .splitlines()
+    assert seg_lines[0].endswith(f"config={summary['config_hash']}")
+    assert len(seg_lines) == 2 + summary["n_segments"]
+
+
 def test_doubling_artifacts(tmp_path):
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
@@ -163,6 +183,25 @@ def test_doubling_artifacts(tmp_path):
     # every column carries a value in some row
     for i, name in enumerate(header):
         assert any(row[i] for row in rows), name
+    assert lines[0].endswith(f"config={summary['config_hash']}")
+
+
+def test_doubling_below_every_scale_exit_code(tmp_path, capsys, monkeypatch):
+    # at m = 25, r = 0.001 every scale of the sweep is at least 10 r: the
+    # scan refuses before it builds its ~2M-center cover
+    import nodalscope.doubling as doubling
+
+    def no_cover(r, model):
+        raise AssertionError(f"cover of radius {r} built")
+
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
+    monkeypatch.setattr(doubling, "generate_cover", no_cover)
+    assert run(["--out", out, "doubling", "--spec",
+                str(tmp_path / "spec_m25_dim2_seed7.json"),
+                "--r", "0.001"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("doubling_*"))
 
 
 def test_report_family(tmp_path):
@@ -188,6 +227,43 @@ def test_report_family(tmp_path):
     assert rep["schema_version"] == SCHEMA_VERSION
     assert rep["meta"]["m"] == 325
     assert rep["constants"]["c3"]["provenance"] == "calibrated at m=100"
+    # one hash per command: every member report carries the CSV header's
+    assert _report_hashes(tmp_path) == {_csv_hash(tmp_path)}
+
+
+def _csv_hash(out):
+    return _hash_line(out / "family_report.csv").rsplit("config=", 1)[1]
+
+
+def _report_hashes(out):
+    return {json.loads(path.read_text())["config_hash"]
+            for path in out.glob("report_m*.json")}
+
+
+def test_report_hash_ignores_calibrated_constants(tmp_path, monkeypatch):
+    # c3 moved by one ulp changes the reports' c3 and no hash
+    import nodalscope.harness as harness
+
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--m", "100", "--seed", "0"]) == 0
+    man_path = tmp_path / "manifest.json"
+    man_path.write_text(json.dumps(
+        {"specs": [str(tmp_path / "spec_m100_dim2_seed0.json")]}))
+
+    def report(name):
+        report_out = tmp_path / name
+        assert run(["--out", str(report_out), "report", "--manifest",
+                    str(man_path)]) == 0
+        rep = json.loads((report_out / "report_m100_seed0.json").read_text())
+        return (rep["constants"]["c3"]["value"],
+                _csv_hash(report_out), _report_hashes(report_out))
+
+    c3, head, hashes = report("plain")
+    calibrate = harness.calibrate_length_constant
+    monkeypatch.setattr(harness, "calibrate_length_constant",
+                        lambda *a: math.nextafter(calibrate(*a), math.inf))
+    assert report("nudged") == (math.nextafter(c3, math.inf), head, hashes)
+    assert hashes == {head}
 
 
 def test_config_hash_independent_of_environment(tmp_path, monkeypatch, sin1):

@@ -142,3 +142,10 @@ def test_cardinality_bound_dyadic_sweep(t2, t3):
 
 def test_wrap_point():
     assert np.allclose(wrap_point((1.25, -0.25)), [0.25, 0.75])
+    # np.mod alone rounds tiny negatives up to 1.0, outside [0, 1)
+    tiny = [-1e-17, -5e-324, -2.0**-54, -1e-300]
+    assert np.all(wrap_point(tiny) == 0.0)
+    assert wrap_point(-1e-17) == 0.0
+    below_one = np.nextafter(1.0, 0.0)
+    assert wrap_point(below_one) == below_one
+    assert wrap_point(-2.0**-53) == 1.0 - 2.0**-53

@@ -1,0 +1,55 @@
+import math
+from dataclasses import asdict, replace
+
+import pytest
+
+from nodalscope.certify import (
+    EquidistCertificate,
+    ReportConfig,
+    config_hash,
+    largest_admissible_r,
+)
+from nodalscope.harness import EnsembleMember, certified_member, \
+    run_family_report
+from nodalscope.spectrum import random_eigenfunction
+
+
+def test_certified_member(sin1, t2):
+    assert certified_member(sin1) is None
+    spec = random_eigenfunction(100, t2, 0)
+    member = certified_member(spec)
+    assert member.spec is spec
+    assert member.r == largest_admissible_r(spec)
+    assert member.certificate.passed and member.certificate.r == member.r
+
+
+def _measured_member(spec, length, count):
+    cert = EquidistCertificate(
+        spec_id="forced", r=0.25, k1=1.0, k2=8.0, min_ratio=3.0,
+        max_ratio=3.2, passed=True, centers_used=144, lam=spec.lam, dim=2,
+    )
+    return EnsembleMember(spec=spec, r=0.25, certificate=cert, c_star=0.5,
+                          nodal_length=length, max_singular_count=count)
+
+
+def test_family_report_leaves_config_unchanged(t2):
+    # c3/c4 are calibrated on a copy; the reports carry the hash of the
+    # config as the caller gave it
+    members = {m: [_measured_member(random_eigenfunction(m, t2, 0), length,
+                                    count)]
+               for m, length, count in ((100, 20.0, 1), (325, 40.0, 0))}
+    config = ReportConfig(beta=0.02, kappa=2.0)
+    given = replace(config)
+    reports = run_family_report(members, config)
+    assert config == given
+    assert {rep.config_digest for rep in reports} == {
+        config_hash(asdict(given))}
+    lam = members[100][0].spec.lam
+    for rep in reports:
+        assert rep.constants["c3"] == {
+            "value": pytest.approx(20.0 / (0.25 ** 0.46 * lam ** 0.73),
+                                   rel=1e-12),
+            "provenance": "calibrated at m=100",
+        }
+        assert rep.constants["c4"]["value"] == pytest.approx(
+            1.0 / (0.25 * math.sqrt(lam)), rel=1e-12)

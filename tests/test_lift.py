@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from nodalscope.errors import LiftOverflowError, ScaleRangeError
 from nodalscope.fields import lifted_sup_on_ball
 from nodalscope.lift import (
     cube_doubling_index,
-    cube_index_json,
     harmonicity_residual,
     lift_evaluate,
     cube_zero_set_bound,
@@ -137,14 +135,6 @@ def test_cube_zero_set_bound_examples():
     )
     with pytest.raises(ValueError):
         cube_zero_set_bound(1.0, 0.1, 0.4, 1.0, 3)
-
-
-def test_cube_index_json(rand25, monkeypatch):
-    monkeypatch.setattr(lift, "PAIR_BUDGET", 50)
-    ci = cube_doubling_index(rand25, (0.2, 0.2), 0.05)
-    payload = json.loads(cube_index_json(ci))
-    assert payload["flags"]["lower_bound"] is True
-    assert "argmax_ball" in payload and "N_value" in payload
 
 
 def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
