@@ -44,7 +44,6 @@ from .lift import (
     cube_doubling_index,
     harmonicity_residual,
     lift_evaluate,
-    cube_zero_set_bound,
 )
 from .nodal import (
     NodalSet,

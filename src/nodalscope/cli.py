@@ -150,18 +150,27 @@ def cmd_doubling(args) -> int:
 def cmd_report(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
         raise ManifestError(f"manifest is not JSON: {exc}") from None
     paths = manifest.get("specs") if isinstance(manifest, dict) else None
     if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
         raise ManifestError("manifest has no list of spec paths under 'specs'")
-    specs = [_load_spec(p) for p in paths]
-    if any(spec.model.dim != 2 for spec in specs):
-        raise DimensionError("report needs 2-D specs")
     config = ReportConfig(
         beta=manifest.get("beta", 0.01),
         kappa=manifest.get("kappa", 1.0),
     )
+    for key in ("beta", "kappa"):
+        value = getattr(config, key)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or no float
+            finite = False
+        if not finite:
+            raise ManifestError(f"manifest {key} is not a finite number: "
+                                f"{value!r:.40}")
+    specs = [_load_spec(p) for p in paths]
+    if any(spec.model.dim != 2 for spec in specs):
+        raise DimensionError("report needs 2-D specs")
     members_by_m: dict[int, list[EnsembleMember]] = {}
     failed = []
     for spec in specs:

@@ -118,39 +118,34 @@ def lower_bound_check(spec: EigenfunctionSpec, x, delta: float, r: float,
 
 
 def default_scale_sweep(lam: float, r: float) -> list[float]:
-    """Dyadic deltas in [lambda^(-1/2), min(10 r, 1/4)]."""
-    lo = lam ** -0.5
-    hi = min(10.0 * r, 0.25)
+    """Dyadic deltas lambda^(-1/2) 2^j with 2 delta <= 1/2 and delta < 10 r.
+
+    Raises ScaleRangeError when no delta qualifies.
+    """
     out = []
-    d = lo
-    while d <= hi * (1.0 + 1e-12):
+    d = lam ** -0.5
+    while 2.0 * d <= 0.5 and d < 10.0 * r:
         out.append(d)
         d *= 2.0
     if not out:
-        out = [hi]
+        raise ScaleRangeError(
+            f"no scale of the sweep has 2 delta <= 1/2 and delta below "
+            f"10 r = {10 * r:.4g}")
     return out
 
 
 def scan_doubling(spec: EigenfunctionSpec, r: float,
                   centers: np.ndarray | None = None,
-                  deltas: list[float] | None = None,
                   tol: float = 1e-3) -> list[DoublingRecord]:
-    """Doubling records over a center grid and a dyadic scale sweep.
+    """Doubling records over a center grid and the default scale sweep.
 
     Each distinct ball radius is one lockstep scan over all centers, and the
     dyadic chain shares radii (the double ball at one scale is the base ball
-    at the next), so D scales take D + 1 scans. Scales with 2 delta > 1/2
-    or delta >= 10 r are dropped; when none is left, ScaleRangeError is
-    raised before the cover is built.
+    at the next), so D scales take D + 1 scans. When the sweep is empty,
+    ScaleRangeError is raised before the cover is built.
     """
     model = spec.model
-    if deltas is None:
-        deltas = default_scale_sweep(spec.lam, r)
-    deltas = [d for d in deltas if 2.0 * d <= 0.5 and d < 10.0 * r]
-    if not deltas:
-        raise ScaleRangeError(
-            f"no scale of the sweep has 2 delta <= 1/2 and delta below "
-            f"10 r = {10 * r:.4g}")
+    deltas = default_scale_sweep(spec.lam, r)
     if centers is None:
         centers = generate_cover(min(r, 0.25), model).centers
     centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)

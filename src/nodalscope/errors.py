@@ -23,7 +23,9 @@ class DimensionError(NodalscopeError, ValueError):
 
 
 class ManifestError(NodalscopeError, ValueError):
-    """A report manifest is not JSON or has no list of spec paths."""
+    """A report manifest is not JSON, has no list of spec paths, or has a
+    beta or kappa that is not a finite real number (a bool, string or null
+    is refused too). It is raised before any certificate is computed."""
 
 
 class NoModesError(NodalscopeError):

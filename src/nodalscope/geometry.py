@@ -37,10 +37,6 @@ class TorusModel:
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 
-    @property
-    def injectivity_radius(self) -> float:
-        return 0.5
-
 
 def wrap_point(x) -> np.ndarray:
     """Reduce coordinates into [0, 1).

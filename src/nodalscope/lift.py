@@ -5,7 +5,9 @@ eigenvalue), which lets cube-based nodal bounds for harmonic functions apply
 to eigenfunctions. The cube doubling index N(H, Q) is the sup over Euclidean
 balls inside the cube of the log sup-ratio of H^2 between the double ball and
 the ball; the scan over (center, scale) pairs returns a certified lower bound
-of that sup. Since H^2 = psi^2 exp(2 t sqrt(lambda)), moving a ball in t
+of that sup. Centers and scales are integer indices (grid point u, ring k,
+dyadic step j), so every radius is the one float r(9 - 2k)/(9 2^j) and a
+ball's double is found by its index. Since H^2 = psi^2 exp(2 t sqrt(lambda)), moving a ball in t
 multiplies both sups of a pair by the same factor: a ball's log sup ratio,
 and so the cube index, does not depend on its t-offset.
 """
@@ -18,6 +20,7 @@ from itertools import product
 
 import numpy as np
 
+from .doubling import _log_ratio
 from .errors import LiftOverflowError, ScaleRangeError
 from .fields import lifted_sup_on_ball
 from .geometry import wrap_point
@@ -29,7 +32,6 @@ __all__ = [
     "lift_evaluate",
     "harmonicity_residual",
     "cube_doubling_index",
-    "cube_zero_set_bound",
 ]
 
 MIN_SCALE_DIV = 64
@@ -38,13 +40,10 @@ PAIR_BUDGET = 150
 
 @dataclass
 class CubeIndex:
-    center: np.ndarray       # spatial cube center
     half_side: float         # r: cube is center +- r in space, [-r, r] in t
     n_value: float           # scanned doubling index (lower bound of the sup)
-    argmax_center: np.ndarray  # (x..., t) of the best ball
-    argmax_scale: float
     pairs_scanned: int
-    budget_exhausted: bool = False
+    budget_exhausted: bool
 
 
 def lift_evaluate(spec: EigenfunctionSpec, x, t: float) -> float:
@@ -84,85 +83,44 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
                         tol: float = 1e-2) -> CubeIndex:
     """Scan sup over Euclidean balls B_s inside the cube of the H^2 log ratio.
 
-    The cube is centered on the t = 0 slice. Centers run over a 9^(n+1)
-    sub-grid of the cube (descending inscribed radius first), scales
-    dyadically from the inscribed radius down to r/MIN_SCALE_DIV. On the
-    flat torus Euclidean and geodesic balls coincide at these scales, so
-    ball sups reduce to the certified lifted-sup scan. A center's t-offset
-    only caps its inscribed radius, so each (x-offset, radius) ball is
-    scanned once, in one lockstep scan per radius. The result is a lower
-    bound of the continuum sup; PAIR_BUDGET caps the number of
-    (center, scale) ball pairs, and exhaustion returns the best of the first
-    PAIR_BUDGET pairs with a flag.
+    The cube is centered on the t = 0 slice. Ball centers run over the
+    integer grid u in {0..8}^(n+1), at offset (2u - 8) r/9 from the cube
+    center. A point in ring k = max|u - 4| has inscribed radius r(9 - 2k)/9
+    and scales r(9 - 2k)/(9 2^j), j = 0, 1, ..., down to r/MIN_SCALE_DIV.
+    The (center, scale) pairs are taken in order of (k, u), ring by ring and
+    lexicographic within a ring, and cut at PAIR_BUDGET; exhaustion is
+    flagged. On the flat torus Euclidean and geodesic balls coincide at these
+    scales, so ball sups reduce to the certified lifted-sup scan. A center's
+    t-offset only caps its ring, so each (x-offset, radius) ball is scanned
+    once: the radius (k, j) is one lockstep scan, and its double is
+    (k, j - 1). The 150 pairs take 70 lifted balls in 15 scans on T^2 and 64
+    balls on T^3, at every r. The result is a lower bound of the continuum
+    sup.
     """
     if not 0.0 < r <= 0.125:
         raise ScaleRangeError(f"need 0 < r <= 1/8, got {r}")
     cube_center = wrap_point(cube_center)
     n = spec.model.dim
-    strip = [(-r + (i + 0.5) * (2.0 * r / 9.0)) for i in range(9)]
-    grid = list(product(strip, repeat=n + 1))
-    # inscribed Euclidean ball radius at offset u, then largest-first order
-    def inscribed(u):
-        return min(r - abs(c) for c in u)
-
-    grid.sort(key=lambda u: (-inscribed(u), u))
-
-    # the (center, scale) pairs in scan order, the first PAIR_BUDGET kept
-    s_floor = r / MIN_SCALE_DIV
-    pairs = []
-    for u in grid:
-        s = inscribed(u)
-        while s >= s_floor:
-            pairs.append((u, s))
-            s /= 2.0
+    rings = sorted((max(abs(v - 4) for v in u), u)
+                   for u in product(range(9), repeat=n + 1))
+    # scale j of ring k is kept while 9 2^j <= (9 - 2k) MIN_SCALE_DIV
+    pairs = [(u[:n], k, j) for k, u in rings
+             for j in range(((9 - 2 * k) * MIN_SCALE_DIV // 9).bit_length())]
     exhausted = len(pairs) > PAIR_BUDGET
     pairs = pairs[:PAIR_BUDGET]
 
-    # one lockstep scan per radius (to 15 digits; the first one asked for
-    # stands for the rest) over the x-offsets whose pairs need it
-    balls: dict[float, tuple[float, dict]] = {}
-    for u, s in pairs:
-        for radius in (2.0 * s, s):
-            balls.setdefault(round(radius, 15), (radius, {}))[1][u[:n]] = None
+    # one lockstep scan per radius over the x-offsets whose pairs need it
+    balls: dict[tuple[int, int], dict] = {}
+    for x, k, j in pairs:
+        for key in ((k, j - 1), (k, j)):
+            balls.setdefault(key, {})[x] = None
     sup = {}
-    for key, (radius, xoffs) in balls.items():
-        values = lifted_sup_on_ball(
-            spec, cube_center + np.array(list(xoffs)), radius, tol
-        )
-        sup.update(((xoff, key), v) for xoff, v in zip(xoffs, values))
-
-    best = 0.0
-    best_center = np.concatenate([cube_center, [0.0]])
-    best_scale = s_floor
-    for u, s in pairs:
-        xoff = u[:n]
-        den = sup[xoff, round(s, 15)]
-        if den > 0.0:
-            val = math.log(sup[xoff, round(2.0 * s, 15)] / den)
-            if val > best:
-                best = val
-                best_center = np.concatenate(
-                    [wrap_point(cube_center + np.array(xoff)), [u[n]]]
-                )
-                best_scale = s
-    return CubeIndex(
-        center=cube_center, half_side=r, n_value=best,
-        argmax_center=best_center, argmax_scale=best_scale,
-        pairs_scanned=len(pairs), budget_exhausted=exhausted,
-    )
-
-
-def cube_zero_set_bound(n_value: float, r: float, alpha: float, kappa: float,
-                  dim_d: int) -> float:
-    """Per-cube zero-set bound kappa diam(Q)^(d-1) N^(2 alpha).
-
-    The cube has half-side r in d dimensions, diam = 2 r sqrt(d). alpha and
-    kappa are configuration inputs (alpha > 1/2); N doubles the bound by
-    2^(2 alpha).
-    """
-    if alpha <= 0.5:
-        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
-    if n_value < 0:
-        raise ValueError(f"n_value must be >= 0, got {n_value}")
-    diam = 2.0 * r * math.sqrt(dim_d)
-    return kappa * diam ** (dim_d - 1) * n_value ** (2.0 * alpha)
+    for (k, j), xs in balls.items():
+        offsets = (2.0 * np.array(list(xs)) - 8.0) * r / 9.0
+        values = lifted_sup_on_ball(spec, cube_center + offsets,
+                                    r * (9 - 2 * k) / 9.0 / 2.0**j, tol)
+        sup.update(((x, k, j), v) for x, v in zip(xs, values))
+    n_value = max(0.0, *(_log_ratio(sup[x, k, j - 1], sup[x, k, j])
+                         for x, k, j in pairs))
+    return CubeIndex(half_side=r, n_value=n_value,
+                     pairs_scanned=len(pairs), budget_exhausted=exhausted)

@@ -105,7 +105,6 @@ _PAIRS, _N_PAIRS = _pair_table()
 @dataclass
 class NodalSet:
     polylines: list          # list of (V, 2) vertex arrays, wrapped mod 1
-    resolution: int
     length: float
     segments: np.ndarray     # (S, 4): x1, y1, x2, y2
 
@@ -196,8 +195,7 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     seg_arr = seg.reshape(-1, 4)
     length = _segments_length(seg_arr)
     polylines = _stitch(seg_arr, edge_ids)
-    return NodalSet(polylines=polylines, resolution=N, length=length,
-                    segments=seg_arr)
+    return NodalSet(polylines=polylines, length=length, segments=seg_arr)
 
 
 def _segments_length(segments: np.ndarray) -> float:

@@ -88,6 +88,7 @@ _BAD_MANIFESTS = {
     "not_json": "specs: [a.json]\n",
     "no_specs": json.dumps({"beta": 0.01}),
     "specs_not_a_list": json.dumps({"specs": "a.json"}),
+    "int_past_digit_cap": '{"specs": [], "beta": 1' + "0" * 5000 + "}",
 }
 
 
@@ -98,6 +99,32 @@ def test_bad_manifest_exit_code(tmp_path, case, capsys):
     assert run(["--out", str(tmp_path), "report", "--manifest",
                 str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "family_report.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0.01", None, True, float("nan"), 10**400],
+                         ids=["string", "null", "bool", "nan", "huge_int"])
+@pytest.mark.parametrize("key", ["beta", "kappa"])
+def test_bad_manifest_number_exit_code(tmp_path, key, value, capsys,
+                                       monkeypatch):
+    # beta and kappa are checked before any member is certified (cli binds
+    # certified_member by name, so both bindings fail)
+    import nodalscope.cli as cli
+    import nodalscope.harness as harness
+
+    def no_certificate(spec):
+        raise AssertionError("member certified for a refused report")
+
+    monkeypatch.setattr(harness, "certified_member", no_certificate)
+    monkeypatch.setattr(cli, "certified_member", no_certificate)
+    out = str(tmp_path)
+    assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "specs": [str(tmp_path / "spec_m25_dim2_seed7.json")], key: value}))
+    assert run(["--out", out, "report", "--manifest", str(path)]) == 2
+    assert f"error: manifest {key}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report*"))
     assert not (tmp_path / "family_report.csv").exists()
 
 

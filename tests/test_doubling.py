@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nodalscope.certify import DYADIC_RADII
 from nodalscope.doubling import (
     DoublingRecord,
     default_scale_sweep,
@@ -142,12 +143,25 @@ def test_rescaling_invariance_plumbing(rand25):
     assert a == b
 
 
-def test_default_scale_sweep():
-    lam = 4 * math.pi**2 * 25
-    sweep = default_scale_sweep(lam, 0.25)
-    assert sweep[0] == pytest.approx(lam**-0.5)
-    assert all(b == pytest.approx(2 * a) for a, b in zip(sweep, sweep[1:]))
-    assert sweep[-1] <= 0.25
+@pytest.mark.parametrize("m", [25, 1105, 32045])
+@pytest.mark.parametrize("r", DYADIC_RADII)
+def test_default_scale_sweep(m, r):
+    # exactly lambda^(-1/2) 2^j with 2 delta <= 1/2 and delta < 10 r, and
+    # ScaleRangeError when no delta qualifies
+    lam = 4 * math.pi**2 * m
+    rule = [d for d in (lam**-0.5 * 2**j for j in range(64))
+            if 2 * d <= 0.5 and d < 10 * r]
+    if rule:
+        assert default_scale_sweep(lam, r) == rule
+    else:
+        with pytest.raises(ScaleRangeError):
+            default_scale_sweep(lam, r)
+
+
+def test_default_scale_sweep_empty():
+    # at m = 25 the smallest scale lambda^(-1/2) = 0.032 is above 10 r
+    with pytest.raises(ScaleRangeError):
+        default_scale_sweep(4 * math.pi**2 * 25, 0.001)
 
 
 def test_scan_doubling_and_csv(tmp_path, rand25):

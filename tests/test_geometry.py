@@ -20,7 +20,6 @@ from nodalscope.geometry import (
 def test_model_validation():
     with pytest.raises(ValueError):
         TorusModel(4)
-    assert TorusModel(2).injectivity_radius == 0.5
 
 
 def test_distance_examples(t2):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from nodalscope import lift
 from nodalscope.errors import LiftOverflowError, ScaleRangeError
 from nodalscope.fields import lifted_sup_on_ball
+from nodalscope.geometry import TorusModel
 from nodalscope.lift import (
     cube_doubling_index,
     harmonicity_residual,
     lift_evaluate,
-    cube_zero_set_bound,
 )
 from nodalscope.scan import LiftedSquared
 from nodalscope.spectrum import evaluate, laplacian_residual, random_eigenfunction
@@ -124,33 +125,49 @@ def test_chain_consistency(sin1, rand25):
             + 0.5
 
 
-def test_cube_zero_set_bound_examples():
-    assert cube_zero_set_bound(0.0, 0.1, 0.6, 1.0, 3) == 0.0
-    val = cube_zero_set_bound(2.0, 0.125, 0.6, 1.0, 3)
-    assert val == pytest.approx((0.25 * math.sqrt(3)) ** 2 * 2 ** 1.2,
-                                rel=1e-12)
-    # doubling N scales the bound by 2^(2 alpha)
-    assert cube_zero_set_bound(4.0, 0.125, 0.6, 1.0, 3) == pytest.approx(
-        val * 2 ** 1.2
-    )
-    with pytest.raises(ValueError):
-        cube_zero_set_bound(1.0, 0.1, 0.4, 1.0, 3)
-
-
-def test_cube_scans_once_per_x_offset_and_scale(rand25, monkeypatch):
+@pytest.mark.parametrize("dim, r, n_balls", [
+    (2, 0.125, 70), (2, 0.1, 70), (3, 0.125, 64)])
+def test_cube_scans_once_per_x_offset_and_scale(dim, r, n_balls,
+                                                monkeypatch):
     # a ball's log sup ratio does not depend on its t-offset, so the 150
-    # pairs (PAIR_BUDGET) of the r = 1/8 cube scan each (x-offset, scale)
-    # once: 71 lifted balls in 2-D, against 2 per pair without sharing
-    # across t, in one lockstep scan per scale
+    # pairs (PAIR_BUDGET) of the cube scan each (x-offset, radius) ball
+    # once, against 2 per pair without sharing across t, in one lockstep
+    # scan per radius. The rule: grid point u in {0..8}^(dim+1) at offset
+    # (2u - 8) r/9, ring k = max|u - 4|, scales r(9 - 2k)/(9 2^j) down to
+    # r/64, pairs in (k, u) order; a pair needs its ball and the double.
+    spec = random_eigenfunction(25 if dim == 2 else 50, TorusModel(dim), 7)
+    center = (0.3, 0.6, 0.45)[:dim]
+
+    def radius(k, j):
+        return r * (9 - 2 * k) / (9 * 2**j)
+
+    pairs = []
+    for u in sorted(product(range(9), repeat=dim + 1),
+                    key=lambda u: (max(abs(v - 4) for v in u), u)):
+        k = max(abs(v - 4) for v in u)
+        pairs += [(u[:dim], k, j) for j in range(8)
+                  if 64 * (9 - 2 * k) >= 9 * 2**j]
+    expected = {
+        (tuple(c + (2 * v - 8) * r / 9 for c, v in zip(center, x)),
+         radius(k, jj))
+        for x, k, j in pairs[:150] for jj in (j - 1, j)
+    }
+    radii = {radius(k, j) for k in range(5) for j in range(-1, 8)}
+
     balls, scans = [], []
 
-    def counted(spec, x_centers, s, tol):
+    def recorded(spec, x_centers, s, tol):
         balls.extend((tuple(x), s) for x in x_centers)
         scans.append(s)
-        return lifted_sup_on_ball(spec, x_centers, s, tol)
+        return np.full(len(x_centers), s)
 
-    monkeypatch.setattr(lift, "lifted_sup_on_ball", counted)
-    ci = cube_doubling_index(rand25, (0.3, 0.6), 0.125)
+    monkeypatch.setattr(lift, "lifted_sup_on_ball", recorded)
+    ci = cube_doubling_index(spec, center, r)
     assert ci.pairs_scanned == lift.PAIR_BUDGET == 150
-    assert len(balls) == len(set(balls)) == 71
-    assert len(scans) == len(set(scans))
+    assert ci.budget_exhausted
+    assert len(balls) == len(set(balls)) == n_balls
+    assert set(balls) == expected
+    assert len(scans) == len(set(scans)) == 15
+    assert set(scans) <= radii
+    # every pair's double is twice its ball: each ratio is log 2
+    assert ci.n_value == math.log(2.0)
