@@ -13,9 +13,11 @@ an endpoint permutation, walked by scipy's compiled graph traversals.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
-components change sign nearby; each iteration takes grad psi and the
-Hessian from one mode sum over the phases at the points (the kernel the
-certified scan uses). A result counts when its residual
+components change sign nearby, in blocks of NEWTON_BLOCK starts; each
+iteration takes grad psi and the Hessian from one mode sum over the phases
+at the points (the kernel the certified scan uses), the first from per-axis
+tables at the cell centers. A start stops once a Kantorovich certificate
+proves it cannot reach a zero of psi. A result counts when its residual
 max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is
 exact: the first j whose derivative tensor D^j psi is not zero relative to
 ||c||_1 (2 pi sqrt(m))^j, its Frobenius norm read off a Gram quadratic
@@ -36,10 +38,13 @@ from .errors import DimensionError, ResolutionError, ScaleRangeError
 from .fields import nyquist_resolution
 from .geometry import min_image, wrap_point
 from .spectrum import (
+    TWO_PI,
     EigenfunctionSpec,
+    axis_phases,
     evaluate,
     evaluate_gradient_grid,
     evaluate_grid,
+    lattice_phases,
     mode_sum,
     mode_weights,
     point_phases,
@@ -62,6 +67,7 @@ ZERO_TOL = 64.0 * np.finfo(float).eps
 RESIDUAL_TOL = 1e-8
 ORDER_TOL = 1e-6
 NEWTON_ITERATIONS = 50
+NEWTON_BLOCK = 4096
 
 # Corners c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1) give the 4-bit
 # positivity pattern of a cell; its edges are e0=c0c1, e1=c1c2, e2=c3c2,
@@ -289,38 +295,77 @@ def vanishing_order(spec: EigenfunctionSpec, x) -> int:
     raise ValueError(f"psi vanishes to order {2 * spec.n_modes} at {x}")
 
 
-def _newton_singular(spec: EigenfunctionSpec,
-                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Newton on grad psi from the rows of x (P, 2).
+def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched Newton on grad psi from the centers of the grid cells (P, 2),
+    in blocks of NEWTON_BLOCK starts.
 
-    Each iteration takes grad psi and the 2x2 Hessian of the active points
-    from one mode sum over their phases, with an explicit 2x2 solve. A
-    point leaves the active set when its step drops below 1e-13 or its
-    Hessian is singular, or after NEWTON_ITERATIONS steps. Every point is
-    then judged by its residual max(|psi|, |grad psi|), returned with the
-    locations: near a zero of order >= 3 the Hessian vanishes and Newton
-    converges only linearly, so a step test alone would drop such zeros.
+    Each iteration takes psi, grad psi and the 2x2 Hessian of a block's
+    active points from one mode sum over their phases, with an explicit 2x2
+    solve; the first iteration reads the cell-center phases off per-axis
+    tables (axis_phases, lattice_phases), the later ones use point_phases.
+    A point leaves the active set when its step drops below 1e-13 or its
+    Hessian is singular, or after NEWTON_ITERATIONS steps, and is then
+    judged by its residual max(|psi|, |grad psi|): near a zero of order >= 3
+    the Hessian vanishes and Newton converges only linearly, so a step test
+    alone would drop such zeros.
+
+    A start is dropped as soon as Kantorovich's theorem proves it cannot
+    reach a zero of psi (Ortega-Rheinboldt 1970, 12.6). At an iterate x with
+    beta = 1/min|eig H|, eta = |step| and L = ||c||_1 (2 pi sqrt(m))^3, which
+    bounds D^3 psi, h = beta L eta <= 1/2 keeps every later iterate in the
+    ball of radius t* = 2 eta / (1 + sqrt(1 - 2h)) about x, where
+    |psi| >= |psi(x)| - t* (|grad psi| + ||H|| t* + L t*^2 / 2). When that
+    exceeds 2 RESIDUAL_TOL + ZERO_TOL ||c||_1 (the sums' rounding), the run
+    ends above RESIDUAL_TOL however it stops, and its residual is its last
+    |psi|; h carries a 1% margin for rounding. Rows are computed alone, so
+    no result depends on the block. Returns the end points, their
+    residuals and the mask of dropped starts.
     """
     # columns: psi, d_x, d_y, d_xx, d_xy, d_yx, d_yy
     weights = mode_weights(spec, 2)
-    x = wrap_point(x)
-    active = np.arange(len(x))
-    for _ in range(NEWTON_ITERATIONS):
-        if not len(active):
-            break
-        d = mode_sum(point_phases(spec, x[active]), weights)
-        gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
-        det = hxx * hyy - hxy * hxy
-        ok = det != 0.0
-        step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
-                        axis=-1)[ok]
-        step /= det[ok, None]
-        moved = active[ok]
-        x[moved] = wrap_point(x[moved] + step)
-        active = moved[np.linalg.norm(step, axis=-1) >= 1e-13]
-    d = mode_sum(point_phases(spec, x), weights[:, :3])
-    resid = np.maximum(np.abs(d[:, 0]), np.linalg.norm(d[:, 1:], axis=-1))
-    return x, resid
+    lip = spec.coeff_l1() * (TWO_PI * math.sqrt(spec.m)) ** 3
+    floor = 2.0 * RESIDUAL_TOL + ZERO_TOL * spec.coeff_l1()
+    coords = (np.arange(N) + 0.5) * (1.0 / N)
+    tables = [axis_phases(spec, coords, a) for a in range(2)]
+    x = coords[cells]
+    resid = np.empty(len(x))
+    dropped = np.zeros(len(x), dtype=bool)
+    for first in range(0, len(x), NEWTON_BLOCK):
+        block = np.arange(first, min(first + NEWTON_BLOCK, len(x)))
+        phases = lattice_phases(tables, cells[block])
+        active = block
+        for _ in range(NEWTON_ITERATIONS):
+            if not len(active):
+                break
+            if phases is None:
+                phases = point_phases(spec, x[active])
+            d = mode_sum(phases, weights)
+            phases = None
+            det = d[:, 3] * d[:, 6] - d[:, 4] * d[:, 4]
+            ok = det != 0.0
+            moved, d, det = active[ok], d[ok], det[ok]
+            gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
+            step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
+                            axis=-1) / det[:, None]
+            eta = np.linalg.norm(step, axis=-1)
+            # ||H|| = max|eig H|, so beta = 1/min|eig H| = ||H|| / |det H|
+            top = np.abs(hxx + hyy) / 2 + np.hypot((hxx - hyy) / 2, hxy)
+            h = 1.01 * lip * eta * top / np.abs(det)
+            t = 2.0 * eta / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * h, 0.0)))
+            psi = np.abs(d[:, 0])
+            sure = (h <= 0.5) & (psi - t * (np.hypot(gx, gy) + top * t
+                                            + 0.5 * lip * t * t) > floor)
+            dropped[moved[sure]] = True
+            resid[moved[sure]] = psi[sure]
+            moved, step, eta = moved[~sure], step[~sure], eta[~sure]
+            x[moved] = wrap_point(x[moved] + step)
+            active = moved[eta >= 1e-13]
+        done = block[~dropped[block]]
+        d = mode_sum(point_phases(spec, x[done]), weights[:, :3])
+        resid[done] = np.maximum(np.abs(d[:, 0]),
+                                 np.linalg.norm(d[:, 1:], axis=-1))
+    return x, resid, dropped
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -339,7 +384,9 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     d_x psi and d_y psi change sign on the nodes of its 3x3 cell
     neighbourhood: a singular point is a crossing of the two gradient
     component zero sets, wherever it sits in the cell. Newton runs from
-    all candidate cell centers at once; a result is accepted when
+    the candidate cell centers in blocks of NEWTON_BLOCK, and drops each
+    start a Kantorovich certificate proves cannot reach a zero of psi
+    (_newton_singular); a result is accepted when
     max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
     and points within h of an earlier accepted one are merged by a
     periodic k-d tree. Points are returned in row-major order of their
@@ -358,13 +405,15 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     for d in range(2):
         gate &= _dilate(grad[..., d] > 0.0) & _dilate(grad[..., d] < 0.0)
     del grad
-    candidates = np.argwhere(gate)
+    cells = np.argwhere(gate)
     del gate
-    x, resid = _newton_singular(spec, (candidates + 0.5) * h)
+    x, resid, dropped = _newton_singular(spec, cells, N)
     hit = resid < RESIDUAL_TOL
-    if not np.all(hit):
-        logger.info("Newton did not reach a singular point from %d of %d "
-                    "cells", int(np.count_nonzero(~hit)), len(candidates))
+    n_hit, n_drop = int(np.count_nonzero(hit)), int(np.count_nonzero(dropped))
+    logger.info("singular search from %d cells: %d reached a singular point, "
+                "%d dropped by the Kantorovich certificate, %d ended above "
+                "RESIDUAL_TOL", len(cells), n_hit, n_drop,
+                len(cells) - n_hit - n_drop)
     x, resid = x[hit], resid[hit]
     keep = np.ones(len(x), dtype=bool)
     if len(x) > 1:

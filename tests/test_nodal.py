@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 
 from nodalscope import nodal
 from nodalscope.errors import ResolutionError, ScaleRangeError
-from nodalscope.geometry import TorusModel, generate_cover, min_image
+from nodalscope.geometry import (
+    TorusModel,
+    generate_cover,
+    min_image,
+    wrap_point,
+)
 from nodalscope.nodal import (
+    RESIDUAL_TOL,
     ZERO_TOL,
     SingularPoint,
     count_singular_in_balls,
@@ -20,9 +27,14 @@ from nodalscope.nodal import (
     write_segments_csv,
 )
 from nodalscope.spectrum import (
+    axis_phases,
     enumerate_lattice,
     evaluate_grid,
+    lattice_phases,
     mode_spec,
+    mode_sum,
+    mode_weights,
+    point_phases,
     random_eigenfunction,
     translate,
 )
@@ -276,12 +288,12 @@ def test_extract_memory_peak(t2):
 
 
 def test_singular_memory_peak(t2):
-    # Newton's phases over the 27k candidate cells (about 26 MB), with the
-    # psi and gradient grids (8.4 and 16.8 MB) released before it; held
-    # through Newton, the grids read 51 MB
+    # the gradient grid (16.8 MB) and the gate's masks set the peak, the psi
+    # grid (8.4 MB) released before them; Newton runs once both are gone,
+    # in blocks of NEWTON_BLOCK starts (about 6.5 MB)
     peak = _traced_peak_mb(find_singular_points,
                            random_eigenfunction(5525, t2, 7), 1024)
-    assert peak < 34.0
+    assert peak < 24.0
 
 
 @pytest.mark.parametrize("m,N", [(325, 256), (1105, 1024), (5525, 1024)])
@@ -493,3 +505,134 @@ def test_off_node_crossings_found():
         assert p.residual < 1e-8
         d = np.linalg.norm(min_image(expected - p.location), axis=-1)
         assert d.min() < 1e-9
+
+
+def _reference_newton(spec, cells, N):
+    """The plain Newton loop on grad psi: every start runs until its step
+    drops below 1e-13, its Hessian is singular or NEWTON_ITERATIONS steps
+    pass, the first step from the cell-center table phases, then one
+    residual pass over every end point."""
+    weights = mode_weights(spec, 2)
+    coords = (np.arange(N) + 0.5) * (1.0 / N)
+    phases = lattice_phases([axis_phases(spec, coords, a) for a in range(2)],
+                            cells)
+    x = coords[cells]
+    active = np.arange(len(x))
+    for _ in range(nodal.NEWTON_ITERATIONS):
+        if not len(active):
+            break
+        if phases is None:
+            phases = point_phases(spec, x[active])
+        d = mode_sum(phases, weights)
+        phases = None
+        gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
+        det = hxx * hyy - hxy * hxy
+        ok = det != 0.0
+        step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
+                        axis=-1)[ok]
+        step /= det[ok, None]
+        moved = active[ok]
+        x[moved] = wrap_point(x[moved] + step)
+        active = moved[np.linalg.norm(step, axis=-1) >= 1e-13]
+    d = mode_sum(point_phases(spec, x), weights[:, :3])
+    return x, np.maximum(np.abs(d[:, 0]), np.linalg.norm(d[:, 1:], axis=-1))
+
+
+def _newton_runs(monkeypatch, spec, N):
+    """find_singular_points(spec, N) with the cells and results of its
+    Newton run."""
+    runs = []
+    inner = nodal._newton_singular
+
+    def recorded(spec, cells, N):
+        out = inner(spec, cells, N)
+        runs.append((cells,) + out)
+        return out
+
+    monkeypatch.setattr(nodal, "_newton_singular", recorded)
+    points = find_singular_points(spec, N)
+    assert len(runs) == 1
+    return points, runs[0]
+
+
+_SOUNDNESS_SPECS = (
+    [(f"wave_{m}_{seed}", lambda m=m, seed=seed: random_eigenfunction(
+        m, TorusModel(2), seed), N)
+     for m, N in ((325, 256), (1105, 512), (5525, 1024)) for seed in range(3)]
+    + [("product_3_4", lambda: _translated_product(3, 4, (0.0137, 0.0291)),
+        512),
+       ("product_4_2", lambda: _translated_product(4, 2, (3 / 512, 5 / 512)),
+        512),
+       ("odd_m25", _odd_m25, 256)])
+
+
+@pytest.mark.parametrize("name, make, N", _SOUNDNESS_SPECS,
+                         ids=[c[0] for c in _SOUNDNESS_SPECS])
+def test_newton_certificate_is_sound(monkeypatch, name, make, N):
+    # every start the certificate keeps ends where the plain loop ends, bit
+    # for bit, and every start it drops ends above RESIDUAL_TOL when the
+    # plain loop runs it on
+    spec = make()
+    _, (cells, x, resid, dropped) = _newton_runs(monkeypatch, spec, N)
+    ref_x, ref_resid = _reference_newton(spec, cells, N)
+    kept = ~dropped
+    assert np.array_equal(x[kept], ref_x[kept])
+    assert np.array_equal(resid[kept], ref_resid[kept])
+    assert np.all(ref_resid[dropped] >= RESIDUAL_TOL)
+    assert np.array_equal(resid < RESIDUAL_TOL, ref_resid < RESIDUAL_TOL)
+    if name.startswith("wave"):
+        assert np.count_nonzero(dropped) > 0.9 * len(cells)
+
+
+_BLOCK_SPECS = [
+    ("product_3_4", lambda: _translated_product(3, 4, (0.0137, 0.0291)), 512),
+    ("wave_325", lambda: random_eigenfunction(325, TorusModel(2), 1), 256),
+    ("odd_m25", _odd_m25, 256)]
+
+
+@pytest.mark.parametrize("name, make, N", _BLOCK_SPECS,
+                         ids=[c[0] for c in _BLOCK_SPECS])
+def test_newton_blocks_do_not_change_points(monkeypatch, name, make, N):
+    # each Newton row is computed alone: blocks of 1, 7 and NEWTON_BLOCK
+    # starts give the same points, and no phase call takes more rows than
+    # one block
+    spec = make()
+    rows = {"point_phases": 0, "lattice_phases": 0}
+
+    def counted(attr):
+        inner = getattr(nodal, attr)
+
+        def wrapper(*args):
+            rows[attr] = max(rows[attr], len(args[1]))
+            return inner(*args)
+        return wrapper
+
+    for fn in rows:
+        monkeypatch.setattr(nodal, fn, counted(fn))
+    runs = []
+    for block in (1, 7, nodal.NEWTON_BLOCK):
+        monkeypatch.setattr(nodal, "NEWTON_BLOCK", block)
+        rows.update(point_phases=0, lattice_phases=0)
+        runs.append(find_singular_points(spec, N))
+        assert 0 < rows["lattice_phases"] <= block
+        assert rows["point_phases"] <= block
+    for run in runs[1:]:
+        assert len(run) == len(runs[0])
+        for p, q in zip(run, runs[0]):
+            assert np.array_equal(p.location, q.location)
+            assert p.vanishing_order == q.vanishing_order
+            assert p.residual == q.residual
+
+
+def test_singular_search_logs_newton_outcomes(monkeypatch, caplog, t2):
+    # one info line splits the starts into accepted, dropped by the
+    # certificate and ended above RESIDUAL_TOL
+    caplog.set_level(logging.INFO, logger="nodalscope.nodal")
+    points, (cells, _, resid, dropped) = _newton_runs(
+        monkeypatch, random_eigenfunction(1105, t2, 2), 512)
+    [record] = [r for r in caplog.records if "singular search" in r.message]
+    n_cells, accepted, n_dropped, above = record.args
+    assert n_cells == len(cells) > 0
+    assert accepted == np.count_nonzero(resid < RESIDUAL_TOL) == len(points)
+    assert n_dropped == np.count_nonzero(dropped) > 0
+    assert above == n_cells - accepted - n_dropped
