@@ -21,12 +21,11 @@ from .certify import (
     ReportConfig,
     certify_equidistribution,
     config_hash,
-    default_k1,
-    default_k2,
     report_to_json,
 )
 from .doubling import fit_growth_constant, scan_doubling, write_records_csv
 from .errors import DimensionError, ManifestError, NodalscopeError
+from .fields import ENSEMBLE_SUP_TOL
 from .geometry import TorusModel
 from .harness import (
     EnsembleMember,
@@ -79,9 +78,7 @@ def _load_spec(path: str):
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
-    k1 = args.k1 if args.k1 is not None else default_k1(spec.model)
-    k2 = args.k2 if args.k2 is not None else default_k2(spec.model)
-    cert = certify_equidistribution(spec, args.r, k1, k2)
+    cert = certify_equidistribution(spec, args.r, args.k1, args.k2)
     digest = config_hash(_config_payload(args, ["r", "k1", "k2"],
                                          spec=spec_to_json(spec)))
     path = _out_path(args, f"certificate_m{spec.m}_r{args.r}.json")
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doubling", help="doubling-index scan")
     p.add_argument("--spec", required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=float, default=ENSEMBLE_SUP_TOL)
     p.set_defaults(func=cmd_doubling)
 
     p = sub.add_parser("report", help="family bounds report")

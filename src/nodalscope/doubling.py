@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBallError, ScaleRangeError
-from .fields import q_on_ball, sup_on_ball
+from .fields import DEFAULT_TOL, q_on_ball, sup_on_ball
 from .geometry import generate_cover, wrap_point
 from .spectrum import EigenfunctionSpec
 
@@ -56,7 +56,7 @@ def _log_ratio(num: float, den: float) -> float:
 
 
 def doubling_index_sup(spec: EigenfunctionSpec, x, delta: float,
-                       tol: float = 1e-3) -> float:
+                       tol: float = DEFAULT_TOL) -> float:
     """log(sup_{B_2delta}|psi|^2 / sup_{B_delta}|psi|^2); >= 0 up to tol."""
     if not 0.0 < 2.0 * delta <= 0.5:
         raise ScaleRangeError(f"need 0 < 2*delta <= 1/2, got delta={delta}")
@@ -67,7 +67,7 @@ def doubling_index_sup(spec: EigenfunctionSpec, x, delta: float,
 
 
 def q_growth_ratio(spec: EigenfunctionSpec, x, s: float,
-                   tol: float = 1e-3) -> float:
+                   tol: float = DEFAULT_TOL) -> float:
     """sup_{B_4s} q / sup_{B_s} q (the 4s/s ratio, not a log).
 
     The growth estimate's range is s > lambda^(-1/2); smaller scales are
@@ -108,7 +108,7 @@ def fit_growth_constant(records: list[DoublingRecord], r: float,
 
 
 def lower_bound_check(spec: EigenfunctionSpec, x, delta: float, r: float,
-                      c: float, tol: float = 1e-3) -> bool:
+                      c: float, tol: float = DEFAULT_TOL) -> bool:
     """sup_{B_delta}|psi|^2 >= (r/delta)^(-c r sqrt(lambda))?"""
     if not 0.0 < delta < r / 2.0:
         raise ScaleRangeError(f"need delta in (0, r/2), got {delta}")
@@ -136,7 +136,7 @@ def default_scale_sweep(lam: float, r: float) -> list[float]:
 
 def scan_doubling(spec: EigenfunctionSpec, r: float,
                   centers: np.ndarray | None = None,
-                  tol: float = 1e-3) -> list[DoublingRecord]:
+                  tol: float = DEFAULT_TOL) -> list[DoublingRecord]:
     """Doubling records over a center grid and the default scale sweep.
 
     Each distinct ball radius is one lockstep scan over all centers, and the

@@ -29,7 +29,7 @@ from .scan import (
     TorusDomain,
     certified_max,
 )
-from .spectrum import EigenfunctionSpec, point_phases
+from .spectrum import EigenfunctionSpec, phase_blocks, point_phases
 
 __all__ = [
     "nyquist_resolution",
@@ -43,9 +43,9 @@ __all__ = [
     "lifted_sup_on_ball",
 ]
 
-DEFAULT_TOL = 1e-3
+DEFAULT_TOL = 1e-3        # sup tolerance of single measurements
+ENSEMBLE_SUP_TOL = 1e-2   # sup tolerance of ensemble and lifted scans
 MAX_QUAD_POINTS = 40_000_000
-MASS_BLOCK = 2**22  # largest centers x modes block mass_many builds
 
 
 def nyquist_resolution(m: int) -> int:
@@ -247,13 +247,11 @@ class MassEvaluator:
         d = self._ball_transform(self.diff_norms, r)
         form_re, form_im = 0.5 * (d + s), 0.5 * (d - s)
         c = self.spec.a - 1j * self.spec.b
-        centers = np.asarray(centers, dtype=float)
-        step = max(1, MASS_BLOCK // self.spec.n_modes)
         out = np.empty(len(centers))
-        for i in range(0, len(centers), step):
-            v = point_phases(self.spec, centers[i:i + step])
+        for part in phase_blocks(len(centers), self.spec):
+            v = point_phases(self.spec, centers[part])
             v *= c
             x, y = v.real, v.imag
-            out[i:i + step] = (np.einsum("pl,pl->p", x @ form_re, x)
-                               + np.einsum("pl,pl->p", y @ form_im, y))
+            out[part] = (np.einsum("pl,pl->p", x @ form_re, x)
+                         + np.einsum("pl,pl->p", y @ form_im, y))
         return out

@@ -26,7 +26,13 @@ from .certify import (
     largest_admissible_r,
 )
 from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
-from .fields import gradient_sup_global, nyquist_resolution, sup_global
+from .fields import (
+    DEFAULT_TOL,
+    ENSEMBLE_SUP_TOL,
+    gradient_sup_global,
+    nyquist_resolution,
+    sup_global,
+)
 from .geometry import TorusModel, generate_cover
 from .lift import CubeIndex, cube_doubling_index
 from .nodal import count_singular_in_balls, extract_nodal, find_singular_points
@@ -43,7 +49,6 @@ __all__ = [
     "gradient_amplitude_ratio",
 ]
 
-ENSEMBLE_SUP_TOL = 1e-2
 MAX_SEED = 4000
 
 
@@ -127,11 +132,11 @@ def member_lift_index(member: EnsembleMember) -> None:
     spec = member.spec
     r_cube = min(member.r, 0.125)
     member.lift_index = cube_doubling_index(
-        spec, np.full(spec.model.dim, 0.5), r_cube, tol=ENSEMBLE_SUP_TOL,
-    )
+        spec, np.full(spec.model.dim, 0.5), r_cube)
 
 
-def gradient_amplitude_ratio(spec: EigenfunctionSpec, tol: float = 1e-3) -> float:
+def gradient_amplitude_ratio(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL
+                             ) -> float:
     """sup|grad psi| / (sqrt(lambda) sup|psi|) over the torus."""
     gs = math.sqrt(gradient_sup_global(spec, tol))
     ps = math.sqrt(sup_global(spec, tol))
@@ -172,7 +177,6 @@ def run_family_report(members_by_m: dict[int, list[EnsembleMember]],
             lift_stats = {}
             if mb.lift_index is not None:
                 lift_stats["n_value"] = mb.lift_index.n_value
-                lift_stats["r_cube"] = mb.lift_index.half_side
             meta = {"m": m, "seed": mb.spec.seed}
             if pass_fractions and m in pass_fractions:
                 meta["certification_pass_fraction"] = pass_fractions[m]

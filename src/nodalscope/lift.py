@@ -22,7 +22,7 @@ import numpy as np
 
 from .doubling import _log_ratio
 from .errors import LiftOverflowError, ScaleRangeError
-from .fields import lifted_sup_on_ball
+from .fields import ENSEMBLE_SUP_TOL, lifted_sup_on_ball
 from .geometry import wrap_point
 from .scan import EXP_GUARD
 from .spectrum import EigenfunctionSpec, evaluate
@@ -80,7 +80,7 @@ def harmonicity_residual(spec: EigenfunctionSpec, x, t: float,
 
 
 def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
-                        tol: float = 1e-2) -> CubeIndex:
+                        tol: float = ENSEMBLE_SUP_TOL) -> CubeIndex:
     """Scan sup over Euclidean balls B_s inside the cube of the H^2 log ratio.
 
     The cube is centered on the t = 0 slice. Ball centers run over the

@@ -13,15 +13,15 @@ an endpoint permutation, walked by scipy's compiled graph traversals.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
-components change sign nearby, in blocks of NEWTON_BLOCK starts; each
-iteration takes grad psi and the Hessian from one mode sum over the phases
-at the points (the kernel the certified scan uses), the first from per-axis
-tables at the cell centers. A start stops once a Kantorovich certificate
-proves it cannot reach a zero of psi. A result counts when its residual
-max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of vanishing is
-exact: the first j whose derivative tensor D^j psi is not zero relative to
-||c||_1 (2 pi sqrt(m))^j, its Frobenius norm read off a Gram quadratic
-form in the spec's modes, with no n^j tensor.
+components change sign nearby, in blocks of spectrum.PHASE_BLOCK starts x
+modes; each iteration takes grad psi and the Hessian from one mode sum over
+the phases at the points (the kernel the certified scan uses), the first
+from per-axis tables at the cell centers. A start stops once a Kantorovich
+certificate proves it cannot reach a zero of psi. A result counts when its
+residual max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of
+vanishing is exact: the first j whose derivative tensor D^j psi is not zero
+relative to ||c||_1 (2 pi sqrt(m))^j, its Frobenius norm read off a Gram
+quadratic form in the spec's modes, with no n^j tensor.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .spectrum import (
     lattice_phases,
     mode_sum,
     mode_weights,
+    phase_blocks,
     point_phases,
 )
 
@@ -67,7 +68,6 @@ ZERO_TOL = 64.0 * np.finfo(float).eps
 RESIDUAL_TOL = 1e-8
 ORDER_TOL = 1e-6
 NEWTON_ITERATIONS = 50
-NEWTON_BLOCK = 4096
 
 # Corners c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1) give the 4-bit
 # positivity pattern of a cell; its edges are e0=c0c1, e1=c1c2, e2=c3c2,
@@ -298,7 +298,7 @@ def vanishing_order(spec: EigenfunctionSpec, x) -> int:
 def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched Newton on grad psi from the centers of the grid cells (P, 2),
-    in blocks of NEWTON_BLOCK starts.
+    in blocks of spectrum.PHASE_BLOCK starts x modes.
 
     Each iteration takes psi, grad psi and the 2x2 Hessian of a block's
     active points from one mode sum over their phases, with an explicit 2x2
@@ -331,8 +331,8 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
     x = coords[cells]
     resid = np.empty(len(x))
     dropped = np.zeros(len(x), dtype=bool)
-    for first in range(0, len(x), NEWTON_BLOCK):
-        block = np.arange(first, min(first + NEWTON_BLOCK, len(x)))
+    for part in phase_blocks(len(x), spec):
+        block = np.arange(len(x))[part]
         phases = lattice_phases(tables, cells[block])
         active = block
         for _ in range(NEWTON_ITERATIONS):
@@ -384,9 +384,9 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     d_x psi and d_y psi change sign on the nodes of its 3x3 cell
     neighbourhood: a singular point is a crossing of the two gradient
     component zero sets, wherever it sits in the cell. Newton runs from
-    the candidate cell centers in blocks of NEWTON_BLOCK, and drops each
-    start a Kantorovich certificate proves cannot reach a zero of psi
-    (_newton_singular); a result is accepted when
+    the candidate cell centers in blocks of spectrum.PHASE_BLOCK starts x
+    modes, and drops each start a Kantorovich certificate proves cannot
+    reach a zero of psi (_newton_singular); a result is accepted when
     max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
     and points within h of an earlier accepted one are merged by a
     periodic k-d tree. Points are returned in row-major order of their
@@ -431,16 +431,14 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
 
 
 def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
-                            centers, radius_override: float | None = None
-                            ) -> list[int]:
+                            centers) -> list[int]:
     """Per-center sum of (order - 1) over singular points within
-    sqrt(r) lambda^(-1/4) (or an explicit override radius)."""
+    sqrt(r) lambda^(-1/4)."""
     if r < lam ** -0.5:
         raise ScaleRangeError(
             f"need r >= lambda^(-1/2) = {lam ** -0.5:.3g}, got {r}"
         )
-    radius = radius_override if radius_override is not None \
-        else math.sqrt(r) * lam ** -0.25
+    radius = math.sqrt(r) * lam ** -0.25
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if not points:
         return [0] * len(centers)

@@ -25,8 +25,8 @@ evaluated in one pass over all balls' cells. A ball's value does not depend
 on the balls that share its batch, to the last bit: every step is
 elementwise or reduces within one row (spectrum.mode_sum, point_phases).
 Balls enter a lockstep group until its first level's cells times the
-spec's modes reach LOCKSTEP_BLOCK, and every level's phases are built in
-chunks of at most LOCKSTEP_BLOCK cells x modes, which bounds the memory a
+spec's modes reach spectrum.PHASE_BLOCK, and every level's phases are built
+in chunks of at most that many cells x modes, which bounds the memory a
 level takes (a ball too large for a group is a group of its own).
 
 Cells are integer lattice indices: the child of cell i on each axis is 2i or
@@ -38,9 +38,9 @@ axis-0 index. Every objective is f = alpha |grad psi|^2 + beta psi^2
 (LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
 t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
 one mode sum (spectrum.mode_sum). A level's phases are products of per-axis
-tables over the level's coordinates (spectrum.axis_phases, lattice_phases),
-the phase of each ball's center folded into its rows of the axis-0 table, so
-one product evaluates a chunk of the level.
+tables built once per level (spectrum.axis_phases, lattice_phases), each
+ball's center phase folded into its rows of the axis-0 table, so one
+product evaluates a chunk of the level.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .spectrum import (
     lattice_phases,
     mode_sum,
     mode_weights,
+    phase_blocks,
     point_phases,
 )
 
@@ -76,7 +77,6 @@ NODE_BUDGET = 4_000_000
 STEP_FLOOR = 1e-9
 MAX_POLISH_EVALS = 600
 EXP_GUARD = 700.0  # largest exponent of the harmonic lift's t-factor
-LOCKSTEP_BLOCK = 2**16  # cells x modes of a group's first level and of a chunk
 
 
 @dataclass
@@ -305,18 +305,15 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
             f"tolerance {tol} below certification floor {TOL_FLOOR}"
         )
     count, spacing, _ = domain.initial_lattice(objective.h0)
-    n_balls = len(objective.centers)
-    group = max(1, LOCKSTEP_BLOCK // (count**objective.dim
-                                      * objective.spec.n_modes))
-    best = np.full(n_balls, -math.inf)
-    best_off = np.full((n_balls, objective.dim), np.nan)
-    nodes = np.zeros(n_balls, dtype=np.int64)
-    for start in range(0, n_balls, group):
-        _lockstep(objective, domain, tol,
-                  np.arange(start, min(start + group, n_balls)),
-                  best, best_off, nodes)
+    balls = np.arange(len(objective.centers))
+    best = np.full(len(balls), -math.inf)
+    best_off = np.full((len(balls), objective.dim), np.nan)
+    nodes = np.zeros(len(balls), dtype=np.int64)
+    for group in phase_blocks(len(balls), objective.spec,
+                              count**objective.dim):
+        _lockstep(objective, domain, tol, balls[group], best, best_off, nodes)
     offset, value, used = pattern_search(
-        objective, domain, np.arange(n_balls), best_off,
+        objective, domain, balls, best_off,
         spacing * math.sqrt(objective.dim))
     nodes += used
     _check_budget(objective, domain, tol, nodes)
@@ -339,23 +336,15 @@ def _check_budget(objective, domain, tol, nodes):
 
 def _level_bounds(objective, xs, inv, owner, offsets, rho):
     """objective.cell_bounds of a level's cells, in chunks of at most
-    LOCKSTEP_BLOCK cells x modes. The tables of axes 1.. are built once per
-    level; a chunk's axis-0 table spans its cells' lowest to highest axis-0
-    coordinate, about its own balls' coordinates since cells stay sorted by
-    ball."""
+    spectrum.PHASE_BLOCK cells x modes, from per-axis tables built once per
+    level (each ball's center phase folded into its axis-0 rows)."""
     spec = objective.spec
-    size = max(1, LOCKSTEP_BLOCK // spec.n_modes)
-    rest = [axis_phases(spec, xs[a], a) for a in range(1, len(xs))]
+    tables = [axis_phases(spec, x, a) for a, x in enumerate(xs)]
+    tables[0] *= objective.shifts[owner]
     vals, ubs = np.empty(len(inv)), np.empty(len(inv))
-    for lo in range(0, len(inv), size):
-        part = slice(lo, lo + size)
-        idx = inv[part].copy()
-        first, last = idx[:, 0].min(), idx[:, 0].max() + 1
-        idx[:, 0] -= first
-        head = (axis_phases(spec, xs[0][first:last], 0)
-                * objective.shifts[owner[first:last]])
+    for part in phase_blocks(len(inv), spec):
         vals[part], ubs[part] = objective.cell_bounds(
-            lattice_phases([head] + rest, idx), offsets[part], rho)
+            lattice_phases(tables, inv[part]), offsets[part], rho)
     return vals, ubs
 
 
@@ -382,12 +371,13 @@ def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
         norms = np.sqrt(np.einsum("pa,pa->p", offsets, offsets))
         band = domain.band_mask(norms, rho)
         inv, offsets, norms = inv[band], offsets[band], norms[band]
+        del band  # phase chunks set the peak: hold no more through them
         if len(inv) == 0:
             break
-        ball = owner[inv[:, 0]]
-        nodes += np.bincount(ball, minlength=len(nodes))
+        nodes += np.bincount(owner[inv[:, 0]], minlength=len(nodes))
         _check_budget(objective, domain, tol, nodes)
         vals, ubs = _level_bounds(objective, xs, inv, owner, offsets, rho)
+        ball = owner[inv[:, 0]]
         # each ball's first best cell inside the domain: segment k of the
         # cells (sorted by ball) is the k-th ball present
         starts = np.r_[True, ball[1:] != ball[:-1]]

@@ -39,6 +39,7 @@ __all__ = [
     "axis_phases",
     "lattice_phases",
     "mode_sum",
+    "phase_blocks",
     "laplacian_residual",
     "translate",
     "spec_to_json",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+PHASE_BLOCK = 2**16  # most rows x modes one phase array may hold
 
 
 def enumerate_lattice(m: int, n: int) -> list[tuple[int, ...]]:
@@ -275,6 +277,16 @@ def mode_sum(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     real = np.ascontiguousarray(phases).view(np.float64)
     return np.einsum("pk,qk->pq", real, np.ascontiguousarray(weights.T))
+
+
+def phase_blocks(rows: int, spec: EigenfunctionSpec, width: int = 1
+                 ) -> list[slice]:
+    """Slices of range(rows), each of at most PHASE_BLOCK // (width M) rows
+    and at least one, M the spec's modes: the blocks of a phase array with
+    width phase rows per row. PHASE_BLOCK is read at call time, so patching
+    it moves every caller."""
+    size = max(1, PHASE_BLOCK // (width * spec.n_modes))
+    return [slice(lo, lo + size) for lo in range(0, rows, size)]
 
 
 def evaluate_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:

@@ -258,6 +258,43 @@ def test_report_family(tmp_path):
     assert _report_hashes(tmp_path) == {_csv_hash(tmp_path)}
 
 
+def _gen_manifest(tmp_path, specs):
+    """Generate the (m, seed) specs and a manifest naming them."""
+    for m, seed in specs:
+        assert run(["--out", str(tmp_path), "gen", "--m", str(m),
+                    "--seed", str(seed)]) == 0
+    man_path = tmp_path / "manifest.json"
+    man_path.write_text(json.dumps({"specs": [
+        str(tmp_path / f"spec_m{m}_dim2_seed{seed}.json")
+        for m, seed in specs]}))
+    return str(man_path)
+
+
+def test_report_refused_when_no_member_certifies(tmp_path, capsys):
+    # m = 25 certifies at no radius: exit 1 and no report files
+    man_path = _gen_manifest(tmp_path, [(25, 0), (25, 1)])
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path), "report", "--manifest",
+                man_path]) == 1
+    assert "no family member certified; report refused" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.glob("report*"))
+    assert not (tmp_path / "family_report.csv").exists()
+
+
+def test_report_skips_uncertified_member(tmp_path, capsys):
+    man_path = _gen_manifest(tmp_path, [(25, 0), (100, 0)])
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path), "report", "--manifest",
+                man_path]) == 0
+    assert "note: m=25 seed=0 never certified; skipped" \
+        in capsys.readouterr().out
+    rows = (tmp_path / "family_report.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 + 1 and rows[2].startswith("100,0,")
+    assert [p.name for p in tmp_path.glob("report*")] == [
+        "report_m100_seed0.json"]
+
+
 def _csv_hash(out):
     return _hash_line(out / "family_report.csv").rsplit("config=", 1)[1]
 

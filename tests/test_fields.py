@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalscope import scan
+from nodalscope import scan, spectrum
 from nodalscope.errors import BudgetError, EmbeddedBallError
 from nodalscope.fields import (
     DEFAULT_TOL,
@@ -165,11 +165,10 @@ def _per_frequency_masses(spec, centers, r):
 
 @pytest.mark.parametrize("dim,m,cover_r", [(2, 1105, 0.0625), (3, 50, 0.125)])
 def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
-    # a cover spanning several MASS_BLOCK blocks gives each center's own
-    # mass and the per-frequency sum's mass to 1e-12 relative; the covers of
+    # a cover spanning several phase blocks gives each center's own mass
+    # and the per-frequency sum's mass to 1e-12 relative; the covers of
     # certified benchmark members (largest: m = 1105 at r = 1/8) stay a
     # single block
-    from nodalscope import fields
     from nodalscope.geometry import generate_cover
 
     model = TorusModel(dim)
@@ -178,7 +177,7 @@ def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
     centers = generate_cover(cover_r, model).centers
     r = cover_r / 2
     whole = ev.mass_many(centers, r)
-    monkeypatch.setattr(fields, "MASS_BLOCK", 7 * spec.n_modes)
+    monkeypatch.setattr(spectrum, "PHASE_BLOCK", 7 * spec.n_modes)
     blocked = ev.mass_many(centers, r)
     assert len(centers) > 10 * 7
     single = np.array([ev.mass(c, r) for c in centers])
@@ -188,7 +187,7 @@ def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
     monkeypatch.undo()
     bench = random_eigenfunction(1105, TorusModel(2), 0)
     assert (len(generate_cover(0.0625, TorusModel(2)).centers)
-            * bench.n_modes <= fields.MASS_BLOCK)
+            * bench.n_modes <= spectrum.PHASE_BLOCK)
 
 
 _TRANSLATED = {dim: random_eigenfunction(m, TorusModel(dim), 0)
@@ -246,7 +245,8 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
         single[order])
     count = scan.RadialDomain(0.0, s).initial_lattice(
         scan.SpectralObjective(spec, centers[0], 0.0, 1.0).h0)[0]
-    monkeypatch.setattr(scan, "LOCKSTEP_BLOCK", 2 * count**dim * spec.n_modes)
+    monkeypatch.setattr(spectrum, "PHASE_BLOCK",
+                        2 * count**dim * spec.n_modes)
     calls = {"pattern_search": 0, "_lockstep": 0}
 
     def counted(attr):

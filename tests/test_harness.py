@@ -9,9 +9,16 @@ from nodalscope.certify import (
     config_hash,
     largest_admissible_r,
 )
-from nodalscope.harness import EnsembleMember, certified_member, \
-    run_family_report
-from nodalscope.spectrum import random_eigenfunction
+from nodalscope import harness
+from nodalscope.geometry import generate_cover
+from nodalscope.harness import (
+    EnsembleMember,
+    certified_member,
+    member_nodal_stats,
+    run_family_report,
+)
+from nodalscope.nodal import count_singular_in_balls, find_singular_points
+from nodalscope.spectrum import random_eigenfunction, translate
 
 
 def test_certified_member(sin1, t2):
@@ -53,3 +60,33 @@ def test_family_report_leaves_config_unchanged(t2):
         }
         assert rep.constants["c4"]["value"] == pytest.approx(
             1.0 / (0.25 * math.sqrt(lam)), rel=1e-12)
+
+
+def test_member_nodal_stats_counts_singular_points(product_spec):
+    # 2 sin(2 pi x) sin(2 pi y), moved off the grid lines: its four
+    # order-2 zeros give the per-ball counts over the r cover
+    spec = translate(product_spec, (0.1234, 0.3456))
+    member = _measured_member(spec, None, 0)
+    member_nodal_stats(member)
+    points = find_singular_points(spec, 512)
+    counts = count_singular_in_balls(
+        points, member.r, spec.lam,
+        generate_cover(member.r, spec.model).centers)
+    assert member.max_vanishing_order == 2
+    assert member.max_singular_count == max(counts) > 0
+    assert member.nodal_length > 0
+
+
+def test_member_nodal_stats_doubles_grid(t2, monkeypatch):
+    # 512 is below 4 nyquist_resolution(5525) = 608: the grid doubles once
+    grids = []
+    extract = harness.extract_nodal
+
+    def spy(spec, N):
+        grids.append(N)
+        return extract(spec, N)
+
+    monkeypatch.setattr(harness, "extract_nodal", spy)
+    member = _measured_member(random_eigenfunction(5525, t2, 0), None, 0)
+    member_nodal_stats(member)
+    assert grids == [1024]

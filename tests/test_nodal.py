@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalscope import nodal
+from nodalscope import nodal, spectrum
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import (
     TorusModel,
@@ -290,7 +290,7 @@ def test_extract_memory_peak(t2):
 def test_singular_memory_peak(t2):
     # the gradient grid (16.8 MB) and the gate's masks set the peak, the psi
     # grid (8.4 MB) released before them; Newton runs once both are gone,
-    # in blocks of NEWTON_BLOCK starts (about 6.5 MB)
+    # in blocks of spectrum.PHASE_BLOCK starts x modes (about 4.7 MB)
     peak = _traced_peak_mb(find_singular_points,
                            random_eigenfunction(5525, t2, 7), 1024)
     assert peak < 24.0
@@ -399,9 +399,10 @@ def test_count_singular_in_balls(product_spec):
     pts = find_singular_points(product_spec, 512)
     lam = product_spec.lam
     assert count_singular_in_balls([], 0.25, lam, [(0, 0)]) == [0]
-    counts = count_singular_in_balls(pts, 0.25, lam, [(0, 0)],
-                                     radius_override=0.1)
-    assert counts == [1]
+    # lambda enters only through the radius sqrt(r) lambda^{-1/4}: r = 1/4
+    # and lambda = 625 give radius 0.1, below this spec's lambda^{-1/2}
+    assert math.sqrt(0.25) * 625**-0.25 == pytest.approx(0.1, rel=1e-12)
+    assert count_singular_in_balls(pts, 0.25, 625.0, [(0, 0)]) == [1]
     # default radius sqrt(r) lambda^{-1/4} = 0.1677...
     radius = math.sqrt(0.25) * lam**-0.25
     assert radius == pytest.approx(0.16777, rel=1e-3)
@@ -432,10 +433,13 @@ def test_count_singular_matches_brute_force():
     got = count_singular_in_balls(pts, 0.25, lam, centers)
     assert got == brute(default)
     assert all(type(c) is int for c in got)
-    for radius in (0.01, 0.2, 0.45):
-        assert count_singular_in_balls(pts, 0.25, lam, centers,
-                                       radius_override=radius) \
-            == brute(radius)
+    # the points are synthetic, so lambda is free: r = 1/2 and
+    # lambda = r^2 / radius^4 give each radius, and r >= lambda^(-1/2)
+    for target in (0.01, 0.2, 0.45):
+        r, lam = 0.5, 0.25 / target**4
+        radius = math.sqrt(r) * lam**-0.25
+        assert radius == pytest.approx(target, rel=1e-12)
+        assert count_singular_in_balls(pts, r, lam, centers) == brute(radius)
 
 
 def test_zero_distance_from_cover_centers(sin_k, rand25):
@@ -593,9 +597,9 @@ _BLOCK_SPECS = [
 @pytest.mark.parametrize("name, make, N", _BLOCK_SPECS,
                          ids=[c[0] for c in _BLOCK_SPECS])
 def test_newton_blocks_do_not_change_points(monkeypatch, name, make, N):
-    # each Newton row is computed alone: blocks of 1, 7 and NEWTON_BLOCK
-    # starts give the same points, and no phase call takes more rows than
-    # one block
+    # each Newton row is computed alone: blocks of 1, 7 and
+    # PHASE_BLOCK // modes starts give the same points, and no phase call
+    # takes more rows than one block
     spec = make()
     rows = {"point_phases": 0, "lattice_phases": 0}
 
@@ -610,8 +614,8 @@ def test_newton_blocks_do_not_change_points(monkeypatch, name, make, N):
     for fn in rows:
         monkeypatch.setattr(nodal, fn, counted(fn))
     runs = []
-    for block in (1, 7, nodal.NEWTON_BLOCK):
-        monkeypatch.setattr(nodal, "NEWTON_BLOCK", block)
+    for block in (1, 7, spectrum.PHASE_BLOCK // spec.n_modes):
+        monkeypatch.setattr(spectrum, "PHASE_BLOCK", block * spec.n_modes)
         rows.update(point_phases=0, lattice_phases=0)
         runs.append(find_singular_points(spec, N))
         assert 0 < rows["lattice_phases"] <= block
