@@ -111,21 +111,19 @@ def certify_equidistribution(spec: EigenfunctionSpec, r: float,
     )
 
 
-def largest_admissible_r(spec: EigenfunctionSpec,
-                         k1: float | None = None,
-                         k2: float | None = None) -> float | None:
+def largest_admissible_r(spec: EigenfunctionSpec) -> float | None:
     """Largest of DYADIC_RADII at or above lambda^(-1/2) whose certificate
-    passes; None when all fail."""
+    passes at the default thresholds; None when all fail."""
     for r in (r for r in DYADIC_RADII if r >= spec.lam ** -0.5):
-        if certify_equidistribution(spec, r, k1, k2).passed:
+        if certify_equidistribution(spec, r).passed:
             return r
     return None
 
 
-def lambda_threshold(family: list[EigenfunctionSpec], r: float,
-                     k1: float | None = None,
-                     k2: float | None = None) -> int | None:
-    """Least index J with every member at index >= J certifying at (r, K1, K2).
+def lambda_threshold(family: list[EigenfunctionSpec], r: float
+                     ) -> int | None:
+    """Least index J with every member at index >= J certifying at r and the
+    default thresholds.
 
     The family must be ordered by ascending eigenvalue; None when even the
     last member fails.
@@ -136,7 +134,7 @@ def lambda_threshold(family: list[EigenfunctionSpec], r: float,
     J: int | None = None
     for idx, spec in enumerate(family):
         try:
-            ok = certify_equidistribution(spec, r, k1, k2).passed
+            ok = certify_equidistribution(spec, r).passed
         except ScaleRangeError:
             ok = False
         if ok:

@@ -10,6 +10,7 @@ relative to --out.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .certify import (
     config_hash,
     report_to_json,
 )
-from .doubling import fit_growth_constant, scan_doubling, write_records_csv
+from .doubling import fit_growth_constant, scan_doubling
 from .errors import DimensionError, ManifestError, NodalscopeError
 from .fields import ENSEMBLE_SUP_TOL
 from .geometry import TorusModel
@@ -35,7 +36,7 @@ from .harness import (
     member_nodal_stats,
     run_family_report,
 )
-from .nodal import extract_nodal, find_singular_points, write_segments_csv
+from .nodal import extract_nodal, find_singular_points
 from .spectrum import random_eigenfunction, spec_from_json, spec_to_json
 
 
@@ -61,6 +62,16 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "config_hash": digest,
                **payload}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
+    """The schema version and input hash as a `#` line, the header row, then
+    rows of formatted strings; every line ends in "\n"."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION} config={digest}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_gen(args) -> int:
@@ -101,9 +112,8 @@ def cmd_nodal(args) -> int:
     digest = config_hash(_config_payload(args, ["grid"],
                                          spec=spec_to_json(spec)))
     seg_path = _out_path(args, f"nodal_segments_m{spec.m}_N{args.grid}.csv")
-    write_segments_csv(ns, seg_path, header_lines=[
-        f"schema_version={SCHEMA_VERSION} config={digest}"
-    ])
+    _write_csv(seg_path, digest, ["x1", "y1", "x2", "y2"],
+               ([f"{c:.17g}" for c in seg] for seg in ns.segments))
     summary_path = _out_path(args, f"nodal_summary_m{spec.m}_N{args.grid}.json")
     _write_json(summary_path, {
         "length": ns.length,
@@ -129,9 +139,13 @@ def cmd_doubling(args) -> int:
     digest = config_hash(_config_payload(args, ["r", "tol"],
                                          spec=spec_to_json(spec)))
     rec_path = _out_path(args, f"doubling_records_m{spec.m}_r{args.r}.csv")
-    write_records_csv(records, rec_path, header_lines=[
-        f"schema_version={SCHEMA_VERSION} config={digest}"
-    ])
+    _write_csv(
+        rec_path, digest,
+        [f"center_{d}" for d in range(spec.model.dim)]
+        + ["scale", "index_sup", "context_r", "lambda"],
+        ([f"{v:.17g}" for v in (*rec.center, rec.scale, rec.index_sup,
+                                rec.context_r, rec.lam)]
+         for rec in records))
     sum_path = _out_path(args, f"doubling_summary_m{spec.m}_r{args.r}.json")
     _write_json(sum_path, {
         "m": spec.m, "lambda": spec.lam, "r": args.r, "c_star": c_star,
@@ -187,23 +201,22 @@ def cmd_report(args) -> int:
     digest = config_hash(_config_payload(
         args, [], beta=config.beta, kappa=config.kappa,
         specs=[spec_to_json(spec) for spec in specs]))
+    for rep in reports:
+        path = _out_path(
+            args, f"report_m{rep.meta['m']}_seed{rep.meta['seed']}.json")
+        path.write_text(
+            report_to_json(replace(rep, config_digest=digest)) + "\n")
     agg_path = _out_path(args, "family_report.csv")
-    with open(agg_path, "w") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION} config={digest}\n")
-        fh.write("m,seed,lambda,r,nodal_length,c_star,N_lift,eq4_pred,"
-                 "eq4_verdict\n")
-        for rep in reports:
-            meta, meas, pred = rep.meta, rep.measured, rep.predicted
-            path = _out_path(
-                args, f"report_m{meta['m']}_seed{meta['seed']}.json"
-            )
-            path.write_text(
-                report_to_json(replace(rep, config_digest=digest)) + "\n")
-            fh.write(
-                f"{meta['m']},{meta['seed']},{meta['lambda']},{meta['r']},"
-                f"{meas['nodal_length']},{meas['c_star']},{meas['N_lift']},"
-                f"{pred['eq4']},{rep.verdicts.get('eq4_length_bound')}\n"
-            )
+    _write_csv(
+        agg_path, digest,
+        ["m", "seed", "lambda", "r", "nodal_length", "c_star", "N_lift",
+         "eq4_pred", "eq4_verdict"],
+        ([str(v) for v in (
+            rep.meta["m"], rep.meta["seed"], rep.meta["lambda"],
+            rep.meta["r"], rep.measured["nodal_length"],
+            rep.measured["c_star"], rep.measured["N_lift"],
+            rep.predicted["eq4"], rep.verdicts.get("eq4_length_bound"))]
+         for rep in reports))
     print(f"wrote {agg_path} and {len(reports)} member reports")
     for spec in failed:
         print(f"note: m={spec.m} seed={spec.seed} never certified; skipped")

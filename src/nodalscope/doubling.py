@@ -9,7 +9,6 @@ lower-bound check.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "lower_bound_check",
     "scan_doubling",
     "default_scale_sweep",
-    "write_records_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -159,22 +157,3 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
         )
         for i, center in enumerate(centers) for delta in deltas
     ]
-
-
-def write_records_csv(records: list[DoublingRecord], path,
-                      header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        dim = len(records[0].center) if records else 2
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"center_{d}" for d in range(dim)]
-            + ["scale", "index_sup", "context_r", "lambda"]
-        )
-        for rec in records:
-            writer.writerow(
-                [f"{c:.17g}" for c in rec.center]
-                + [f"{rec.scale:.17g}", f"{rec.index_sup:.17g}",
-                   f"{rec.context_r:.17g}", f"{rec.lam:.17g}"]
-            )

@@ -58,6 +58,14 @@ def _sups(result, center):
     return float(result.value[0]) if np.ndim(center) == 1 else result.value
 
 
+def _ball(s: float) -> RadialDomain:
+    """The closed ball of radius s as a scan domain; only 0 < s <= 1/2
+    embeds in the unit torus."""
+    if not 0.0 < s <= 0.5:
+        raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
+    return RadialDomain(0.0, s)
+
+
 def _sup(spec: EigenfunctionSpec, center, domain, tol: float,
          alpha: float = 0.0, beta: float = 1.0):
     """Certified sup of alpha |grad psi|^2 + beta psi^2 over center + domain,
@@ -74,9 +82,7 @@ def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
     center (n,) gives a float; centers (B, n) give the B sups as an array,
     each equal bit for bit to its own single-center call.
     """
-    if not 0.0 < s <= 0.5:
-        raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
-    return _sup(spec, center, RadialDomain(0.0, s), tol)
+    return _sup(spec, center, _ball(s), tol)
 
 
 def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
@@ -91,30 +97,30 @@ def q_on_ball(spec: EigenfunctionSpec, center, s: float,
               tol: float = DEFAULT_TOL):
     """sup of q = |grad psi|^2 + (lambda/2)|psi|^2 over the closed ball;
     one center or a batch, as sup_on_ball."""
-    if not 0.0 < s <= 0.5:
-        raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
-    return _sup(spec, center, RadialDomain(0.0, s), tol, 1.0, 0.5 * spec.lam)
+    return _sup(spec, center, _ball(s), tol, 1.0, 0.5 * spec.lam)
 
 
-def sup_global(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL) -> float:
-    """sup of |psi|^2 over the whole torus."""
-    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), tol)
+def sup_global(spec: EigenfunctionSpec) -> float:
+    """sup of |psi|^2 over the whole torus, within DEFAULT_TOL."""
+    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), DEFAULT_TOL)
 
 
-def gradient_sup_global(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL
-                        ) -> float:
-    """sup of |grad psi|^2 over the whole torus."""
-    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), tol, 1.0, 0.0)
+def gradient_sup_global(spec: EigenfunctionSpec) -> float:
+    """sup of |grad psi|^2 over the whole torus, within DEFAULT_TOL."""
+    return _sup(spec, np.zeros(spec.model.dim), TorusDomain(), DEFAULT_TOL,
+                1.0, 0.0)
 
 
 def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, s: float,
                        tol: float = DEFAULT_TOL):
     """sup of H^2 = psi^2 exp(2 t sqrt(lambda)) over the (n+1)-ball B_s
     centered at (x_center, 0); the cube index does not depend on t-offsets.
-    One x-center or a batch, as sup_on_ball. Raises LiftOverflowError when
-    2 s sqrt(lambda) exceeds scan.EXP_GUARD."""
+    One x-center or a batch, as sup_on_ball. Raises EmbeddedBallError
+    unless 0 < s <= 1/2, and LiftOverflowError when 2 s sqrt(lambda)
+    exceeds scan.EXP_GUARD."""
+    domain = _ball(s)
     obj = LiftedSquared(spec, wrap_point(x_center), s)
-    return _sups(certified_max(obj, RadialDomain(0.0, s), tol), x_center)
+    return _sups(certified_max(obj, domain, tol), x_center)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,12 @@ def wrap_point(x) -> np.ndarray:
 
 
 def geodesic_distance(a, b, model: TorusModel) -> float:
-    """Torus distance sqrt(sum_i min(|a_i-b_i|, 1-|a_i-b_i|)^2)."""
+    """Torus distance: the norm of the min-image displacement."""
     a = wrap_point(a)
     b = wrap_point(b)
     if a.shape[-1] != model.dim or b.shape[-1] != model.dim:
         raise ValueError("point dimension does not match model")
-    d = np.abs(a - b)
-    d = np.minimum(d, 1.0 - d)
+    d = min_image(a - b)
     return float(np.sqrt(np.sum(d * d, axis=-1)))
 
 

@@ -27,7 +27,6 @@ from .certify import (
 )
 from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
 from .fields import (
-    DEFAULT_TOL,
     ENSEMBLE_SUP_TOL,
     gradient_sup_global,
     nyquist_resolution,
@@ -135,11 +134,10 @@ def member_lift_index(member: EnsembleMember) -> None:
         spec, np.full(spec.model.dim, 0.5), r_cube)
 
 
-def gradient_amplitude_ratio(spec: EigenfunctionSpec, tol: float = DEFAULT_TOL
-                             ) -> float:
+def gradient_amplitude_ratio(spec: EigenfunctionSpec) -> float:
     """sup|grad psi| / (sqrt(lambda) sup|psi|) over the torus."""
-    gs = math.sqrt(gradient_sup_global(spec, tol))
-    ps = math.sqrt(sup_global(spec, tol))
+    gs = math.sqrt(gradient_sup_global(spec))
+    ps = math.sqrt(sup_global(spec))
     return gs / (math.sqrt(spec.lam) * ps)
 
 

@@ -79,8 +79,8 @@ def harmonicity_residual(spec: EigenfunctionSpec, x, t: float,
     return abs(acc / (h * h))
 
 
-def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
-                        tol: float = ENSEMBLE_SUP_TOL) -> CubeIndex:
+def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float
+                        ) -> CubeIndex:
     """Scan sup over Euclidean balls B_s inside the cube of the H^2 log ratio.
 
     The cube is centered on the t = 0 slice. Ball centers run over the
@@ -118,7 +118,8 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float,
     for (k, j), xs in balls.items():
         offsets = (2.0 * np.array(list(xs)) - 8.0) * r / 9.0
         values = lifted_sup_on_ball(spec, cube_center + offsets,
-                                    r * (9 - 2 * k) / 9.0 / 2.0**j, tol)
+                                    r * (9 - 2 * k) / 9.0 / 2.0**j,
+                                    ENSEMBLE_SUP_TOL)
         sup.update(((x, k, j), v) for x, v in zip(xs, values))
     n_value = max(0.0, *(_log_ratio(sup[x, k, j - 1], sup[x, k, j])
                          for x, k, j in pairs))

@@ -26,7 +26,6 @@ quadratic form in the spec's modes, with no n^j tensor.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -58,7 +57,6 @@ __all__ = [
     "find_singular_points",
     "vanishing_order",
     "count_singular_in_balls",
-    "write_segments_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -446,13 +444,3 @@ def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
     tree = cKDTree(wrap_point([p.location for p in points]), boxsize=1.0)
     hits = tree.query_ball_point(wrap_point(centers), radius)
     return [int(weights[h].sum()) for h in hits]
-
-
-def write_segments_csv(ns: NodalSet, path, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "y1", "x2", "y2"])
-        for seg in ns.segments:
-            writer.writerow([f"{c:.17g}" for c in seg])

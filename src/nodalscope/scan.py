@@ -390,6 +390,8 @@ def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
         best[ball[gain]], best_off[ball[gain]] = vals[gain], offsets[gain]
         threshold = np.where(best > 0, best * (1.0 + tol), best)
         inv = inv[ubs > threshold[ball]]
+        # the next level's phase chunks set the peak: free this level's
+        del vals, ubs, ball, starts, seg, inner, hits, first, gain, threshold
         # children 2i + {0, 1} per axis, tables kept to the used coordinates
         for a in range(dim):
             used = np.zeros(len(coords[a]), dtype=bool)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from nodalscope.certify import (
+    DYADIC_RADII,
     SCHEMA_VERSION,
     EquidistCertificate,
     ReportConfig,
@@ -112,8 +113,10 @@ def test_largest_admissible_r(sin1, t2):
     r = largest_admissible_r(spec)
     assert r == 0.25
     # raising K1 can only shrink (or keep) the admissible radius
-    r_strict = largest_admissible_r(spec, k1=default_k1(t2) * 1.4)
-    assert r_strict is None or r_strict <= r
+    strict = [q for q in DYADIC_RADII if q >= spec.lam ** -0.5
+              and certify_equidistribution(spec, q,
+                                           k1=default_k1(t2) * 1.4).passed]
+    assert all(q <= r for q in strict)
 
 
 def test_lambda_threshold_sin_family(t2, sin_k):

@@ -6,6 +6,7 @@ import pytest
 
 from nodalscope.certify import SCHEMA_VERSION
 from nodalscope.cli import main
+from nodalscope.nodal import extract_nodal
 from nodalscope.spectrum import spec_to_json, translate
 
 
@@ -184,10 +185,15 @@ def test_nodal_singular_points_artifact(tmp_path, product_spec):
     assert len(points) == 4
     assert all(p["vanishing_order"] == 2 for p in points)
     assert all(p["residual"] < 1e-8 for p in points)
-    seg_lines = (tmp_path / "nodal_segments_m2_N512.csv").read_text() \
-        .splitlines()
+    seg_bytes = (tmp_path / "nodal_segments_m2_N512.csv").read_bytes()
+    assert b"\r" not in seg_bytes  # every line ends in "\n"
+    seg_lines = seg_bytes.decode().splitlines()
     assert seg_lines[0].endswith(f"config={summary['config_hash']}")
+    assert seg_lines[1] == "x1,y1,x2,y2"
     assert len(seg_lines) == 2 + summary["n_segments"]
+    # .17g rows read back as the extracted segments, bit for bit
+    rows = [[float(v) for v in ln.split(",")] for ln in seg_lines[2:]]
+    assert rows == extract_nodal(product_spec, 512).segments.tolist()
 
 
 def test_doubling_artifacts(tmp_path):

@@ -12,7 +12,6 @@ from nodalscope.doubling import (
     lower_bound_check,
     q_growth_ratio,
     scan_doubling,
-    write_records_csv,
 )
 from nodalscope.errors import ScaleRangeError
 from nodalscope.fields import MassEvaluator, l2_on_ball, sup_on_ball
@@ -164,16 +163,14 @@ def test_default_scale_sweep_empty():
         default_scale_sweep(4 * math.pi**2 * 25, 0.001)
 
 
-def test_scan_doubling_and_csv(tmp_path, rand25):
+def test_scan_doubling_and_csv(rand25):
+    # the records CSV is written by the CLI: test_cli.py checks it
     centers = np.array([[0.1, 0.1], [0.6, 0.3]])
     records = scan_doubling(rand25, 0.25, centers=centers, tol=1e-2)
     assert len(records) == 2 * len(default_scale_sweep(rand25.lam, 0.25))
     assert all(rec.index_sup >= -1e-2 for rec in records)
     c_star = fit_growth_constant(records, 0.25, rand25.lam)
     assert c_star >= 0
-    path = tmp_path / "records.csv"
-    write_records_csv(records, path, header_lines=["schema_version=1"])
-    assert path.read_text().startswith("# schema_version=1")
 
 
 def test_scan_doubling_records_are_log_ratios_of_ball_sups(t2):

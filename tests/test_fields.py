@@ -92,11 +92,6 @@ def test_sup_budget_guard(rand25):
         sup_on_ball(rand25, (0, 0), 0.1, 1e-12)
 
 
-def test_sup_radius_guard(rand25):
-    with pytest.raises(EmbeddedBallError):
-        sup_on_ball(rand25, (0, 0), 0.6)
-
-
 def test_l2_constant_field(t2):
     def const(points):
         return np.ones(len(points))
@@ -223,6 +218,14 @@ def test_sup_translation_invariance(dim, steps):
 
 BALL_SUPS = {"psi2": sup_on_ball, "q": q_on_ball,
              "lifted": lifted_sup_on_ball}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SUPS))
+@pytest.mark.parametrize("s", [0.0, -0.1, 0.6])
+def test_sup_radius_guard(rand25, name, s):
+    # every ball sup refuses a radius the unit torus does not embed
+    with pytest.raises(EmbeddedBallError):
+        BALL_SUPS[name](rand25, (0, 0), s)
 
 
 @pytest.mark.parametrize("name", sorted(BALL_SUPS))

@@ -51,7 +51,7 @@ def test_lifted_scan_overflow_raises(t2):
     with pytest.raises(LiftOverflowError):
         lifted_sup_on_ball(big, (0.5, 0.5), s_max * (1 + 1e-9))
     with pytest.raises(LiftOverflowError):
-        cube_doubling_index(big, (0.5, 0.5), 0.125, tol=1e-2)
+        cube_doubling_index(big, (0.5, 0.5), 0.125)
 
 
 def test_harmonicity_residual_bound(sin1):

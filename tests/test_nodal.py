@@ -24,7 +24,6 @@ from nodalscope.nodal import (
     extract_nodal,
     find_singular_points,
     vanishing_order,
-    write_segments_csv,
 )
 from nodalscope.spectrum import (
     axis_phases,
@@ -453,16 +452,6 @@ def test_zero_distance_from_cover_centers(sin_k, rand25):
         dists = np.sqrt((d**2).sum(-1)).min(axis=1)
         constant = dists.max() * math.sqrt(spec.lam)
         assert constant <= math.pi
-
-
-def test_segments_csv(tmp_path, product_spec):
-    ns = extract_nodal(product_spec, 512)
-    path = tmp_path / "segments.csv"
-    write_segments_csv(ns, path, header_lines=["schema_version=1"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema_version=1"
-    assert lines[1] == "x1,y1,x2,y2"
-    assert len(lines) == 2 + len(ns.segments)
 
 
 @pytest.mark.parametrize("spec_id", ["wave1105", "product34"])
