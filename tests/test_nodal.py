@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalscope import nodal, spectrum
+from nodalscope.certify import SCHEMA_VERSION
+from nodalscope.cli import main
 from nodalscope.errors import ResolutionError, ScaleRangeError
 from nodalscope.geometry import (
     TorusModel,
@@ -452,6 +454,21 @@ def test_zero_distance_from_cover_centers(sin_k, rand25):
         dists = np.sqrt((d**2).sum(-1)).min(axis=1)
         constant = dists.max() * math.sqrt(spec.lam)
         assert constant <= math.pi
+
+
+def test_segments_csv(tmp_path, product_spec):
+    # the CLI writes the segments CSV: a schema comment line, the header
+    # row, then one row per extracted segment
+    spec_path = tmp_path / "product.json"
+    spec_path.write_text(spectrum.spec_to_json(product_spec))
+    assert main(["--out", str(tmp_path), "nodal", "--spec", str(spec_path),
+                 "--grid", "512"]) == 0
+    ns = extract_nodal(product_spec, 512)
+    path = tmp_path / "nodal_segments_m2_N512.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith(f"# schema_version={SCHEMA_VERSION} config=")
+    assert lines[1] == "x1,y1,x2,y2"
+    assert len(lines) == 2 + len(ns.segments)
 
 
 @pytest.mark.parametrize("spec_id", ["wave1105", "product34"])
