@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import j1
 
-from .errors import BudgetError, EmbeddedBallError
+from .errors import BudgetError, EmbeddedBallError, ScaleRangeError
 from .geometry import wrap_point
 from .scan import (
     LiftedSquared,
@@ -87,9 +87,13 @@ def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
 
 def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
                    tol: float = DEFAULT_TOL) -> float:
-    """sup of |psi|^2 over the closed annulus lo <= d(y, center) <= hi."""
+    """sup of |psi|^2 over the closed annulus lo <= d(y, center) <= hi.
+    Raises EmbeddedBallError when hi > 1/2 and ScaleRangeError unless
+    0 <= lo < hi."""
     if hi > 0.5:
         raise EmbeddedBallError(f"annulus outer radius {hi} > 1/2")
+    if not 0.0 <= lo < hi:
+        raise ScaleRangeError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
     return _sup(spec, center, RadialDomain(lo, hi), tol)
 
 

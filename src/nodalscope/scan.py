@@ -1,46 +1,59 @@
 """Certified maximization of field quantities over balls, annuli, and the torus.
 
-The engine is a branch-and-bound over offset cells. Every cell carries an
-upper bound of the objective over the cell, built by squaring first-order
-Taylor enclosures of psi and grad psi on the ball of radius rho around the
-cell center,
+The engine is a branch-and-bound over the cells of one nested lattice on the
+torus. Every cell carries an upper bound of the objective over the cell,
+built by squaring Taylor enclosures of psi and grad psi on the ball of
+radius rho around the cell center x,
 
-    |psi| <= |psi(center)| + |grad psi(center)| rho + (1/2) D2 rho^2,
-    |grad psi| <= |grad psi(center)| + ||H psi(center)|| rho + (1/2) D3 rho^2,
+    |psi| <= |psi(x)| + |grad psi(x)| rho + (1/2) ||H psi(x)||_F rho^2
+             + (1/6) D3 rho^3,
+    |grad psi| <= |grad psi(x)| + ||H psi(x)||_F rho + (1/2) D3 rho^2,
 
 with D_j = ||c||_1 (2 pi sqrt(m))^j, which bounds the j-th derivative tensor
-of psi mode by mode. Each ball keeps its best cell-center value inside the
-domain; cells whose bound cannot beat it by more than the relative
-tolerance are pruned, and survivors are subdivided. A cell-center value is
-a point value, no larger than the sup, so the pruning stays certified.
-Once every ball's gap has closed, one projected pattern search polishes
-every ball's best cell. The returned value is a pointwise evaluation at the
-returned offset, a lower bound of the true supremum within the requested
-relative tolerance.
+of psi mode by mode: psi to order 2 with its Lagrange remainder
+(|d^T H d| <= ||H||_F |d|^2), grad psi to order 1. Each ball keeps its best
+cell-center value inside the domain; cells whose bound cannot beat it by
+more than the relative tolerance are pruned, and survivors are subdivided.
+A cell-center value is a point value, no larger than the sup, so the
+pruning stays certified. Once every ball's gap has closed, one projected
+pattern search polishes every ball's best cell. The returned value is a
+pointwise evaluation at the returned offset, a lower bound of the true
+supremum within the requested relative tolerance.
 
-One scan serves a batch of B balls that share a domain (the same offsets
-around B centers) in lockstep: every cell belongs to one ball, each ball
-keeps its own incumbent, prune threshold and node count, and each level is
-evaluated in one pass over all balls' cells. A ball's value does not depend
-on the balls that share its batch, to the last bit: every step is
-elementwise or reduces within one row (spectrum.mode_sum, point_phases).
-Balls enter a lockstep group until its first level's cells times the
-spec's modes reach spectrum.PHASE_BLOCK, and every level's phases are built
-in chunks of at most that many cells x modes, which bounds the memory a
-level takes (a ball too large for a group is a group of its own).
+The lattice is absolute. With N = ceil(1/h0), cell i of level L sits at
+(i + 1/2)/(N 2^L) on each axis, and its children are 2i and 2i + 1. A scan
+starts at the coarsest level whose spacing meets the domain's bound (h0, at
+most half the band width and at most the outer radius); the torus domain
+starts at level 0. Each ball takes the cells of its window, the box of
+cells around its center that meet the domain, by unwrapped indices; a
+cell's phases come from its index reduced mod N 2^L. So a cell's value and
+bound are a function of (spec, objective, level, index) alone, and an
+objective that depends on the offset from the ball's center (LiftedSquared)
+applies that factor per ball.
 
-Cells are integer lattice indices: the child of cell i on each axis is 2i or
-2i + 1 at half the spacing, and cell i sits at offset (i + 1/2) spacing - hi
-(ball or annulus of outer radius hi) or (i + 1/2) spacing (torus). Axis-0
-indices are kept per ball, so that cell p belongs to the ball that owns its
-axis-0 index. Every objective is f = alpha |grad psi|^2 + beta psi^2
-(SpectralObjective) or psi^2 times the harmonic lift's t-factor
-(LiftedSquared, balls at t = 0: the cube index does not depend on a ball's
-t-offset). psi, grad psi and, when alpha != 0, the Hessian of psi come from
-one mode sum (spectrum.mode_sum). A level's phases are products of per-axis
-tables built once per level (spectrum.axis_phases, lattice_phases), each
-ball's center phase folded into its rows of the axis-0 table, so one
-product evaluates a chunk of the level.
+One scan serves a batch of B balls that share a domain. When the balls'
+windows together hold more cells than the torus level, that level is
+evaluated once over the whole torus and each ball reads its window from the
+table; otherwise each ball's own cells are evaluated. Both routes give the
+same bits. The descent runs the (ball, cell) pairs of a group of balls in
+lockstep: every pair belongs to one ball, each ball keeps its own
+incumbent, prune threshold and node count (NODE_BUDGET, counted on its own
+cells however they were evaluated), and each level is evaluated in one pass
+over the group's pairs. Balls enter a group until its windows' children
+(2^n per window cell) reach spectrum.PHASE_BLOCK cells (a ball too large
+for a group is a group of its own), and every level's phases, the torus
+table's too, are built in chunks of at most PHASE_BLOCK cells x modes,
+which bounds the memory a level takes. A ball's value does not depend on
+the balls that share its batch, to the last bit: every step is elementwise
+or reduces within one row (spectrum.mode_sum, point_phases).
+
+Every objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective)
+or psi^2 times the harmonic lift's t-factor (LiftedSquared, balls at t = 0:
+the cube index does not depend on a ball's t-offset). A cell's psi, grad
+psi and Hessian of psi come from one mode sum (spectrum.mode_sum). A level's
+phases are products of per-axis tables built once per level
+(spectrum.axis_phases, lattice_phases), so one product evaluates a chunk of
+the level.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from itertools import product
 
 import numpy as np
 
+from . import spectrum
 from .errors import BudgetError, LiftOverflowError
 from .spectrum import (
     EigenfunctionSpec,
@@ -117,12 +131,17 @@ class RadialDomain:
             out[r == 0.0, 0] = self.lo
         return out
 
-    def initial_lattice(self, h0: float) -> tuple[int, float, float]:
-        """(cells per axis, spacing, origin) of the first level; the spacing
-        is at most half the band width and at most the outer radius."""
-        h0 = min(h0, max((self.hi - self.lo) / 2.0, 1e-8), self.hi)
-        count = max(2, int(math.ceil(2.0 * self.hi / h0)))
-        return count, 2.0 * self.hi / count, -self.hi
+    def max_spacing(self, h0: float) -> float:
+        """Largest first-level spacing: h0, at most half the band width and
+        at most the outer radius."""
+        return min(h0, max((self.hi - self.lo) / 2.0, 1e-8), self.hi)
+
+    def window(self, centers: np.ndarray, count: int):
+        """(first cells (B, n), cells per axis) of each center's box on the
+        lattice of count cells per axis: it holds every cell that meets the
+        ball of radius hi."""
+        lows = np.floor((centers - self.hi) * count).astype(np.int64) - 1
+        return lows, math.ceil(2.0 * self.hi * count) + 3
 
 
 class TorusDomain:
@@ -140,24 +159,25 @@ class TorusDomain:
     def project(self, d):
         return d
 
-    def initial_lattice(self, h0: float) -> tuple[int, float, float]:
-        count = max(2, int(math.ceil(1.0 / h0)))
-        return count, 1.0 / count, 0.0
+    def max_spacing(self, h0: float) -> float:
+        return h0
+
+    def window(self, centers: np.ndarray, count: int):
+        return np.zeros(centers.shape, dtype=np.int64), count
 
 
 class SpectralObjective:
     """f = alpha |grad psi|^2 + beta psi^2 at center_b + offset, for each of
     the centers (B, n) (a single center (n,) is a batch of one).
 
-    psi, grad psi and, when alpha != 0, the Hessian H of psi come from one
-    mode sum over the phases exp(2 pi i k . x) of the points; on the scan's
-    lattice these are the offsets' phases times shifts[b], the phases of the
-    ball's center x_b. A cell's bound is
-    beta U_psi^2 + alpha U_grad^2, U_psi and U_grad the Taylor enclosures of
-    |psi| and |grad psi| on the cell's ball (module docstring); d2 and d3 are
-    their remainder constants D2 = lambda A1 and D3 = lambda^(3/2) A1,
-    A1 = sum_l |c_l| the coefficient l1 norm. h0 is the first lattice
-    spacing.
+    Cell bounds take psi, grad psi and the Hessian H of psi from one mode
+    sum over the phases exp(2 pi i k . x) of the cell centers; pointwise
+    values take psi and, when alpha != 0, grad psi. A cell's bound is
+    beta U_psi^2 + alpha U_grad^2, U_psi the order-2 and U_grad the order-1
+    Taylor enclosure of |psi| and |grad psi| on the cell's ball (module
+    docstring); d3 is their remainder constant D3 = lambda^(3/2) A1,
+    A1 = sum_l |c_l| the coefficient l1 norm. The first lattice has
+    N = ceil(1/h0) cells per axis.
     """
 
     def __init__(self, spec: EigenfunctionSpec, centers, alpha: float,
@@ -167,11 +187,9 @@ class SpectralObjective:
         self.dim = spec.model.dim
         self.alpha = alpha
         self.beta = beta
-        self.weights = mode_weights(spec, 2 if alpha else 1)
-        self.shifts = point_phases(spec, self.centers)
-        growth = 2.0 * math.pi * math.sqrt(spec.m)
-        self.d2 = spec.coeff_l1() * growth**2
-        self.d3 = spec.coeff_l1() * growth**3
+        self.weights = mode_weights(spec, 2)
+        self.point_weights = mode_weights(spec, 1 if alpha else 0)
+        self.d3 = spec.coeff_l1() * (2.0 * math.pi * math.sqrt(spec.m))**3
         self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
     def _value(self, parts: np.ndarray) -> np.ndarray:
@@ -186,23 +204,28 @@ class SpectralObjective:
         """Pointwise f at offsets (P, n) from the centers of balls (P,)."""
         return self._value(mode_sum(
             point_phases(self.spec, self.centers[balls] + offsets),
-            self.weights))
+            self.point_weights))
 
-    def cell_bounds(self, phases: np.ndarray, offsets: np.ndarray,
-                    rho: float):
-        """f at the cell centers and its upper bound over each cell, from
-        the cells' phases relative to the origin (shifts included)."""
+    def cell_bounds(self, phases: np.ndarray, rho: float):
+        """f at the cell centers and its upper bound over each cell of
+        circumradius rho, from the phases of the cell centers."""
         parts = mode_sum(phases, self.weights)
         g = parts[:, 1:self.dim + 1]
+        hess = parts[:, self.dim + 1:]
         slope = np.sqrt(np.einsum("pa,pa->p", g, g))
-        u_psi = np.abs(parts[:, 0]) + slope * rho + 0.5 * self.d2 * rho * rho
+        curv = np.sqrt(np.einsum("pa,pa->p", hess, hess))
+        u_psi = (np.abs(parts[:, 0]) + slope * rho + 0.5 * curv * rho * rho
+                 + self.d3 * rho**3 / 6.0)
         ub = self.beta * u_psi * u_psi
         if self.alpha:
-            hess = parts[:, self.dim + 1:]
-            u_grad = (slope + np.sqrt(np.einsum("pa,pa->p", hess, hess)) * rho
-                      + 0.5 * self.d3 * rho * rho)
+            u_grad = slope + curv * rho + 0.5 * self.d3 * rho * rho
             ub += self.alpha * u_grad * u_grad
         return self._value(parts), ub
+
+    def ball_bounds(self, vals, ubs, norms, rho):
+        """cell_bounds of cells whose centers lie at distances norms from
+        their balls' centers; f does not depend on them."""
+        return vals, ubs
 
 
 class LiftedSquared(SpectralObjective):
@@ -236,11 +259,9 @@ class LiftedSquared(SpectralObjective):
         norms = np.linalg.norm(offsets, axis=-1)
         return super().values(offsets, balls) * self._t_factor(norms)
 
-    def cell_bounds(self, phases, offsets, rho):
-        psi_sq, psi_ub = super().cell_bounds(phases, offsets, rho)
-        norms = np.linalg.norm(offsets, axis=-1)
+    def ball_bounds(self, vals, ubs, norms, rho):
         factor_max = self._t_factor(np.maximum(norms - rho, 0.0))
-        return psi_sq * self._t_factor(norms), psi_ub * factor_max
+        return vals * self._t_factor(norms), ubs * factor_max
 
 
 def pattern_search(objective, domain, balls, d0, step: float):
@@ -292,11 +313,12 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
     """Max of the objective over the domain around each of its centers,
     within relative tolerance tol.
 
-    The first level has spacing about objective.h0. The branch-and-bound
-    finds each ball's best cell center; one pattern_search over all balls
-    then polishes them from there. It starts at twice the first level's cell
-    radius: from a cell next to a maximum on the domain's boundary, a
-    shorter step crawls along the boundary until MAX_POLISH_EVALS stops it.
+    The first level is the coarsest of the lattice whose spacing meets
+    domain.max_spacing(objective.h0). The branch-and-bound finds each ball's
+    best cell center; one pattern_search over all balls then polishes them
+    from there. It starts at twice the first level's cell radius: from a
+    cell next to a maximum on the domain's boundary, a shorter step crawls
+    along the boundary until MAX_POLISH_EVALS stops it.
     Raises BudgetError when tol is below the certification floor, or,
     naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
@@ -304,20 +326,46 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
         raise BudgetError(
             f"tolerance {tol} below certification floor {TOL_FLOOR}"
         )
-    count, spacing, _ = domain.initial_lattice(objective.h0)
+    dim = objective.dim
+    count = _first_count(objective, domain)
+    rho = math.sqrt(dim) / (2.0 * count)
+    lows, size = domain.window(objective.centers, count)
     balls = np.arange(len(objective.centers))
+    table = None
+    if len(balls) * size**dim > count**dim:
+        table = _torus_level(objective, count, rho)
     best = np.full(len(balls), -math.inf)
-    best_off = np.full((len(balls), objective.dim), np.nan)
+    best_off = np.full((len(balls), dim), np.nan)
     nodes = np.zeros(len(balls), dtype=np.int64)
-    for group in phase_blocks(len(balls), objective.spec,
-                              count**objective.dim):
-        _lockstep(objective, domain, tol, balls[group], best, best_off, nodes)
+    # a group's windows, split into their 2^n children each, hold at most
+    # spectrum.PHASE_BLOCK cells (a ball too large is a group of its own)
+    per = max(1, spectrum.PHASE_BLOCK // (size**dim << dim))
+    for lo in range(0, len(balls), per):
+        group = slice(lo, lo + per)
+        _lockstep(objective, domain, tol, balls[group], lows[group], size,
+                  count, rho, table, best, best_off, nodes)
     offset, value, used = pattern_search(
-        objective, domain, balls, best_off,
-        spacing * math.sqrt(objective.dim))
+        objective, domain, balls, best_off, 2.0 * rho)
     nodes += used
     _check_budget(objective, domain, tol, nodes)
     return ScanResult(value=value, offset=offset, nodes=int(nodes.sum()))
+
+
+def _first_count(objective, domain) -> int:
+    """Cells per axis of a scan's first level: N = ceil(1/h0), doubled until
+    the spacing meets the domain's bound."""
+    count = math.ceil(1.0 / objective.h0)
+    need = math.ceil(1.0 / domain.max_spacing(objective.h0))
+    while count < need:
+        count *= 2
+    return count
+
+
+def _box(size: int, dim: int) -> np.ndarray:
+    """The size^dim index vectors of a box, row-major; (size^dim, dim)."""
+    axis = np.arange(size)
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
 
 
 def _ball_name(objective, domain, b: int) -> str:
@@ -334,74 +382,100 @@ def _check_budget(objective, domain, tol, nodes):
         )
 
 
-def _level_bounds(objective, xs, inv, owner, offsets, rho):
-    """objective.cell_bounds of a level's cells, in chunks of at most
-    spectrum.PHASE_BLOCK cells x modes, from per-axis tables built once per
-    level (each ball's center phase folded into its axis-0 rows)."""
+def _level_bounds(objective, coords, count, inv, rho):
+    """objective.cell_bounds of the cells of index coords[a][inv[p, a]] on
+    the lattice of count cells per axis, in chunks of at most
+    spectrum.PHASE_BLOCK cells x modes, from per-axis tables of the indices
+    reduced mod count, built once per level."""
     spec = objective.spec
-    tables = [axis_phases(spec, x, a) for a, x in enumerate(xs)]
-    tables[0] *= objective.shifts[owner]
+    tables = [axis_phases(spec, (np.mod(c, count) + 0.5) / count, a)
+              for a, c in enumerate(coords)]
     vals, ubs = np.empty(len(inv)), np.empty(len(inv))
     for part in phase_blocks(len(inv), spec):
         vals[part], ubs[part] = objective.cell_bounds(
-            lattice_phases(tables, inv[part]), offsets[part], rho)
+            lattice_phases(tables, inv[part]), rho)
     return vals, ubs
 
 
-def _lockstep(objective, domain, tol, balls, best, best_off, nodes):
-    """Branch-and-bound of the given balls in lockstep, updating their
+def _torus_level(objective, count, rho):
+    """objective.cell_bounds of every cell of the torus level of count cells
+    per axis, in row-major order of the cell indices."""
+    return _level_bounds(objective, [np.arange(count)] * objective.dim, count,
+                         _box(count, objective.dim), rho)
+
+
+def _lockstep(objective, domain, tol, balls, lows, size, count, rho,
+              table, best, best_off, nodes):
+    """Branch-and-bound of the given balls in lockstep from their windows
+    (first cells lows, size cells per axis) on the first level of count
+    cells per axis, reading that level from table, the torus level's
+    cell_bounds in row-major order, when there is one. Updates the balls'
     entries of best, best_off (each ball's best cell center inside the
     domain) and nodes (arrays over all balls) in place."""
     dim = objective.dim
-    count, spacing, origin = domain.initial_lattice(objective.h0)
-    rho = spacing * math.sqrt(dim) / 2.0
-    # cell p has lattice index coords[a][inv[p, a]] on axis a and belongs
-    # to ball owner[inv[p, 0]]; cells stay sorted by ball
-    axis = np.arange(count)
-    coords = [np.tile(axis, len(balls))] + [axis] * (dim - 1)
-    owner = np.repeat(balls, count)
-    cells = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
-    inv = np.tile(cells.reshape(-1, dim), (len(balls), 1))
-    inv[:, 0] += np.repeat(count * np.arange(len(balls)), count**dim)
+    # cell p has the unwrapped lattice index coords[a][inv[p, a]] on axis a
+    # and belongs to ball owner[a][inv[p, a]] on every axis: each axis keeps
+    # its indices per ball, and cells stay sorted by ball
+    coords = [(lows[:, a, None] + np.arange(size)).ravel()
+              for a in range(dim)]
+    owner = [np.repeat(balls, size)] * dim
+    inv = np.tile(_box(size, dim), (len(balls), 1))
+    inv += np.repeat(size * np.arange(len(balls)), size**dim)[:, None]
     bits = np.array(list(product((0, 1), repeat=dim)))
 
     while True:
-        xs = [(c + 0.5) * spacing + origin for c in coords]
-        offsets = np.stack([xs[a][inv[:, a]] for a in range(dim)], axis=-1)
-        norms = np.sqrt(np.einsum("pa,pa->p", offsets, offsets))
+        # per-axis offsets of the index rows from their balls' centers
+        xs = [(coords[a] + 0.5) / count - objective.centers[owner[a], a]
+              for a in range(dim)]
+        norms = np.zeros(len(inv))
+        for a in range(dim):
+            norms += (xs[a] * xs[a])[inv[:, a]]
+        norms = np.sqrt(norms)
         band = domain.band_mask(norms, rho)
-        inv, offsets, norms = inv[band], offsets[band], norms[band]
+        inv, norms = inv[band], norms[band]
         del band  # phase chunks set the peak: hold no more through them
         if len(inv) == 0:
             break
-        nodes += np.bincount(owner[inv[:, 0]], minlength=len(nodes))
+        ball = owner[0][inv[:, 0]]
+        counts = np.bincount(ball, minlength=len(nodes))
+        nodes += counts
         _check_budget(objective, domain, tol, nodes)
-        vals, ubs = _level_bounds(objective, xs, inv, owner, offsets, rho)
-        ball = owner[inv[:, 0]]
-        # each ball's first best cell inside the domain: segment k of the
-        # cells (sorted by ball) is the k-th ball present
-        starts = np.r_[True, ball[1:] != ball[:-1]]
-        seg = np.cumsum(starts) - 1
+        if table is None:
+            vals, ubs = _level_bounds(objective, coords, count, inv, rho)
+        else:
+            flat = np.mod(coords[0], count)[inv[:, 0]]
+            for a in range(1, dim):
+                flat = flat * count + np.mod(coords[a], count)[inv[:, a]]
+            vals, ubs = table[0][flat], table[1][flat]
+            table = None  # the torus table holds the first level only
+        vals, ubs = objective.ball_bounds(vals, ubs, norms, rho)
+        # each present ball's first best cell inside the domain, from its
+        # segment of the cells (sorted by ball)
+        present = np.flatnonzero(counts)
+        heads = np.cumsum(counts[present]) - counts[present]
         inner = np.where(domain.contains(norms), vals, -math.inf)
-        top = np.maximum.reduceat(inner, np.flatnonzero(starts))
-        hits = np.flatnonzero(inner == top[seg])
-        first = hits[np.r_[True, seg[hits[1:]] != seg[hits[:-1]]]]
-        gain = first[top > best[ball[first]]]
-        best[ball[gain]], best_off[ball[gain]] = vals[gain], offsets[gain]
+        top = np.full(len(nodes), -math.inf)
+        top[present] = np.maximum.reduceat(inner, heads)
+        hits = np.flatnonzero(inner == top[ball])
+        first = hits[np.searchsorted(ball[hits], present)]
+        gain = first[top[present] > best[present]]
+        best[ball[gain]] = vals[gain]
+        best_off[ball[gain]] = np.stack([xs[a][inv[gain, a]]
+                                         for a in range(dim)], axis=-1)
         threshold = np.where(best > 0, best * (1.0 + tol), best)
         inv = inv[ubs > threshold[ball]]
         # the next level's phase chunks set the peak: free this level's
-        del vals, ubs, ball, starts, seg, inner, hits, first, gain, threshold
-        # children 2i + {0, 1} per axis, tables kept to the used coordinates
+        del vals, ubs, ball, norms, counts, present, heads, inner, top, \
+            hits, first, gain, threshold
+        # children 2i + {0, 1} per axis, indices kept to the used ones
         for a in range(dim):
             used = np.zeros(len(coords[a]), dtype=bool)
             used[inv[:, a]] = True
             coords[a] = (2 * coords[a][used][:, None] + (0, 1)).ravel()
-            if a == 0:
-                owner = np.repeat(owner[used], 2)
+            owner[a] = np.repeat(owner[a][used], 2)
             inv[:, a] = 2 * (np.cumsum(used) - 1)[inv[:, a]]
         inv = (inv[:, None, :] + bits[None, :, :]).reshape(-1, dim)
-        spacing *= 0.5
+        count *= 2
         rho *= 0.5
     lost = balls[np.isnan(best_off[balls, 0])]
     if len(lost):

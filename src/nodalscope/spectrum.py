@@ -258,8 +258,8 @@ def lattice_phases(tables, inv) -> np.ndarray:
     from the per-axis tables (axis_phases over coords[a]).
 
     Row inv[p, a] of each table, multiplied across axes: a complex product
-    per (offset, mode, axis). The scan folds the phases exp(2 pi i k_j . x_b)
-    of each ball's center into the axis-0 rows of that ball's coordinates.
+    per (offset, mode, axis). The scan's coordinates are absolute lattice
+    points, so a row depends on its cell alone.
     """
     phases = tables[0][inv[:, 0]]
     for a in range(1, len(tables)):

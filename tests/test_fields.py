@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalscope import scan, spectrum
-from nodalscope.errors import BudgetError, EmbeddedBallError
+from nodalscope.errors import BudgetError, EmbeddedBallError, ScaleRangeError
 from nodalscope.fields import (
     DEFAULT_TOL,
     MassEvaluator,
@@ -66,6 +66,10 @@ def test_sup_on_annulus(sin1):
     )
     with pytest.raises(EmbeddedBallError):
         sup_on_annulus(sin1, (0, 0), 0.1, 0.6)
+    # a band needs 0 <= lo < hi
+    for lo, hi in ((0.2, 0.1), (-0.1, 0.2), (0.1, 0.1)):
+        with pytest.raises(ScaleRangeError):
+            sup_on_annulus(sin1, (0, 0), lo, hi)
 
 
 def test_sup_monotone_in_radius(rand25):
@@ -228,29 +232,27 @@ def test_sup_radius_guard(rand25, name, s):
         BALL_SUPS[name](rand25, (0, 0), s)
 
 
-@pytest.mark.parametrize("name", sorted(BALL_SUPS))
-@pytest.mark.parametrize("dim,m,s", [(2, 1105, 0.02), (3, 50, 0.03)])
+# (dim, m, s, sup): small balls on T^2 and T^3 for every ball sup, and
+# balls of radius 0.3 whose eight windows (about 15k cells each) hold more
+# cells than the torus's first level (40k), so that a batch reads its first
+# level from the torus table while a single call evaluates its own cells
+BATCH_CASES = ([(*case, name) for case in ((2, 1105, 0.02), (3, 50, 0.03))
+                for name in sorted(BALL_SUPS)]
+               + [(2, 1105, 0.3, "psi2"), (2, 1105, 0.3, "lifted")])
+
+
+@pytest.mark.parametrize("dim,m,s,name", BATCH_CASES)
 def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     # a ball's sup does not depend on the balls that share its lockstep
     # scan: a cover scanned whole, shuffled and split in two, and in
-    # lockstep groups of one or two balls (levels built in several chunks)
-    # gives every ball its own single-center value bit for bit; the groups
-    # of one scan share a single polish
+    # lockstep groups of one or two balls (levels and the torus table built
+    # in several chunks) gives every ball its own single-center value bit
+    # for bit, whichever route evaluated its first level; the groups of one
+    # scan share a single polish
     sup = BALL_SUPS[name]
     spec = random_eigenfunction(m, TorusModel(dim), 4)
     centers = generate_cover(0.25, spec.model).centers[:8]
-    single = np.array([sup(spec, c, s, 1e-2) for c in centers])
-    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
-    order = np.random.default_rng(dim).permutation(len(centers))
-    parts = np.split(centers[order], [3])
-    assert np.array_equal(
-        np.concatenate([sup(spec, part, s, 1e-2) for part in parts]),
-        single[order])
-    count = scan.RadialDomain(0.0, s).initial_lattice(
-        scan.SpectralObjective(spec, centers[0], 0.0, 1.0).h0)[0]
-    monkeypatch.setattr(spectrum, "PHASE_BLOCK",
-                        2 * count**dim * spec.n_modes)
-    calls = {"pattern_search": 0, "_lockstep": 0}
+    calls = {"pattern_search": 0, "_lockstep": 0, "_torus_level": 0}
 
     def counted(attr):
         inner = getattr(scan, attr)
@@ -262,8 +264,27 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
 
     for fn in calls:
         monkeypatch.setattr(scan, fn, counted(fn))
+    single = np.array([sup(spec, c, s, 1e-2) for c in centers])
+    assert calls["_torus_level"] == 0
+    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    shared = int(s == 0.3)
+    assert calls["_torus_level"] == shared
+    order = np.random.default_rng(dim).permutation(len(centers))
+    parts = np.split(centers[order], [3])
+    assert np.array_equal(
+        np.concatenate([sup(spec, part, s, 1e-2) for part in parts]),
+        single[order])
+    assert calls["_torus_level"] == 3 * shared
+    obj = scan.SpectralObjective(spec, centers[0], 0.0, 1.0)
+    domain = scan.RadialDomain(0.0, s)
+    size = domain.window(obj.centers, scan._first_count(obj, domain))[1]
+    # two windows' children per group: four groups of two balls
+    monkeypatch.setattr(spectrum, "PHASE_BLOCK", 2 * size**dim * 2**dim)
+    for fn in calls:
+        calls[fn] = 0
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
     assert calls["pattern_search"] == 1 and calls["_lockstep"] >= 4
+    assert calls["_torus_level"] == shared
 
 
 def test_boundary_maxima_in_a_batch(sin1):

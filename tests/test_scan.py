@@ -49,12 +49,22 @@ def _cells(idx, spacing, origin):
     return coords, inv, offsets
 
 
-def _lattice_phases(spec, coords, inv, shift):
-    """lattice_phases of the cells, the center phases shift folded into the
-    axis-0 table as the scan folds them."""
-    tables = [axis_phases(spec, x, a) for a, x in enumerate(coords)]
-    tables[0] = tables[0] * shift
+def _lattice_phases(spec, center, coords, inv):
+    """lattice_phases of the cells at center + offsets, from per-axis tables
+    of their absolute coordinates, as the scan builds them."""
+    tables = [axis_phases(spec, center[a] + x, a)
+              for a, x in enumerate(coords)]
     return lattice_phases(tables, inv)
+
+
+def _bounds(obj, center, cells, rho):
+    """obj's cell values and bounds over the cells (coords, inv, offsets)
+    around center, as certified_max makes them: cell_bounds from the cells'
+    phases, then the ball's factor at the offsets' norms."""
+    coords, inv, offsets = cells
+    vals, ubs = obj.cell_bounds(_lattice_phases(obj.spec, center, coords,
+                                                inv), rho)
+    return obj.ball_bounds(vals, ubs, np.linalg.norm(offsets, axis=-1), rho)
 
 
 def _lattice(rng, dim, spacing, origin, count=300):
@@ -72,8 +82,7 @@ def test_lattice_kernel_matches_pointwise(dim, m):
     center = rng.random(dim)
     coords, inv, offsets = _lattice(rng, dim, 1.7e-3, -0.05)
     x = center + offsets
-    parts = mode_sum(_lattice_phases(spec, coords, inv,
-                                     point_phases(spec, center[None])),
+    parts = mode_sum(_lattice_phases(spec, center, coords, inv),
                      mode_weights(spec, 2))
     scale = spec.coeff_l1()
     freq = 2 * math.pi * math.sqrt(m)
@@ -114,14 +123,14 @@ def test_objective_values_and_slopes(name, dim, m):
     rng = np.random.default_rng(dim + 7)
     center = rng.random(dim)
     obj = make(spec, center)
-    coords, inv, offsets = _lattice(rng, dim, 1.3e-3, -0.05)
+    cells = _lattice(rng, dim, 1.3e-3, -0.05)
+    offsets = cells[2]
     x = center + offsets
     psi = evaluate(spec, x)
     g = evaluate_gradient(spec, x)
     f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
 
-    phases = _lattice_phases(spec, coords, inv, obj.shifts)
-    vals, ubs = obj.cell_bounds(phases, offsets, 1e-3)
+    vals, ubs = _bounds(obj, center, cells, 1e-3)
     pointwise = obj.values(offsets, 0)
     factor = 1.0
     if name == "lifted":
@@ -193,17 +202,25 @@ def test_certified_max_budget_errors(rand100, monkeypatch):
 
 
 def test_derived_constants(rand100):
-    # the Taylor remainders D2 = lambda A1 and D3 = lambda^(3/2) A1 bound
-    # ||D^2 psi|| and ||D^3 psi|| for every objective; h0 is 1/(6 sqrt m)
-    # for psi^2 and 1/(8 sqrt m) once the gradient enters
+    # the Taylor remainder D3 = lambda^(3/2) A1 bounds ||D^3 psi|| for every
+    # objective; h0 is 1/(6 sqrt m) for psi^2 and 1/(8 sqrt m) once the
+    # gradient enters
     lam, a1, root_m = rand100.lam, rand100.coeff_l1(), math.sqrt(100)
     center = np.array([0.1, 0.2])
     divs = {"amplitude": 6.0, "gradient": 8.0, "energy": 8.0, "lifted": 6.0}
     for name, div in divs.items():
         obj = OBJECTIVES[name][0](rand100, center)
-        assert obj.d2 == pytest.approx(lam * a1, rel=1e-15)
         assert obj.d3 == pytest.approx(lam**1.5 * a1, rel=1e-15)
         assert obj.h0 == 1.0 / (div * root_m)
+    # where psi, grad psi and H vanish (all phases 0 stand in for such a
+    # cell), the psi^2 bound is the order-2 remainder alone, (D3 rho^3/6)^2
+    obj = OBJECTIVES["amplitude"][0](rand100, center)
+    for rho in (1e-3, 0.01, 0.05):
+        vals, ubs = obj.cell_bounds(np.zeros((1, rand100.n_modes), complex),
+                                    rho)
+        assert vals[0] == 0.0
+        assert ubs[0] == pytest.approx((lam**1.5 * a1 * rho**3 / 6) ** 2,
+                                       rel=1e-14)
 
 
 def _on_diagonal_mode(dim):
@@ -224,10 +241,12 @@ def _cell_samples(spacing, dim, per_axis=5):
 @pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
 def test_cell_bound_dominates_samples(name, dim, m):
     # each cell's upper bound is at least the objective's largest value on
-    # dense samples inside the cell: on random waves, and on the diagonal
-    # single mode with cells centered on zeros of psi (index sum 0) and of
-    # |grad psi| (index sum 100 at spacing 1/400, where k.x = 1/4), where
-    # the slope vanishes and the rho^2 term alone must cover the cell
+    # dense samples inside the cell: on random waves, at half the Nyquist
+    # spacing and at the first level's spacing 1/N, the largest cells a scan
+    # bounds; and on the diagonal single mode with cells centered on zeros
+    # of psi (index sum 0) and of |grad psi| (index sum 100 at spacing
+    # 1/400, where k.x = 1/4), where the slope vanishes and the higher-order
+    # terms alone must cover the cell
     make = OBJECTIVES[name][0]
     rng = np.random.default_rng(dim + 3)
     wave = random_eigenfunction(m, TorusModel(dim), 11)
@@ -241,12 +260,14 @@ def test_cell_bound_dominates_samples(name, dim, m):
     ])
     cases.append((_on_diagonal_mode(dim), np.zeros(dim),
                   _cells(idx, 1 / 400, -0.5 / 400), 1 / 400))
-    for spec, center, (coords, inv, offsets), h in cases:
+    first = 1.0 / math.ceil(1.0 / make(wave, np.zeros(dim)).h0)
+    cases.append((wave, rng.random(dim), _lattice(rng, dim, first, -0.05),
+                   first))
+    for spec, center, cells, h in cases:
         obj = make(spec, center)
+        offsets = cells[2]
         rho = h * math.sqrt(dim) / 2
-        vals, ubs = obj.cell_bounds(_lattice_phases(spec, coords, inv,
-                                                    obj.shifts),
-                                    offsets, rho)
+        vals, ubs = _bounds(obj, center, cells, rho)
         samples = _cell_samples(h, dim)
         pts = (offsets[:, None, :] + samples[None, :, :]).reshape(-1, dim)
         dense = obj.values(pts, 0).reshape(len(offsets), -1).max(axis=1)
