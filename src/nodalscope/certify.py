@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HypothesisFailedError, ScaleRangeError
 from .fields import MassEvaluator
-from .geometry import TorusModel, generate_cover
+from .geometry import TorusModel, euclidean_ball_volume, generate_cover
 from .spectrum import EigenfunctionSpec
 
 __all__ = [
@@ -44,16 +44,12 @@ DYADIC_RADII = tuple(0.25 / 2**j for j in range(8))  # largest_admissible_r
 ALPHA_GRID = (0.51, 0.6, 0.7, 0.8, 0.9, 1.0)  # eq2 exponents, all > 1/2
 
 
-def _unit_ball_volume(n: int) -> float:
-    return math.pi if n == 2 else (4.0 / 3.0) * math.pi
-
-
 def default_k1(model: TorusModel) -> float:
-    return 0.5 * _unit_ball_volume(model.dim)
+    return 0.5 * euclidean_ball_volume(1.0, model.dim)
 
 
 def default_k2(model: TorusModel) -> float:
-    return 2.0 * _unit_ball_volume(model.dim)
+    return 2.0 * euclidean_ball_volume(1.0, model.dim)
 
 
 @dataclass

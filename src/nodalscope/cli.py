@@ -36,7 +36,7 @@ from .harness import (
     member_nodal_stats,
     run_family_report,
 )
-from .nodal import extract_nodal, find_singular_points
+from .nodal import extract_nodal, find_singular_points, member_resolution
 from .spectrum import random_eigenfunction, spec_from_json, spec_to_json
 
 
@@ -107,6 +107,8 @@ def cmd_certify(args) -> int:
 
 def cmd_nodal(args) -> int:
     spec = _load_spec(args.spec)
+    if args.grid is None:  # resolved before hashing: the hash names N
+        args.grid = member_resolution(spec.m)
     ns = extract_nodal(spec, args.grid)
     points = find_singular_points(spec, args.grid)
     digest = config_hash(_config_payload(args, ["grid"],
@@ -166,12 +168,9 @@ def cmd_report(args) -> int:
     paths = manifest.get("specs") if isinstance(manifest, dict) else None
     if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
         raise ManifestError("manifest has no list of spec paths under 'specs'")
-    config = ReportConfig(
-        beta=manifest.get("beta", 0.01),
-        kappa=manifest.get("kappa", 1.0),
-    )
-    for key in ("beta", "kappa"):
-        value = getattr(config, key)
+    overrides = {key: manifest[key] for key in ("beta", "kappa")
+                 if key in manifest}
+    for key, value in overrides.items():
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except (TypeError, OverflowError):  # not a number, or no float
@@ -179,6 +178,7 @@ def cmd_report(args) -> int:
         if not finite:
             raise ManifestError(f"manifest {key} is not a finite number: "
                                 f"{value!r:.40}")
+    config = ReportConfig(**overrides)
     specs = [_load_spec(p) for p in paths]
     if any(spec.model.dim != 2 for spec in specs):
         raise DimensionError("report needs 2-D specs")
@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nodal", help="extract the nodal set")
     p.add_argument("--spec", required=True)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=None,
+                   help="grid N (default: report's, member_resolution)")
     p.set_defaults(func=cmd_nodal)
 
     p = sub.add_parser("doubling", help="doubling-index scan")
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="family bounds report")
     p.add_argument("--manifest", required=True,
-                   help="JSON file: {\"specs\": [paths...], \"beta\": 0.01}")
+                   help='{"specs": [paths...]}, optional "beta" and "kappa"')
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateBallError, ScaleRangeError
 from .fields import DEFAULT_TOL, q_on_ball, sup_on_ball
-from .geometry import generate_cover, wrap_point
+from .geometry import member_cover
 from .spectrum import EigenfunctionSpec
 
 __all__ = [
@@ -58,7 +58,6 @@ def doubling_index_sup(spec: EigenfunctionSpec, x, delta: float,
     """log(sup_{B_2delta}|psi|^2 / sup_{B_delta}|psi|^2); >= 0 up to tol."""
     if not 0.0 < 2.0 * delta <= 0.5:
         raise ScaleRangeError(f"need 0 < 2*delta <= 1/2, got delta={delta}")
-    x = wrap_point(x)
     num = sup_on_ball(spec, x, 2.0 * delta, tol)
     den = sup_on_ball(spec, x, delta, tol)
     return _log_ratio(num, den)
@@ -79,7 +78,6 @@ def q_growth_ratio(spec: EigenfunctionSpec, x, s: float,
             "q growth ratio at s=%.4g below lambda^(-1/2)=%.4g: outside the "
             "growth-bound range", s, spec.lam ** -0.5,
         )
-    x = wrap_point(x)
     num = q_on_ball(spec, x, 4.0 * s, tol)
     den = q_on_ball(spec, x, s, tol)
     if den < _DENOM_FLOOR:
@@ -110,7 +108,7 @@ def lower_bound_check(spec: EigenfunctionSpec, x, delta: float, r: float,
     """sup_{B_delta}|psi|^2 >= (r/delta)^(-c r sqrt(lambda))?"""
     if not 0.0 < delta < r / 2.0:
         raise ScaleRangeError(f"need delta in (0, r/2), got {delta}")
-    sup = sup_on_ball(spec, wrap_point(x), delta, tol)
+    sup = sup_on_ball(spec, x, delta, tol)
     rhs = (r / delta) ** (-c * r * math.sqrt(spec.lam))
     return sup >= rhs
 
@@ -145,7 +143,7 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
     model = spec.model
     deltas = default_scale_sweep(spec.lam, r)
     if centers is None:
-        centers = generate_cover(min(r, 0.25), model).centers
+        centers = member_cover(r, model).centers
     centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
     sups = {s: sup_on_ball(spec, centers, s, tol)
             for s in sorted({s for d in deltas for s in (d, 2.0 * d)})}

@@ -20,8 +20,8 @@ import math
 import numpy as np
 from scipy.special import j1
 
-from .errors import BudgetError, EmbeddedBallError, ScaleRangeError
-from .geometry import wrap_point
+from .errors import BudgetError, ScaleRangeError
+from .geometry import ball_volume, embedded_radius, index_box, wrap_point
 from .scan import (
     LiftedSquared,
     RadialDomain,
@@ -32,7 +32,6 @@ from .scan import (
 from .spectrum import EigenfunctionSpec, phase_blocks, point_phases
 
 __all__ = [
-    "nyquist_resolution",
     "sup_on_ball",
     "sup_on_annulus",
     "l2_on_ball",
@@ -48,11 +47,6 @@ ENSEMBLE_SUP_TOL = 1e-2   # sup tolerance of ensemble and lifted scans
 MAX_QUAD_POINTS = 40_000_000
 
 
-def nyquist_resolution(m: int) -> int:
-    """Minimum admissible grid resolution 2*ceil(sqrt(m)) + 2."""
-    return 2 * math.ceil(math.sqrt(m)) + 2
-
-
 def _sups(result, center):
     """The scan's sups: a float for one center (n,), else an array (B,)."""
     return float(result.value[0]) if np.ndim(center) == 1 else result.value
@@ -61,9 +55,7 @@ def _sups(result, center):
 def _ball(s: float) -> RadialDomain:
     """The closed ball of radius s as a scan domain; only 0 < s <= 1/2
     embeds in the unit torus."""
-    if not 0.0 < s <= 0.5:
-        raise EmbeddedBallError(f"ball radius {s} outside (0, 1/2]")
-    return RadialDomain(0.0, s)
+    return RadialDomain(0.0, embedded_radius(s))
 
 
 def _sup(spec: EigenfunctionSpec, center, domain, tol: float,
@@ -88,10 +80,9 @@ def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
 def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
                    tol: float = DEFAULT_TOL) -> float:
     """sup of |psi|^2 over the closed annulus lo <= d(y, center) <= hi.
-    Raises EmbeddedBallError when hi > 1/2 and ScaleRangeError unless
-    0 <= lo < hi."""
-    if hi > 0.5:
-        raise EmbeddedBallError(f"annulus outer radius {hi} > 1/2")
+    Raises EmbeddedBallError unless 0 < hi <= 1/2 and ScaleRangeError
+    unless 0 <= lo < hi."""
+    embedded_radius(hi)
     if not 0.0 <= lo < hi:
         raise ScaleRangeError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
     return _sup(spec, center, RadialDomain(lo, hi), tol)
@@ -161,8 +152,7 @@ def _ball_quadrature(f, center, r: float, h: float, dim: int) -> float:
             f"ball quadrature needs {count**dim} points (> {MAX_QUAD_POINTS})"
         )
     axis = (np.arange(count) + 0.5) * h - r
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    offsets = np.stack(mesh, axis=-1).reshape(-1, dim)
+    offsets = axis[index_box(count, dim)]
     dist = np.linalg.norm(offsets, axis=-1)
     half_diag = 0.5 * h * math.sqrt(dim)
     inner = dist <= r - half_diag
@@ -173,8 +163,7 @@ def _ball_quadrature(f, center, r: float, h: float, dim: int) -> float:
     if np.any(boundary):
         boff = offsets[boundary]
         sub = (np.arange(4) + 0.5) * (h / 4.0) - h / 2.0
-        smesh = np.meshgrid(*([sub] * dim), indexing="ij")
-        soff = np.stack(smesh, axis=-1).reshape(-1, dim)  # (4^n, dim)
+        soff = sub[index_box(4, dim)]  # (4^n, dim)
         pts = boff[:, None, :] + soff[None, :, :]
         margins = r - np.linalg.norm(pts, axis=-1)
         frac = np.clip(0.5 + margins / (h / 4.0), 0.0, 1.0)
@@ -192,8 +181,7 @@ def l2_on_ball(spec: EigenfunctionSpec | None, center, r: float,
     (test hook, e.g. the constant unit field); otherwise the spec's |psi|^2
     is integrated. Result clipped to [0, 1 + tol] for spec fields.
     """
-    if not 0.0 < r <= 0.5:
-        raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
+    embedded_radius(r)
     center = wrap_point(center)
     if field is None:
         if spec is None:
@@ -233,13 +221,11 @@ class MassEvaluator:
     def _ball_transform(self, q: np.ndarray, r: float) -> np.ndarray:
         out = np.empty_like(q)
         zero = q < 1e-12
+        out[zero] = ball_volume(r, self.spec.model)
+        qs = q[~zero]
         if self.spec.model.dim == 2:
-            out[zero] = math.pi * r * r
-            qs = q[~zero]
             out[~zero] = r * j1(2.0 * math.pi * qs * r) / qs
         else:
-            out[zero] = (4.0 / 3.0) * math.pi * r**3
-            qs = q[~zero]
             z = 2.0 * math.pi * qs * r
             out[~zero] = (np.sin(z) - z * np.cos(z)) / (
                 2.0 * math.pi**2 * qs**3
@@ -250,8 +236,7 @@ class MassEvaluator:
         return float(self.mass_many(np.atleast_2d(center), r)[0])
 
     def mass_many(self, centers: np.ndarray, r: float) -> np.ndarray:
-        if not 0.0 < r <= 0.5:
-            raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
+        embedded_radius(r)
         # with v = X + iY: Re[v^T S v + v^H D v] = X(S + D)X^T + Y(D - S)Y^T
         s = self._ball_transform(self.sum_norms, r)
         d = self._ball_transform(self.diff_norms, r)

@@ -7,7 +7,7 @@ probe grid and stored with the cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 import math
 
@@ -21,8 +21,12 @@ __all__ = [
     "CoverSet",
     "wrap_point",
     "geodesic_distance",
+    "embedded_radius",
+    "euclidean_ball_volume",
     "ball_volume",
+    "index_box",
     "generate_cover",
+    "member_cover",
     "overlap_multiplicity",
 ]
 
@@ -63,13 +67,30 @@ def min_image(delta) -> np.ndarray:
     return delta - np.round(delta)
 
 
-def ball_volume(r: float, model: TorusModel) -> float:
-    """Volume of the embedded geodesic ball: pi r^2 (n=2), (4/3) pi r^3 (n=3)."""
+def embedded_radius(r: float) -> float:
+    """r, when the geodesic ball of radius r embeds in the unit torus
+    (0 < r <= 1/2); raises EmbeddedBallError otherwise."""
     if not 0.0 < r <= 0.5:
-        raise EmbeddedBallError(f"ball radius {r} outside embedded range (0, 1/2]")
-    if model.dim == 2:
+        raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
+    return r
+
+
+def euclidean_ball_volume(r: float, dim: int) -> float:
+    """pi r^2 (n=2), (4/3) pi r^3 (n=3), for any r >= 0."""
+    if dim == 2:
         return math.pi * r * r
     return (4.0 / 3.0) * math.pi * r**3
+
+
+def ball_volume(r: float, model: TorusModel) -> float:
+    """Volume of the embedded geodesic ball of radius r."""
+    return euclidean_ball_volume(embedded_radius(r), model.dim)
+
+
+def index_box(size: int, dim: int) -> np.ndarray:
+    """The (size^dim, dim) integer index vectors of a box, row-major."""
+    mesh = np.meshgrid(*[np.arange(size)] * dim, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -92,21 +113,13 @@ def _grid_axis_count(r: float, dim: int) -> int:
     return 2 * math.ceil(math.sqrt(dim) / (2.0 * r))
 
 
-def _grid_centers(K: int, dim: int) -> np.ndarray:
-    axes = [np.arange(K) / K] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-
 @lru_cache(maxsize=64)
 def _cached_cover(r: float, dim: int) -> CoverSet:
     K = _grid_axis_count(r, dim)
-    centers = _grid_centers(K, dim)
-    cover = CoverSet(radius=r, centers=centers, overlap_bound=0, grid_axis_count=K)
-    bound = overlap_multiplicity(cover, TorusModel(dim))
-    return CoverSet(
-        radius=r, centers=centers, overlap_bound=bound, grid_axis_count=K
-    )
+    cover = CoverSet(radius=r, centers=index_box(K, dim) / K,
+                     overlap_bound=0, grid_axis_count=K)
+    return replace(cover,
+                   overlap_bound=overlap_multiplicity(cover, TorusModel(dim)))
 
 
 def generate_cover(r: float, model: TorusModel) -> CoverSet:
@@ -118,6 +131,11 @@ def generate_cover(r: float, model: TorusModel) -> CoverSet:
     if not 0.0 < r <= 0.25:
         raise CoverRadiusError(f"cover radius {r} outside (0, 1/4]")
     return _cached_cover(float(r), model.dim)
+
+
+def member_cover(r: float, model: TorusModel) -> CoverSet:
+    """The cover a member certified at radius r is measured on: min(r, 1/4)."""
+    return generate_cover(min(r, 0.25), model)
 
 
 _PROBE_MIN = 512  # probe-grid density per axis for overlap measurement
@@ -138,24 +156,18 @@ def overlap_multiplicity(cover: CoverSet, model: TorusModel) -> int:
     if K is not None and len(centers) == K**n:
         c = math.ceil(_PROBE_MIN / K)
         P = K * c
-        axes = [np.arange(c) / P] * n
     else:
-        P = _PROBE_MIN
-        axes = [np.arange(P) / P] * n
+        P = c = _PROBE_MIN
     best = 0
-    # chunk along the first axis to bound memory for n=3 brute-force probes
-    first = axes[0]
-    rest = axes[1:]
-    mesh_rest = np.meshgrid(*rest, indexing="ij") if rest else []
-    rest_flat = [m.reshape(-1) for m in mesh_rest]
-    n_rest = rest_flat[0].size if rest_flat else 1
-    chunk = max(1, int(2e6) // max(n_rest, 1))
-    for i0 in range(0, len(first), chunk):
+    # the probes are index_box(c, n) / P, taken in chunks along the first
+    # axis to bound memory for n=3 brute-force probes
+    first = np.arange(c) / P
+    rest = index_box(c, n - 1) / P
+    chunk = max(1, int(2e6) // len(rest))
+    for i0 in range(0, c, chunk):
         sub = first[i0 : i0 + chunk]
-        pts = np.empty((len(sub) * n_rest, n))
-        pts[:, 0] = np.repeat(sub, n_rest)
-        for d, vals in enumerate(rest_flat):
-            pts[:, d + 1] = np.tile(vals, len(sub))
+        pts = np.column_stack([np.repeat(sub, len(rest)),
+                               np.tile(rest, (len(sub), 1))])
         counts = tree.query_ball_point(pts, r2, return_length=True)
         best = max(best, int(counts.max()))
     return best

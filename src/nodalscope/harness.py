@@ -26,15 +26,15 @@ from .certify import (
     largest_admissible_r,
 )
 from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
-from .fields import (
-    ENSEMBLE_SUP_TOL,
-    gradient_sup_global,
-    nyquist_resolution,
-    sup_global,
-)
-from .geometry import TorusModel, generate_cover
+from .fields import ENSEMBLE_SUP_TOL, gradient_sup_global, sup_global
+from .geometry import TorusModel, member_cover
 from .lift import CubeIndex, cube_doubling_index
-from .nodal import count_singular_in_balls, extract_nodal, find_singular_points
+from .nodal import (
+    count_singular_in_balls,
+    extract_nodal,
+    find_singular_points,
+    member_resolution,
+)
 from .spectrum import EigenfunctionSpec, random_eigenfunction
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 MAX_SEED = 4000
+MEMBERS_PER_M = 8  # certified seeds collect_certified_members returns
 
 
 @dataclass
@@ -74,28 +75,23 @@ def certified_member(spec: EigenfunctionSpec) -> EnsembleMember | None:
                           certificate=certify_equidistribution(spec, r))
 
 
-def collect_certified_members(m: int, model: TorusModel, count: int = 8):
-    """First `count` seeds (ascending) whose spec certifies at the default
-    thresholds and radius grid; pass fraction too.
+def collect_certified_members(m: int, model: TorusModel):
+    """First MEMBERS_PER_M seeds (ascending) whose spec certifies at the
+    default thresholds and radius grid; pass fraction too.
 
     Returns (members, pass_fraction) where pass_fraction is over the seeds
     scanned before the quota filled.
     """
     members = []
-    scanned = 0
     for seed in range(MAX_SEED):
-        scanned += 1
         member = certified_member(random_eigenfunction(m, model, seed))
         if member is not None:
             members.append(member)
-            if len(members) == count:
-                break
-    if len(members) < count:
-        raise RuntimeError(
-            f"only {len(members)}/{count} certified seeds for m={m} "
-            f"within {MAX_SEED} seeds"
-        )
-    return members, len(members) / scanned
+            if len(members) == MEMBERS_PER_M:
+                return members, len(members) / (seed + 1)
+    raise RuntimeError(
+        f"only {len(members)}/{MEMBERS_PER_M} certified seeds for m={m} "
+        f"within {MAX_SEED} seeds")
 
 
 def member_doubling(member: EnsembleMember) -> None:
@@ -107,11 +103,9 @@ def member_doubling(member: EnsembleMember) -> None:
 
 def member_nodal_stats(member: EnsembleMember) -> None:
     """Nodal length, max vanishing order, max per-ball singular count, on
-    the smallest grid N = 512 * 2^j that the extraction admits."""
+    the grid nodal.member_resolution and the balls geometry.member_cover."""
     spec = member.spec
-    N = 512
-    while N < 4 * nyquist_resolution(spec.m):
-        N *= 2
+    N = member_resolution(spec.m)
     ns = extract_nodal(spec, N)
     member.nodal_length = ns.length
     points = find_singular_points(spec, N)
@@ -119,7 +113,7 @@ def member_nodal_stats(member: EnsembleMember) -> None:
         [p.vanishing_order for p in points], default=1
     )
     if points:
-        centers = generate_cover(min(member.r, 0.25), spec.model).centers
+        centers = member_cover(member.r, spec.model).centers
         counts = count_singular_in_balls(points, member.r, spec.lam, centers)
         member.max_singular_count = max(counts)
     else:

@@ -13,15 +13,15 @@ an endpoint permutation, walked by scipy's compiled graph traversals.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
-components change sign nearby, in blocks of spectrum.PHASE_BLOCK starts x
-modes; each iteration takes grad psi and the Hessian from one mode sum over
-the phases at the points (the kernel the certified scan uses), the first
-from per-axis tables at the cell centers. A start stops once a Kantorovich
-certificate proves it cannot reach a zero of psi. A result counts when its
-residual max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of
-vanishing is exact: the first j whose derivative tensor D^j psi is not zero
-relative to ||c||_1 (2 pi sqrt(m))^j, its Frobenius norm read off a Gram
-quadratic form in the spec's modes, with no n^j tensor.
+components change sign nearby (one component's grid at a time), in blocks
+of spectrum.PHASE_BLOCK starts x modes; each iteration takes grad psi and
+the Hessian from one mode sum over the phases at the points (the kernel the
+certified scan uses), the first from per-axis tables at the cell centers.
+A start stops once a Kantorovich certificate proves it cannot reach a zero
+of psi. A result counts when its residual max(|psi|, |grad psi|) is below
+RESIDUAL_TOL. The order of vanishing is exact: the first j whose
+derivative tensor D^j psi is not zero relative to D_j (spec.derivative_bound),
+its Frobenius norm read off a Gram form in the spec's modes, no n^j tensor.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DimensionError, ResolutionError, ScaleRangeError
-from .fields import nyquist_resolution
 from .geometry import min_image, wrap_point
 from .spectrum import (
     TWO_PI,
     EigenfunctionSpec,
+    _grid_sum,
     axis_phases,
     evaluate,
-    evaluate_gradient_grid,
     evaluate_grid,
     lattice_phases,
     mode_sum,
@@ -51,6 +50,8 @@ from .spectrum import (
 )
 
 __all__ = [
+    "nyquist_resolution",
+    "member_resolution",
     "NodalSet",
     "SingularPoint",
     "extract_nodal",
@@ -106,6 +107,29 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray]:
 _PAIRS, _N_PAIRS = _pair_table()
 
 
+def nyquist_resolution(m: int) -> int:
+    """Nyquist grid resolution 2*ceil(sqrt(m)) + 2 of the modes |k|^2 = m."""
+    return 2 * math.ceil(math.sqrt(m)) + 2
+
+
+def _min_resolution(m: int) -> int:
+    """Smallest grid N the extraction and the singular search admit."""
+    return 4 * nyquist_resolution(m)
+
+
+def member_resolution(m: int) -> int:
+    """The grid members are measured on: the smallest 512 * 2^j that the
+    extraction admits."""
+    return 512 << ((_min_resolution(m) - 1) // 512).bit_length()
+
+
+def _check_grid(spec: EigenfunctionSpec, N: int, task: str) -> None:
+    if spec.model.dim != 2:
+        raise DimensionError(f"{task} is 2-D only")
+    if N < _min_resolution(spec.m):
+        raise ResolutionError(N, _min_resolution(spec.m))
+
+
 @dataclass
 class NodalSet:
     polylines: list          # list of (V, 2) vertex arrays, wrapped mod 1
@@ -152,11 +176,7 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     Segments come in row-major cell order, then pair order within a cell;
     crossing points are linear interpolants on the sign-change edges.
     """
-    if spec.model.dim != 2:
-        raise DimensionError("nodal extraction is 2-D only")
-    required = 4 * nyquist_resolution(spec.m)
-    if N < required:
-        raise ResolutionError(N, required)
+    _check_grid(spec, N, "nodal extraction")
     vals = _signed_grid(spec, N).ravel()
     h = 1.0 / N
     # node and cell indices below N^2, grid-edge ids below 2 N^2
@@ -322,7 +342,7 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
     """
     # columns: psi, d_x, d_y, d_xx, d_xy, d_yx, d_yy
     weights = mode_weights(spec, 2)
-    lip = spec.coeff_l1() * (TWO_PI * math.sqrt(spec.m)) ** 3
+    lip = spec.derivative_bound(3)
     floor = 2.0 * RESIDUAL_TOL + ZERO_TOL * spec.coeff_l1()
     coords = (np.arange(N) + 0.5) * (1.0 / N)
     tables = [axis_phases(spec, coords, a) for a in range(2)]
@@ -392,17 +412,15 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     cannot flip (its float coordinates can: points on one grid line tie
     up to rounding), each with its vanishing order.
     """
-    if spec.model.dim != 2:
-        raise DimensionError("singular-point search is 2-D only")
-    required = 4 * nyquist_resolution(spec.m)
-    if N < required:
-        raise ResolutionError(N, required)
+    _check_grid(spec, N, "singular-point search")
     h = 1.0 / N
     gate = _N_PAIRS[_cell_patterns(_signed_grid(spec, N))] > 0
-    grad = evaluate_gradient_grid(spec, N)
+    # spectrum.evaluate_gradient_grid's columns, one grid at a time
+    cols = (1j * TWO_PI) * spec.k * (spec.a - 1j * spec.b)[:, None]
     for d in range(2):
-        gate &= _dilate(grad[..., d] > 0.0) & _dilate(grad[..., d] < 0.0)
-    del grad
+        grad = _grid_sum(spec, N, cols[:, d, None])[..., 0]
+        gate &= _dilate(grad > 0.0) & _dilate(grad < 0.0)
+        del grad
     cells = np.argwhere(gate)
     del gate
     x, resid, dropped = _newton_singular(spec, cells, N)

@@ -60,12 +60,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import spectrum
 from .errors import BudgetError, LiftOverflowError
+from .geometry import index_box
 from .spectrum import (
     EigenfunctionSpec,
     axis_phases,
@@ -175,8 +175,8 @@ class SpectralObjective:
     values take psi and, when alpha != 0, grad psi. A cell's bound is
     beta U_psi^2 + alpha U_grad^2, U_psi the order-2 and U_grad the order-1
     Taylor enclosure of |psi| and |grad psi| on the cell's ball (module
-    docstring); d3 is their remainder constant D3 = lambda^(3/2) A1,
-    A1 = sum_l |c_l| the coefficient l1 norm. The first lattice has
+    docstring); d3 is their remainder constant D3 = lambda^(3/2) ||c||_1
+    (spec.derivative_bound(3)). The first lattice has
     N = ceil(1/h0) cells per axis.
     """
 
@@ -189,7 +189,7 @@ class SpectralObjective:
         self.beta = beta
         self.weights = mode_weights(spec, 2)
         self.point_weights = mode_weights(spec, 1 if alpha else 0)
-        self.d3 = spec.coeff_l1() * (2.0 * math.pi * math.sqrt(spec.m))**3
+        self.d3 = spec.derivative_bound(3)
         self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
     def _value(self, parts: np.ndarray) -> np.ndarray:
@@ -361,13 +361,6 @@ def _first_count(objective, domain) -> int:
     return count
 
 
-def _box(size: int, dim: int) -> np.ndarray:
-    """The size^dim index vectors of a box, row-major; (size^dim, dim)."""
-    axis = np.arange(size)
-    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
-                    axis=-1).reshape(-1, dim)
-
-
 def _ball_name(objective, domain, b: int) -> str:
     center = ", ".join(f"{c:g}" for c in objective.centers[b])
     return f"{domain} at center ({center})"
@@ -401,7 +394,7 @@ def _torus_level(objective, count, rho):
     """objective.cell_bounds of every cell of the torus level of count cells
     per axis, in row-major order of the cell indices."""
     return _level_bounds(objective, [np.arange(count)] * objective.dim, count,
-                         _box(count, objective.dim), rho)
+                         index_box(count, objective.dim), rho)
 
 
 def _lockstep(objective, domain, tol, balls, lows, size, count, rho,
@@ -419,9 +412,9 @@ def _lockstep(objective, domain, tol, balls, lows, size, count, rho,
     coords = [(lows[:, a, None] + np.arange(size)).ravel()
               for a in range(dim)]
     owner = [np.repeat(balls, size)] * dim
-    inv = np.tile(_box(size, dim), (len(balls), 1))
+    inv = np.tile(index_box(size, dim), (len(balls), 1))
     inv += np.repeat(size * np.arange(len(balls)), size**dim)[:, None]
-    bits = np.array(list(product((0, 1), repeat=dim)))
+    bits = index_box(2, dim)
 
     while True:
         # per-axis offsets of the index rows from their balls' centers

@@ -118,6 +118,10 @@ class EigenfunctionSpec:
         """sum_j sqrt(a_j^2 + b_j^2): bounds sup|psi|."""
         return float(np.sum(np.hypot(self.a, self.b)))
 
+    def derivative_bound(self, order: int) -> float:
+        """D_j = ||c||_1 (2 pi sqrt(m))^j bounds D^j psi (Makino-Berz 2003)."""
+        return self.coeff_l1() * (TWO_PI * math.sqrt(self.m)) ** order
+
 
 def random_eigenfunction(m: int, model: TorusModel, seed: int) -> EigenfunctionSpec:
     """Gaussian coefficients on the canonical modes, normalized to unit L2 norm.
@@ -279,13 +283,11 @@ def mode_sum(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("pk,qk->pq", real, np.ascontiguousarray(weights.T))
 
 
-def phase_blocks(rows: int, spec: EigenfunctionSpec, width: int = 1
-                 ) -> list[slice]:
-    """Slices of range(rows), each of at most PHASE_BLOCK // (width M) rows
-    and at least one, M the spec's modes: the blocks of a phase array with
-    width phase rows per row. PHASE_BLOCK is read at call time, so patching
-    it moves every caller."""
-    size = max(1, PHASE_BLOCK // (width * spec.n_modes))
+def phase_blocks(rows: int, spec: EigenfunctionSpec) -> list[slice]:
+    """Slices of range(rows), each of at most PHASE_BLOCK // M rows and at
+    least one, M the spec's modes: the blocks of a (rows, M) phase array.
+    PHASE_BLOCK is read at call time, so patching it moves every caller."""
+    size = max(1, PHASE_BLOCK // spec.n_modes)
     return [slice(lo, lo + size) for lo in range(0, rows, size)]
 
 

@@ -50,7 +50,7 @@ def ensembles(t2):
     members_by_m = {}
     pass_fractions = {}
     for m in ENSEMBLE_MS:
-        members, pf = collect_certified_members(m, t2, count=8)
+        members, pf = collect_certified_members(m, t2)
         for mb in members:
             member_doubling(mb)
         members_by_m[m] = members

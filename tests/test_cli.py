@@ -171,6 +171,25 @@ def test_nodal_artifacts(tmp_path, sin1):
     assert seg_text.startswith(f"# schema_version={SCHEMA_VERSION} config=")
 
 
+@pytest.mark.parametrize("m,grid", [(3969, 512), (3970, 1024)])
+def test_nodal_default_grid(tmp_path, m, grid):
+    # without --grid, nodal measures on the grid report uses: the smallest
+    # 512 * 2^j at or above 4 nyquist_resolution(m) (512 up to m = 3969,
+    # 520 at m = 3970); the hash names the resolved N, so the default run
+    # writes the same files as an explicit --grid N
+    assert run(["--out", str(tmp_path), "gen", "--m", str(m)]) == 0
+    spec = str(tmp_path / f"spec_m{m}_dim2_seed0.json")
+    files = {}
+    for sub, extra in (("default", []), ("explicit", ["--grid", str(grid)])):
+        assert run(["--out", str(tmp_path / sub), "nodal", "--spec", spec,
+                    *extra]) == 0
+        files[sub] = {p.name: p.read_bytes()
+                      for p in (tmp_path / sub).iterdir()}
+    assert sorted(files["default"]) == [f"nodal_segments_m{m}_N{grid}.csv",
+                                        f"nodal_summary_m{m}_N{grid}.json"]
+    assert files["default"] == files["explicit"]
+
+
 def test_nodal_singular_points_artifact(tmp_path, product_spec):
     # the four order-2 crossings of 2 sin(2 pi x) sin(2 pi y), with the
     # segment count and the CSV header hash matching the summary's
@@ -222,14 +241,14 @@ def test_doubling_artifacts(tmp_path):
 def test_doubling_below_every_scale_exit_code(tmp_path, capsys, monkeypatch):
     # at m = 25, r = 0.001 every scale of the sweep is at least 10 r: the
     # scan refuses before it builds its ~2M-center cover
-    import nodalscope.doubling as doubling
+    import nodalscope.geometry as geometry
 
     def no_cover(r, model):
         raise AssertionError(f"cover of radius {r} built")
 
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
-    monkeypatch.setattr(doubling, "generate_cover", no_cover)
+    monkeypatch.setattr(geometry, "generate_cover", no_cover)
     assert run(["--out", out, "doubling", "--spec",
                 str(tmp_path / "spec_m25_dim2_seed7.json"),
                 "--r", "0.001"]) == 2

@@ -12,13 +12,13 @@ from nodalscope.fields import (
     MassEvaluator,
     l2_on_ball,
     lifted_sup_on_ball,
-    nyquist_resolution,
     q_on_ball,
     sup_global,
     sup_on_annulus,
     sup_on_ball,
 )
 from nodalscope.geometry import TorusModel, ball_volume, generate_cover
+from nodalscope.nodal import nyquist_resolution
 from nodalscope.spectrum import (
     evaluate,
     evaluate_grid,
@@ -222,14 +222,22 @@ def test_sup_translation_invariance(dim, steps):
 
 BALL_SUPS = {"psi2": sup_on_ball, "q": q_on_ball,
              "lifted": lifted_sup_on_ball}
+# every entry point of geometry.embedded_radius, called as (spec, center, s)
+BALL_MEASURES = {
+    **BALL_SUPS,
+    "l2": l2_on_ball,
+    "mass_many": lambda spec, center, s: MassEvaluator(spec).mass_many(
+        np.atleast_2d(center), s),
+    "ball_volume": lambda spec, center, s: ball_volume(s, spec.model),
+}
 
 
-@pytest.mark.parametrize("name", sorted(BALL_SUPS))
+@pytest.mark.parametrize("name", sorted(BALL_MEASURES))
 @pytest.mark.parametrize("s", [0.0, -0.1, 0.6])
 def test_sup_radius_guard(rand25, name, s):
-    # every ball sup refuses a radius the unit torus does not embed
+    # every ball measurement refuses a radius the unit torus does not embed
     with pytest.raises(EmbeddedBallError):
-        BALL_SUPS[name](rand25, (0, 0), s)
+        BALL_MEASURES[name](rand25, (0, 0), s)
 
 
 # (dim, m, s, sup): small balls on T^2 and T^3 for every ball sup, and
