@@ -10,6 +10,7 @@ relative to --out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -52,22 +53,30 @@ def _config_payload(args, fields, **content) -> dict:
     return payload
 
 
-def _out_path(args, name: str) -> Path:
+@contextlib.contextmanager
+def _open(args, name: str):
+    """--out/name opened for writing, with --out made if needed and "\n"
+    written as is; prints `wrote <path>` once the file is closed. Rows
+    stream to the file, so a large CSV is never held whole in memory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    path = out / name
+    with open(path, "w", newline="") as fh:
+        yield fh
+    print(f"wrote {path}")
 
 
-def _write_json(path: Path, payload: dict, digest: str) -> None:
+def _write_json(args, name: str, payload: dict, digest: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "config_hash": digest,
                **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _open(args, name) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
+def _write_csv(args, name: str, digest: str, header: list[str], rows) -> None:
     """The schema version and input hash as a `#` line, the header row, then
     rows of formatted strings; every line ends in "\n"."""
-    with open(path, "w", newline="") as fh:
+    with _open(args, name) as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION} config={digest}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -76,9 +85,9 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
 
 def cmd_gen(args) -> int:
     spec = random_eigenfunction(args.m, TorusModel(args.dim), args.seed)
-    path = _out_path(args, f"spec_m{args.m}_dim{args.dim}_seed{args.seed}.json")
-    path.write_text(spec_to_json(spec) + "\n")
-    print(f"wrote {path}")
+    name = f"spec_m{args.m}_dim{args.dim}_seed{args.seed}.json"
+    with _open(args, name) as fh:
+        fh.write(spec_to_json(spec) + "\n")
     print(f"lambda = {spec.lam:.6f}, modes = {spec.n_modes}")
     return 0
 
@@ -92,14 +101,12 @@ def cmd_certify(args) -> int:
     cert = certify_equidistribution(spec, args.r, args.k1, args.k2)
     digest = config_hash(_config_payload(args, ["r", "k1", "k2"],
                                          spec=spec_to_json(spec)))
-    path = _out_path(args, f"certificate_m{spec.m}_r{args.r}.json")
-    _write_json(path, {
+    _write_json(args, f"certificate_m{spec.m}_r{args.r}.json", {
         "spec_id": cert.spec_id,
         "r": cert.r, "K1": cert.k1, "K2": cert.k2,
         "min_ratio": cert.min_ratio, "max_ratio": cert.max_ratio,
         "pass": cert.passed, "centers_used": cert.centers_used,
     }, digest)
-    print(f"wrote {path}")
     print(f"pass={cert.passed} min_ratio={cert.min_ratio:.6f} "
           f"max_ratio={cert.max_ratio:.6f}")
     return 0 if cert.passed else 1
@@ -113,11 +120,10 @@ def cmd_nodal(args) -> int:
     points = find_singular_points(spec, args.grid)
     digest = config_hash(_config_payload(args, ["grid"],
                                          spec=spec_to_json(spec)))
-    seg_path = _out_path(args, f"nodal_segments_m{spec.m}_N{args.grid}.csv")
-    _write_csv(seg_path, digest, ["x1", "y1", "x2", "y2"],
+    _write_csv(args, f"nodal_segments_m{spec.m}_N{args.grid}.csv", digest,
+               ["x1", "y1", "x2", "y2"],
                ([f"{c:.17g}" for c in seg] for seg in ns.segments))
-    summary_path = _out_path(args, f"nodal_summary_m{spec.m}_N{args.grid}.json")
-    _write_json(summary_path, {
+    _write_json(args, f"nodal_summary_m{spec.m}_N{args.grid}.json", {
         "length": ns.length,
         "n_segments": len(ns.segments),
         "n_polylines": len(ns.polylines),
@@ -128,8 +134,6 @@ def cmd_nodal(args) -> int:
         ],
         "length_over_sqrt_lambda": ns.length / math.sqrt(spec.lam),
     }, digest)
-    print(f"wrote {seg_path}")
-    print(f"wrote {summary_path}")
     print(f"length = {ns.length:.6f}")
     return 0
 
@@ -140,22 +144,18 @@ def cmd_doubling(args) -> int:
     c_star = fit_growth_constant(records, args.r, spec.lam)
     digest = config_hash(_config_payload(args, ["r", "tol"],
                                          spec=spec_to_json(spec)))
-    rec_path = _out_path(args, f"doubling_records_m{spec.m}_r{args.r}.csv")
     _write_csv(
-        rec_path, digest,
+        args, f"doubling_records_m{spec.m}_r{args.r}.csv", digest,
         [f"center_{d}" for d in range(spec.model.dim)]
         + ["scale", "index_sup", "context_r", "lambda"],
         ([f"{v:.17g}" for v in (*rec.center, rec.scale, rec.index_sup,
                                 rec.context_r, rec.lam)]
          for rec in records))
-    sum_path = _out_path(args, f"doubling_summary_m{spec.m}_r{args.r}.json")
-    _write_json(sum_path, {
+    _write_json(args, f"doubling_summary_m{spec.m}_r{args.r}.json", {
         "m": spec.m, "lambda": spec.lam, "r": args.r, "c_star": c_star,
         "max_index": max(rec.index_sup for rec in records),
         "n_records": len(records),
     }, digest)
-    print(f"wrote {rec_path}")
-    print(f"wrote {sum_path}")
     print(f"c_star = {c_star:.6f} over {len(records)} records")
     return 0
 
@@ -202,13 +202,12 @@ def cmd_report(args) -> int:
         args, [], beta=config.beta, kappa=config.kappa,
         specs=[spec_to_json(spec) for spec in specs]))
     for rep in reports:
-        path = _out_path(
-            args, f"report_m{rep.meta['m']}_seed{rep.meta['seed']}.json")
-        path.write_text(
-            report_to_json(replace(rep, config_digest=digest)) + "\n")
-    agg_path = _out_path(args, "family_report.csv")
+        name = f"report_m{rep.meta['m']}_seed{rep.meta['seed']}.json"
+        text = report_to_json(replace(rep, config_digest=digest))
+        with _open(args, name) as fh:
+            fh.write(text + "\n")
     _write_csv(
-        agg_path, digest,
+        args, "family_report.csv", digest,
         ["m", "seed", "lambda", "r", "nodal_length", "c_star", "N_lift",
          "eq4_pred", "eq4_verdict"],
         ([str(v) for v in (
@@ -217,10 +216,21 @@ def cmd_report(args) -> int:
             rep.measured["c_star"], rep.measured["N_lift"],
             rep.predicted["eq4"], rep.verdicts.get("eq4_length_bound"))]
          for rep in reports))
-    print(f"wrote {agg_path} and {len(reports)} member reports")
     for spec in failed:
         print(f"note: m={spec.m} seed={spec.seed} never certified; skipped")
     return 0
+
+
+def _finite(text: str) -> float:
+    """A float option's value; NaN and infinities are refused, so no
+    computation or artifact ever sees them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="equidistribution certificate")
     p.add_argument("--spec", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--k2", type=float, default=None)
+    p.add_argument("--r", type=_finite, required=True)
+    p.add_argument("--k1", type=_finite, default=None)
+    p.add_argument("--k2", type=_finite, default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("nodal", help="extract the nodal set")
@@ -253,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("doubling", help="doubling-index scan")
     p.add_argument("--spec", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tol", type=float, default=ENSEMBLE_SUP_TOL)
+    p.add_argument("--r", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=ENSEMBLE_SUP_TOL)
     p.set_defaults(func=cmd_doubling)
 
     p = sub.add_parser("report", help="family bounds report")

@@ -55,9 +55,8 @@ def _log_ratio(num: float, den: float) -> float:
 
 def doubling_index_sup(spec: EigenfunctionSpec, x, delta: float,
                        tol: float = DEFAULT_TOL) -> float:
-    """log(sup_{B_2delta}|psi|^2 / sup_{B_delta}|psi|^2); >= 0 up to tol."""
-    if not 0.0 < 2.0 * delta <= 0.5:
-        raise ScaleRangeError(f"need 0 < 2*delta <= 1/2, got delta={delta}")
+    """log(sup_{B_2delta}|psi|^2 / sup_{B_delta}|psi|^2); >= 0 up to tol.
+    Raises EmbeddedBallError (a ScaleRangeError) unless 0 < 2 delta <= 1/2."""
     num = sup_on_ball(spec, x, 2.0 * delta, tol)
     den = sup_on_ball(spec, x, delta, tol)
     return _log_ratio(num, den)
@@ -69,16 +68,15 @@ def q_growth_ratio(spec: EigenfunctionSpec, x, s: float,
 
     The growth estimate's range is s > lambda^(-1/2); smaller scales are
     allowed (the ratio is still well defined) but logged, since the
-    exponential bound is only claimed above the wavelength.
+    exponential bound is only claimed above the wavelength. Raises
+    EmbeddedBallError (a ScaleRangeError) unless 0 < 4 s <= 1/2.
     """
-    if not 0.0 < 4.0 * s <= 0.5:
-        raise ScaleRangeError(f"need 0 < 4*s <= 1/2, got s={s}")
+    num = q_on_ball(spec, x, 4.0 * s, tol)
     if s <= spec.lam ** -0.5:
         logger.info(
             "q growth ratio at s=%.4g below lambda^(-1/2)=%.4g: outside the "
             "growth-bound range", s, spec.lam ** -0.5,
         )
-    num = q_on_ball(spec, x, 4.0 * s, tol)
     den = q_on_ball(spec, x, s, tol)
     if den < _DENOM_FLOOR:
         raise DegenerateBallError(f"q denominator {den} degenerate")

@@ -5,11 +5,15 @@ class NodalscopeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EmbeddedBallError(NodalscopeError):
+class ScaleRangeError(NodalscopeError):
+    """A scale parameter is outside its admissible range."""
+
+
+class EmbeddedBallError(ScaleRangeError):
     """Ball radius exceeds the embedded-ball range (r > 1/2 on the unit torus)."""
 
 
-class CoverRadiusError(NodalscopeError):
+class CoverRadiusError(ScaleRangeError):
     """Cover radius outside the admissible range (0, 1/4]."""
 
 
@@ -54,10 +58,6 @@ class BudgetError(NodalscopeError):
 
 class DegenerateBallError(NodalscopeError):
     """A sup/mass denominator collapsed to (numerical) zero."""
-
-
-class ScaleRangeError(NodalscopeError):
-    """A scale parameter is outside its admissible range."""
 
 
 class LiftOverflowError(NodalscopeError):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import j1
 
-from .errors import BudgetError, ScaleRangeError
+from .errors import BudgetError
 from .geometry import ball_volume, embedded_radius, index_box, wrap_point
 from .scan import (
     LiftedSquared,
@@ -82,10 +82,7 @@ def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
     """sup of |psi|^2 over the closed annulus lo <= d(y, center) <= hi.
     Raises EmbeddedBallError unless 0 < hi <= 1/2 and ScaleRangeError
     unless 0 <= lo < hi."""
-    embedded_radius(hi)
-    if not 0.0 <= lo < hi:
-        raise ScaleRangeError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    return _sup(spec, center, RadialDomain(lo, hi), tol)
+    return _sup(spec, center, RadialDomain(lo, embedded_radius(hi)), tol)
 
 
 def q_on_ball(spec: EigenfunctionSpec, center, s: float,

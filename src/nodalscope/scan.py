@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .errors import BudgetError, LiftOverflowError
+from .errors import BudgetError, LiftOverflowError, ScaleRangeError
 from .geometry import index_box
 from .spectrum import (
     EigenfunctionSpec,
@@ -105,7 +105,7 @@ class RadialDomain:
 
     def __init__(self, lo: float, hi: float):
         if not 0.0 <= lo < hi:
-            raise ValueError(f"invalid radial band [{lo}, {hi}]")
+            raise ScaleRangeError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -319,12 +319,12 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
     from there. It starts at twice the first level's cell radius: from a
     cell next to a maximum on the domain's boundary, a shorter step crawls
     along the boundary until MAX_POLISH_EVALS stops it.
-    Raises BudgetError when tol is below the certification floor, or,
-    naming the ball, when one ball's evaluations pass NODE_BUDGET.
+    Raises BudgetError when tol is NaN, infinite or below the certification
+    floor, or, naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
-    if tol < TOL_FLOOR:
+    if not TOL_FLOOR <= tol < math.inf:
         raise BudgetError(
-            f"tolerance {tol} below certification floor {TOL_FLOOR}"
+            f"tolerance {tol} outside [{TOL_FLOOR}, inf), the certified range"
         )
     dim = objective.dim
     count = _first_count(objective, domain)

@@ -256,6 +256,25 @@ def test_doubling_below_every_scale_exit_code(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("doubling_*"))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("doubling", "--tol", "nan"), ("doubling", "--r", "inf"),
+    ("certify", "--k1", "nan"), ("certify", "--k2", "inf"),
+])
+def test_non_finite_number_exit_code(tmp_path, command, flag, value, capsys):
+    # argparse refuses NaN and infinities with exit 2 before any scan, so
+    # no artifact carries an uncertified value or a non-JSON number
+    assert run(["--out", str(tmp_path), "gen", "--m", "25", "--seed",
+                "7"]) == 0
+    out = tmp_path / "out"
+    r = [] if flag == "--r" else ["--r", "0.25"]
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", str(out), command, "--spec",
+             str(tmp_path / "spec_m25_dim2_seed7.json"), *r, flag, value])
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_family(tmp_path):
     out = str(tmp_path)
     for m, seed in ((100, 0), (100, 1), (325, 0)):

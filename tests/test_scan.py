@@ -192,8 +192,10 @@ def test_certified_max_brackets_dense_max(rand100, name, domain_name):
 
 def test_certified_max_budget_errors(rand100, monkeypatch):
     obj = SpectralObjective(rand100, np.array([0.2, 0.4]), 0.0, 1.0)
-    with pytest.raises(BudgetError):
-        certified_max(obj, RadialDomain(0.0, 0.1), 1e-12)
+    # below the floor, or not finite: a NaN tol would prune every cell
+    for tol in (1e-12, math.nan, math.inf):
+        with pytest.raises(BudgetError):
+            certified_max(obj, RadialDomain(0.0, 0.1), tol)
     res = certified_max(obj, RadialDomain(0.0, 0.1), 1e-6)
     assert res.nodes > 200
     monkeypatch.setattr(scan, "NODE_BUDGET", 200)
