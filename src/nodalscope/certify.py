@@ -78,7 +78,8 @@ def certify_equidistribution(spec: EigenfunctionSpec, r: float,
 
     Ratios are normalized by each tested ball's own radius power, so a
     perfectly equidistributed field scores the unit-ball volume on both
-    sides.
+    sides. Raises ScaleRangeError unless 0 < K1 < K2, without which a
+    certificate could pass vacuously.
     """
     model = spec.model
     n = model.dim
@@ -86,6 +87,8 @@ def certify_equidistribution(spec: EigenfunctionSpec, r: float,
         k1 = default_k1(model)
     if k2 is None:
         k2 = default_k2(model)
+    if not 0.0 < k1 < k2:
+        raise ScaleRangeError(f"need 0 < K1 < K2, got K1 = {k1}, K2 = {k2}")
     lam_scale = spec.lam ** -0.5
     if r < lam_scale:
         raise ScaleRangeError(

@@ -133,18 +133,23 @@ def scan_doubling(spec: EigenfunctionSpec, r: float,
                   tol: float = DEFAULT_TOL) -> list[DoublingRecord]:
     """Doubling records over a center grid and the default scale sweep.
 
-    Each distinct ball radius is one lockstep scan over all centers, and the
-    dyadic chain shares radii (the double ball at one scale is the base ball
-    at the next), so D scales take D + 1 scans. When the sweep is empty,
-    ScaleRangeError is raised before the cover is built.
+    Every ball is measured in one lockstep scan over centers x radii, and
+    the dyadic chain shares radii (the double ball at one scale is the base
+    ball at the next), so D scales take D + 1 radii per center. Raises
+    ScaleRangeError unless 0 < r <= 1/4, the radii certify accepts, or when
+    the sweep is empty, before the cover is built.
     """
+    if not 0.0 < r <= 0.25:
+        raise ScaleRangeError(f"need 0 < r <= 1/4, got {r}")
     model = spec.model
     deltas = default_scale_sweep(spec.lam, r)
     if centers is None:
         centers = member_cover(r, model).centers
     centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
-    sups = {s: sup_on_ball(spec, centers, s, tol)
-            for s in sorted({s for d in deltas for s in (d, 2.0 * d)})}
+    radii = sorted({s for d in deltas for s in (d, 2.0 * d)})
+    values = sup_on_ball(spec, np.tile(centers, (len(radii), 1)),
+                         np.repeat(radii, len(centers)), tol)
+    sups = dict(zip(radii, values.reshape(len(radii), len(centers))))
     return [
         DoublingRecord(
             center=np.array(center), scale=delta,

@@ -52,9 +52,13 @@ def _sups(result, center):
     return float(result.value[0]) if np.ndim(center) == 1 else result.value
 
 
-def _ball(s: float) -> RadialDomain:
-    """The closed ball of radius s as a scan domain; only 0 < s <= 1/2
-    embeds in the unit torus."""
+def _ball(s, center) -> RadialDomain:
+    """The closed ball of radius s, or of each of the radii s, one per
+    center of centers (B, n), as a scan domain; only 0 < s <= 1/2 embeds
+    in the unit torus."""
+    if np.ndim(s) and np.shape(s) != (len(np.atleast_2d(center)),):
+        raise ValueError(f"{np.size(s)} radii for "
+                         f"{len(np.atleast_2d(center))} centers")
     return RadialDomain(0.0, embedded_radius(s))
 
 
@@ -67,14 +71,15 @@ def _sup(spec: EigenfunctionSpec, center, domain, tol: float,
     return _sups(certified_max(obj, domain, tol), center)
 
 
-def sup_on_ball(spec: EigenfunctionSpec, center, s: float,
+def sup_on_ball(spec: EigenfunctionSpec, center, s,
                 tol: float = DEFAULT_TOL):
     """sup of |psi|^2 over the closed ball B_s(center), within rel. error tol.
 
     center (n,) gives a float; centers (B, n) give the B sups as an array,
-    each equal bit for bit to its own single-center call.
+    each equal bit for bit to its own single-center call. With centers, s is
+    one radius or one per center (B,); one lockstep scan serves them all.
     """
-    return _sup(spec, center, _ball(s), tol)
+    return _sup(spec, center, _ball(s, center), tol)
 
 
 def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
@@ -85,11 +90,11 @@ def sup_on_annulus(spec: EigenfunctionSpec, center, lo: float, hi: float,
     return _sup(spec, center, RadialDomain(lo, embedded_radius(hi)), tol)
 
 
-def q_on_ball(spec: EigenfunctionSpec, center, s: float,
+def q_on_ball(spec: EigenfunctionSpec, center, s,
               tol: float = DEFAULT_TOL):
     """sup of q = |grad psi|^2 + (lambda/2)|psi|^2 over the closed ball;
     one center or a batch, as sup_on_ball."""
-    return _sup(spec, center, _ball(s), tol, 1.0, 0.5 * spec.lam)
+    return _sup(spec, center, _ball(s, center), tol, 1.0, 0.5 * spec.lam)
 
 
 def sup_global(spec: EigenfunctionSpec) -> float:
@@ -103,14 +108,14 @@ def gradient_sup_global(spec: EigenfunctionSpec) -> float:
                 1.0, 0.0)
 
 
-def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, s: float,
+def lifted_sup_on_ball(spec: EigenfunctionSpec, x_center, s,
                        tol: float = DEFAULT_TOL):
     """sup of H^2 = psi^2 exp(2 t sqrt(lambda)) over the (n+1)-ball B_s
     centered at (x_center, 0); the cube index does not depend on t-offsets.
-    One x-center or a batch, as sup_on_ball. Raises EmbeddedBallError
-    unless 0 < s <= 1/2, and LiftOverflowError when 2 s sqrt(lambda)
-    exceeds scan.EXP_GUARD."""
-    domain = _ball(s)
+    One x-center or a batch, with one s or one per x-center, as
+    sup_on_ball. Raises EmbeddedBallError unless every 0 < s <= 1/2, and
+    LiftOverflowError when 2 s sqrt(lambda) exceeds scan.EXP_GUARD."""
+    domain = _ball(s, x_center)
     obj = LiftedSquared(spec, wrap_point(x_center), s)
     return _sups(certified_max(obj, domain, tol), x_center)
 

@@ -67,11 +67,15 @@ def min_image(delta) -> np.ndarray:
     return delta - np.round(delta)
 
 
-def embedded_radius(r: float) -> float:
-    """r, when the geodesic ball of radius r embeds in the unit torus
-    (0 < r <= 1/2); raises EmbeddedBallError otherwise."""
-    if not 0.0 < r <= 0.5:
-        raise EmbeddedBallError(f"ball radius {r} outside (0, 1/2]")
+def embedded_radius(r):
+    """r, when the geodesic ball of radius r, or each of the radii r, embeds
+    in the unit torus (0 < r <= 1/2); raises EmbeddedBallError naming the
+    first radius that does not."""
+    radii = np.ravel(r)
+    bad = np.flatnonzero(~((0.0 < radii) & (radii <= 0.5)))
+    if len(bad):
+        raise EmbeddedBallError(
+            f"ball radius {radii[bad[0]]} outside (0, 1/2]")
     return r
 
 

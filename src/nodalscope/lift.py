@@ -92,10 +92,10 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float
     flagged. On the flat torus Euclidean and geodesic balls coincide at these
     scales, so ball sups reduce to the certified lifted-sup scan. A center's
     t-offset only caps its ring, so each (x-offset, radius) ball is scanned
-    once: the radius (k, j) is one lockstep scan, and its double is
-    (k, j - 1). The 150 pairs take 70 lifted balls in 15 scans on T^2 and 64
-    balls on T^3, at every r. The result is a lower bound of the continuum
-    sup.
+    once, and the double of radius (k, j) is (k, j - 1). All balls of a cube
+    are one lockstep scan with a radius per ball: the 150 pairs take 70
+    lifted balls of 15 radii on T^2 and 64 balls on T^3, at every r. The
+    result is a lower bound of the continuum sup.
     """
     if not 0.0 < r <= 0.125:
         raise ScaleRangeError(f"need 0 < r <= 1/8, got {r}")
@@ -109,18 +109,18 @@ def cube_doubling_index(spec: EigenfunctionSpec, cube_center, r: float
     exhausted = len(pairs) > PAIR_BUDGET
     pairs = pairs[:PAIR_BUDGET]
 
-    # one lockstep scan per radius over the x-offsets whose pairs need it
-    balls: dict[tuple[int, int], dict] = {}
+    # one lockstep scan of every (x-offset, radius) ball the pairs need,
+    # grouped by radius
+    radii: dict[tuple[int, int], dict] = {}
     for x, k, j in pairs:
         for key in ((k, j - 1), (k, j)):
-            balls.setdefault(key, {})[x] = None
-    sup = {}
-    for (k, j), xs in balls.items():
-        offsets = (2.0 * np.array(list(xs)) - 8.0) * r / 9.0
-        values = lifted_sup_on_ball(spec, cube_center + offsets,
-                                    r * (9 - 2 * k) / 9.0 / 2.0**j,
-                                    ENSEMBLE_SUP_TOL)
-        sup.update(((x, k, j), v) for x, v in zip(xs, values))
+            radii.setdefault(key, {})[x] = None
+    balls = [(x, k, j) for (k, j), xs in radii.items() for x in xs]
+    offsets = (2.0 * np.array([x for x, _, _ in balls]) - 8.0) * r / 9.0
+    s = np.array([r * (9 - 2 * k) / 9.0 / 2.0**j for _, k, j in balls])
+    values = lifted_sup_on_ball(spec, cube_center + offsets, s,
+                                ENSEMBLE_SUP_TOL)
+    sup = dict(zip(balls, values))
     n_value = max(0.0, *(_log_ratio(sup[x, k, j - 1], sup[x, k, j])
                          for x, k, j in pairs))
     return CubeIndex(half_side=r, n_value=n_value,

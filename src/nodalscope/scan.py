@@ -21,8 +21,8 @@ pointwise evaluation at the returned offset, a lower bound of the true
 supremum within the requested relative tolerance.
 
 The lattice is absolute. With N = ceil(1/h0), cell i of level L sits at
-(i + 1/2)/(N 2^L) on each axis, and its children are 2i and 2i + 1. A scan
-starts at the coarsest level whose spacing meets the domain's bound (h0, at
+(i + 1/2)/(N 2^L) on each axis, and its children are 2i and 2i + 1. A ball
+starts at the coarsest level whose spacing meets its domain's bound (h0, at
 most half the band width and at most the outer radius); the torus domain
 starts at level 0. Each ball takes the cells of its window, the box of
 cells around its center that meet the domain, by unwrapped indices; a
@@ -31,29 +31,38 @@ bound are a function of (spec, objective, level, index) alone, and an
 objective that depends on the offset from the ball's center (LiftedSquared)
 applies that factor per ball.
 
-One scan serves a batch of B balls that share a domain. When the balls'
-windows together hold more cells than the torus level, that level is
-evaluated once over the whole torus and each ball reads its window from the
-table; otherwise each ball's own cells are evaluated. Both routes give the
-same bits. The descent runs the (ball, cell) pairs of a group of balls in
-lockstep: every pair belongs to one ball, each ball keeps its own
-incumbent, prune threshold and node count (NODE_BUDGET, counted on its own
-cells however they were evaluated), and each level is evaluated in one pass
-over the group's pairs. Balls enter a group until its windows' children
-(2^n per window cell) reach spectrum.PHASE_BLOCK cells (a ball too large
-for a group is a group of its own), and every level's phases, the torus
-table's too, are built in chunks of at most PHASE_BLOCK cells x modes,
-which bounds the memory a level takes. A ball's value does not depend on
-the balls that share its batch, to the last bit: every step is elementwise
-or reduces within one row (spectrum.mode_sum, point_phases).
+One scan serves a batch of B balls that share a domain shape. A radius (the
+domain's outer radius, the lifted ball's s) is one value or one per ball,
+and each ball's first level follows its own radius: the balls that share a
+first level run together. When their windows together hold more cells than
+the torus level, that level is evaluated once over the whole torus and each
+ball reads its window from the table; otherwise each ball's own cells are
+evaluated. Both routes give the same bits. The descent runs the (ball,
+cell) pairs of many balls in lockstep: every pair belongs to one ball, each
+ball keeps its own incumbent, prune threshold and node count (NODE_BUDGET,
+counted on its own cells however they were evaluated), and each level is
+evaluated in one pass over the pairs. First levels are evaluated in groups:
+balls enter a group until its windows' children (2^n per window cell)
+reach spectrum.PHASE_BLOCK cells (a ball too large for a group is a group
+of its own). The cells that survive the first level are pooled across
+groups under the same bound, rows times 2^n at most PHASE_BLOCK (a group
+whose own survivors reach it descends alone), and each pool descends in
+one lockstep. A level whose children would pass PHASE_BLOCK is split at
+ball boundaries and its parts descend depth-first. Every level's phases,
+the torus table's too, are built in chunks of at most PHASE_BLOCK cells x
+modes; together these bound the memory a scan takes. A ball's value does
+not depend on the balls that share its batch, to the last bit: every step
+is elementwise or reduces within one row (spectrum.mode_sum, point_phases)
+or within one ball's cells, which stay together in their order.
 
 Every objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective)
 or psi^2 times the harmonic lift's t-factor (LiftedSquared, balls at t = 0:
 the cube index does not depend on a ball's t-offset). A cell's psi, grad
 psi and Hessian of psi come from one mode sum (spectrum.mode_sum). A level's
-phases are products of per-axis tables built once per level
-(spectrum.axis_phases, lattice_phases), so one product evaluates a chunk of
-the level.
+phases are products of per-axis tables built once per level over its
+distinct reduced indices (spectrum.axis_phases, lattice_phases), so balls
+that share lattice rows share their exps and one product evaluates a chunk
+of the level.
 """
 
 from __future__ import annotations
@@ -100,70 +109,92 @@ class ScanResult:
     nodes: int          # objective evaluations, summed over the batch
 
 
-class RadialDomain:
-    """Offsets d with lo <= |d| <= hi (ball when lo == 0, annulus otherwise)."""
+def _per_ball(value, balls):
+    """A radius that is one value, or the entries of the given balls when it
+    holds one value per ball."""
+    return value if np.ndim(value) == 0 else value[balls]
 
-    def __init__(self, lo: float, hi: float):
-        if not 0.0 <= lo < hi:
-            raise ScaleRangeError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+
+class RadialDomain:
+    """Offsets d with lo <= |d| <= hi (ball when lo == 0, annulus otherwise).
+
+    hi is one radius or one per ball (B,); the methods then take the ball
+    ids of their rows, which a single radius does not need."""
+
+    def __init__(self, lo: float, hi):
+        hi = np.asarray(hi, dtype=float) if np.ndim(hi) else float(hi)
+        bad = np.flatnonzero(~((0.0 <= lo) & (lo < np.ravel(hi))))
+        if len(bad):
+            raise ScaleRangeError(
+                f"need 0 <= lo < hi, got [{lo}, {np.ravel(hi)[bad[0]]}]")
         self.lo = lo
         self.hi = hi
 
-    def __str__(self):
+    def name(self, ball=None) -> str:
+        hi = _per_ball(self.hi, ball)
         if self.lo == 0.0:
-            return f"ball of radius {self.hi:g}"
-        return f"annulus of radii [{self.lo:g}, {self.hi:g}]"
+            return f"ball of radius {hi:g}"
+        return f"annulus of radii [{self.lo:g}, {hi:g}]"
 
-    def contains(self, norms: np.ndarray) -> np.ndarray:
+    def contains(self, norms: np.ndarray, balls=None) -> np.ndarray:
         eps = 1e-14
-        return (norms >= self.lo - eps) & (norms <= self.hi + eps)
+        return ((norms >= self.lo - eps)
+                & (norms <= _per_ball(self.hi, balls) + eps))
 
-    def band_mask(self, norms: np.ndarray, rho: float) -> np.ndarray:
-        return (norms >= self.lo - rho) & (norms <= self.hi + rho)
+    def band_mask(self, norms: np.ndarray, rho: float,
+                  balls=None) -> np.ndarray:
+        return ((norms >= self.lo - rho)
+                & (norms <= _per_ball(self.hi, balls) + rho))
 
-    def project(self, d: np.ndarray) -> np.ndarray:
+    def project(self, d: np.ndarray, balls=None) -> np.ndarray:
         """Radial projection of a batch of offsets (P, n) into the band; an
         offset at the origin goes to lo along the first axis."""
         r = np.sqrt(np.einsum("pa,pa->p", d, d))
-        scale = np.minimum(np.maximum(r, self.lo), self.hi)
+        scale = np.minimum(np.maximum(r, self.lo), _per_ball(self.hi, balls))
         out = d * (scale / np.maximum(r, 1e-300))[:, None]
         if self.lo > 0.0:
             out[r == 0.0, 0] = self.lo
         return out
 
-    def max_spacing(self, h0: float) -> float:
-        """Largest first-level spacing: h0, at most half the band width and
-        at most the outer radius."""
-        return min(h0, max((self.hi - self.lo) / 2.0, 1e-8), self.hi)
+    def max_spacing(self, h0: float):
+        """Largest first-level spacing, per radius: h0, at most half the
+        band width and at most the outer radius."""
+        return np.minimum(
+            np.minimum(h0, np.maximum((self.hi - self.lo) / 2.0, 1e-8)),
+            self.hi)
 
-    def window(self, centers: np.ndarray, count: int):
-        """(first cells (B, n), cells per axis) of each center's box on the
-        lattice of count cells per axis: it holds every cell that meets the
-        ball of radius hi."""
-        lows = np.floor((centers - self.hi) * count).astype(np.int64) - 1
-        return lows, math.ceil(2.0 * self.hi * count) + 3
+    def window(self, centers: np.ndarray, count: int, balls=None):
+        """(first cells (B, n), cells per axis (B,)) of the box of each of
+        the centers of balls on the lattice of count cells per axis: it
+        holds every cell that meets the ball of radius hi."""
+        hi = _per_ball(self.hi, balls)
+        lows = np.floor((centers - np.expand_dims(hi, -1)) * count)
+        sizes = np.ceil(2.0 * hi * count).astype(np.int64) + 3
+        return (lows.astype(np.int64) - 1,
+                np.broadcast_to(sizes, len(centers)))
 
 
 class TorusDomain:
     """All offsets; used for full-torus suprema."""
 
-    def __str__(self):
+    def name(self, ball=None):
         return "the torus"
 
-    def contains(self, norms):
+    def contains(self, norms, balls=None):
         return np.ones_like(norms, dtype=bool)
 
-    def band_mask(self, norms, rho):
+    def band_mask(self, norms, rho, balls=None):
         return np.ones_like(norms, dtype=bool)
 
-    def project(self, d):
+    def project(self, d, balls=None):
         return d
 
     def max_spacing(self, h0: float) -> float:
         return h0
 
-    def window(self, centers: np.ndarray, count: int):
-        return np.zeros(centers.shape, dtype=np.int64), count
+    def window(self, centers: np.ndarray, count: int, balls=None):
+        return (np.zeros(centers.shape, dtype=np.int64),
+                np.full(len(centers), count))
 
 
 class SpectralObjective:
@@ -222,57 +253,63 @@ class SpectralObjective:
             ub += self.alpha * u_grad * u_grad
         return self._value(parts), ub
 
-    def ball_bounds(self, vals, ubs, norms, rho):
+    def ball_bounds(self, vals, ubs, norms, rho, balls=None):
         """cell_bounds of cells whose centers lie at distances norms from
-        their balls' centers; f does not depend on them."""
+        the centers of their balls; f does not depend on them."""
         return vals, ubs
 
 
 class LiftedSquared(SpectralObjective):
     """sup of H^2 = psi(x)^2 exp(2 t sqrt(lambda)) over (n+1)-balls B_s
-    centered at t = 0, one per x-center.
+    centered at t = 0, one per x-center; s is one radius or one per
+    x-center.
 
     Moving the ball to t = tau multiplies the sup by exp(2 tau sqrt(lambda)),
     so the log ratio of two concentric ball sups does not depend on tau. The
     t maximization is closed form (exp is increasing), reducing the ball to
     the n-dimensional objective psi(x0+d)^2 exp(2 sqrt(lambda) sqrt(s^2-|d|^2)).
     Cell bounds multiply the squared psi enclosure by the exact cell maximum
-    of the monotone t-factor. Raises LiftOverflowError when the t-factor's
-    exponent 2 s sqrt(lambda) exceeds EXP_GUARD, where the sup would overflow.
+    of the monotone t-factor. Raises LiftOverflowError, naming the first
+    such s, when the t-factor's exponent 2 s sqrt(lambda) exceeds EXP_GUARD,
+    where the sup would overflow.
     """
 
-    def __init__(self, spec, x_centers, s: float):
+    def __init__(self, spec, x_centers, s):
         super().__init__(spec, x_centers, 0.0, 1.0)
-        self.s = float(s)
+        self.s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
         self.sqrt_lam = math.sqrt(spec.lam)
-        arg = 2.0 * self.sqrt_lam * self.s
-        if arg > EXP_GUARD:
+        args = 2.0 * self.sqrt_lam * np.ravel(self.s)
+        over = np.flatnonzero(args > EXP_GUARD)
+        if len(over):
             raise LiftOverflowError(
-                f"2 s sqrt(lambda) = {arg:.1f} exceeds {EXP_GUARD} at s = {s}"
+                f"2 s sqrt(lambda) = {args[over[0]]:.1f} exceeds {EXP_GUARD} "
+                f"at s = {float(np.ravel(self.s)[over[0]])}"
             )
 
-    def _t_factor(self, norms: np.ndarray) -> np.ndarray:
-        g = np.sqrt(np.maximum(self.s**2 - norms**2, 0.0))
+    def _t_factor(self, norms: np.ndarray, balls=None) -> np.ndarray:
+        s = _per_ball(self.s, balls)
+        g = np.sqrt(np.maximum(s**2 - norms**2, 0.0))
         return np.exp(2.0 * self.sqrt_lam * g)
 
     def values(self, offsets, balls):
         norms = np.linalg.norm(offsets, axis=-1)
-        return super().values(offsets, balls) * self._t_factor(norms)
+        return super().values(offsets, balls) * self._t_factor(norms, balls)
 
-    def ball_bounds(self, vals, ubs, norms, rho):
-        factor_max = self._t_factor(np.maximum(norms - rho, 0.0))
-        return vals * self._t_factor(norms), ubs * factor_max
+    def ball_bounds(self, vals, ubs, norms, rho, balls=None):
+        factor_max = self._t_factor(np.maximum(norms - rho, 0.0), balls)
+        return vals * self._t_factor(norms, balls), ubs * factor_max
 
 
-def pattern_search(objective, domain, balls, d0, step: float):
+def pattern_search(objective, domain, balls, d0, step):
     """Projected compass search for a local max of each ball's objective
-    from its start d0 (A, n), balls (A,) their ball ids.
+    from its start d0 (A, n), balls (A,) their ball ids, with initial step
+    lengths step (one, or one per ball).
 
     Each step probes all 2n axis directions at every running ball's step
     length in one objective.values call; a ball moves to its best probe that
     improves, or halves its step when none does, and stops below STEP_FLOOR.
     All balls stop once a ball has had MAX_POLISH_EVALS evaluations. Every
-    ball starts at iteration 0 with the same step, so a ball's path does not
+    ball starts at iteration 0 with its own step, so a ball's path does not
     depend on the balls beside it. Returns (offsets, values, evaluations)
     per ball, each value a pointwise evaluation at its offset.
     """
@@ -281,16 +318,18 @@ def pattern_search(objective, domain, balls, d0, step: float):
     used = np.ones(len(d), dtype=int)
     dim = d.shape[1]
     dirs = np.vstack([np.eye(dim), -np.eye(dim)])
+    steps = np.broadcast_to(np.asarray(step, dtype=float), len(d))
     # running balls: their positions in d, offsets, values and steps, and
     # the flat index of each one's first probe
-    run = np.arange(len(d) if step > STEP_FLOOR else 0)
-    rd, rv, rs = d[run], v[run], np.full(len(run), float(step))
+    run = np.flatnonzero(steps > STEP_FLOOR)
+    rd, rv, rs = d[run], v[run], steps[run]
     probe_balls = np.repeat(balls[run], 2 * dim)
     base = 2 * dim * np.arange(len(run))
     evals = 1
     while len(run) and evals < MAX_POLISH_EVALS:
         cand = domain.project(
-            (rd[:, None, :] + rs[:, None, None] * dirs).reshape(-1, dim))
+            (rd[:, None, :] + rs[:, None, None] * dirs).reshape(-1, dim),
+            probe_balls)
         cv = objective.values(cand, probe_balls).reshape(len(run), 2 * dim)
         evals += 2 * dim
         top = np.maximum.reduce(cv, axis=1)
@@ -313,12 +352,13 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
     """Max of the objective over the domain around each of its centers,
     within relative tolerance tol.
 
-    The first level is the coarsest of the lattice whose spacing meets
-    domain.max_spacing(objective.h0). The branch-and-bound finds each ball's
-    best cell center; one pattern_search over all balls then polishes them
-    from there. It starts at twice the first level's cell radius: from a
-    cell next to a maximum on the domain's boundary, a shorter step crawls
-    along the boundary until MAX_POLISH_EVALS stops it.
+    A ball's first level is the coarsest of the lattice whose spacing meets
+    domain.max_spacing(objective.h0) at its radius. The branch-and-bound
+    finds each ball's best cell center; one pattern_search over all balls
+    then polishes them from there. A ball's search starts at twice its
+    first level's cell radius: from a cell next to a maximum on the
+    domain's boundary, a shorter step crawls along the boundary until
+    MAX_POLISH_EVALS stops it.
     Raises BudgetError when tol is NaN, infinite or below the certification
     floor, or, naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
@@ -327,43 +367,56 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
             f"tolerance {tol} outside [{TOL_FLOOR}, inf), the certified range"
         )
     dim = objective.dim
-    count = _first_count(objective, domain)
-    rho = math.sqrt(dim) / (2.0 * count)
-    lows, size = domain.window(objective.centers, count)
     balls = np.arange(len(objective.centers))
-    table = None
-    if len(balls) * size**dim > count**dim:
-        table = _torus_level(objective, count, rho)
-    best = np.full(len(balls), -math.inf)
-    best_off = np.full((len(balls), dim), np.nan)
-    nodes = np.zeros(len(balls), dtype=np.int64)
-    # a group's windows, split into their 2^n children each, hold at most
-    # spectrum.PHASE_BLOCK cells (a ball too large is a group of its own)
-    per = max(1, spectrum.PHASE_BLOCK // (size**dim << dim))
-    for lo in range(0, len(balls), per):
-        group = slice(lo, lo + per)
-        _lockstep(objective, domain, tol, balls[group], lows[group], size,
-                  count, rho, table, best, best_off, nodes)
+    counts = _first_counts(objective, domain)
+    search = _Search(objective, domain, tol)
+    step = np.empty(len(balls))
+    for count in np.unique(counts).tolist():
+        level = balls[counts == count]
+        rho = math.sqrt(dim) / (2.0 * count)
+        step[level] = 2.0 * rho
+        search.run(level, count, rho)
+    lost = np.flatnonzero(np.isnan(search.best_off[:, 0]))
+    if len(lost):
+        raise BudgetError(
+            f"scan of the {_ball_name(objective, domain, lost[0])} found no "
+            "admissible sample points"
+        )
     offset, value, used = pattern_search(
-        objective, domain, balls, best_off, 2.0 * rho)
-    nodes += used
-    _check_budget(objective, domain, tol, nodes)
-    return ScanResult(value=value, offset=offset, nodes=int(nodes.sum()))
+        objective, domain, balls, search.best_off, step)
+    search.nodes += used
+    _check_budget(objective, domain, tol, search.nodes)
+    return ScanResult(value=value, offset=offset,
+                      nodes=int(search.nodes.sum()))
 
 
-def _first_count(objective, domain) -> int:
-    """Cells per axis of a scan's first level: N = ceil(1/h0), doubled until
-    the spacing meets the domain's bound."""
-    count = math.ceil(1.0 / objective.h0)
-    need = math.ceil(1.0 / domain.max_spacing(objective.h0))
-    while count < need:
-        count *= 2
+def _first_counts(objective, domain) -> np.ndarray:
+    """Cells per axis of each ball's first level: N = ceil(1/h0), doubled
+    until the spacing meets the domain's bound at the ball's radius."""
+    need = np.ceil(1.0 / np.broadcast_to(domain.max_spacing(objective.h0),
+                                         len(objective.centers)))
+    count = np.full(len(need), math.ceil(1.0 / objective.h0))
+    while np.any(count < need):
+        count = np.where(count < need, 2 * count, count)
     return count
+
+
+def _runs(weights: np.ndarray) -> list[slice]:
+    """Consecutive runs of weights, each summing to at most
+    spectrum.PHASE_BLOCK or holding a single weight above it."""
+    out, lo, total = [], 0, 0
+    for i, w in enumerate(weights.tolist()):
+        if total + w > spectrum.PHASE_BLOCK and i > lo:
+            out.append(slice(lo, i))
+            lo, total = i, 0
+        total += w
+    out.append(slice(lo, len(weights)))
+    return out
 
 
 def _ball_name(objective, domain, b: int) -> str:
     center = ", ".join(f"{c:g}" for c in objective.centers[b])
-    return f"{domain} at center ({center})"
+    return f"{domain.name(b)} at center ({center})"
 
 
 def _check_budget(objective, domain, tol, nodes):
@@ -378,15 +431,20 @@ def _check_budget(objective, domain, tol, nodes):
 def _level_bounds(objective, coords, count, inv, rho):
     """objective.cell_bounds of the cells of index coords[a][inv[p, a]] on
     the lattice of count cells per axis, in chunks of at most
-    spectrum.PHASE_BLOCK cells x modes, from per-axis tables of the indices
-    reduced mod count, built once per level."""
+    spectrum.PHASE_BLOCK cells x modes, from per-axis tables over the
+    distinct indices reduced mod count, built once per level."""
     spec = objective.spec
-    tables = [axis_phases(spec, (np.mod(c, count) + 0.5) / count, a)
-              for a, c in enumerate(coords)]
+    tables, rows = [], []
+    for a, c in enumerate(coords):
+        reduced, row = np.unique(np.mod(c, count), return_inverse=True)
+        tables.append(axis_phases(spec, (reduced + 0.5) / count, a))
+        rows.append(row.ravel())
     vals, ubs = np.empty(len(inv)), np.empty(len(inv))
     for part in phase_blocks(len(inv), spec):
+        idx = np.stack([rows[a][inv[part, a]] for a in range(len(rows))],
+                       axis=-1)
         vals[part], ubs[part] = objective.cell_bounds(
-            lattice_phases(tables, inv[part]), rho)
+            lattice_phases(tables, idx), rho)
     return vals, ubs
 
 
@@ -397,42 +455,187 @@ def _torus_level(objective, count, rho):
                          index_box(count, objective.dim), rho)
 
 
-def _lockstep(objective, domain, tol, balls, lows, size, count, rho,
-              table, best, best_off, nodes):
-    """Branch-and-bound of the given balls in lockstep from their windows
-    (first cells lows, size cells per axis) on the first level of count
-    cells per axis, reading that level from table, the torus level's
-    cell_bounds in row-major order, when there is one. Updates the balls'
-    entries of best, best_off (each ball's best cell center inside the
-    domain) and nodes (arrays over all balls) in place."""
-    dim = objective.dim
-    # cell p has the unwrapped lattice index coords[a][inv[p, a]] on axis a
-    # and belongs to ball owner[a][inv[p, a]] on every axis: each axis keeps
-    # its indices per ball, and cells stay sorted by ball
-    coords = [(lows[:, a, None] + np.arange(size)).ravel()
-              for a in range(dim)]
-    owner = [np.repeat(balls, size)] * dim
-    inv = np.tile(index_box(size, dim), (len(balls), 1))
-    inv += np.repeat(size * np.arange(len(balls)), size**dim)[:, None]
-    bits = index_box(2, dim)
+@dataclass
+class _Cells:
+    """Cells of one lattice level of count cells per axis, of circumradius
+    rho. Cell p has the unwrapped lattice index coords[a][inv[p, a]] on axis
+    a and belongs to ball owner[a][inv[p, a]] on every axis: each axis keeps
+    its indices per ball, and a ball's cells are consecutive rows. inv is
+    int32, half the bytes of the rows that set a level's memory."""
+    coords: list
+    owner: list
+    inv: np.ndarray
+    count: int
+    rho: float
 
-    while True:
+
+def _window_cells(balls, lows, sizes, count, rho) -> _Cells:
+    """The cells of the balls' windows (first cells lows (B, n), sizes (B,)
+    cells per axis), each ball's box in row-major order."""
+    dim = lows.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    local = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)
+    coords = [np.repeat(lows[:, a], sizes) + local for a in range(dim)]
+    boxes = []
+    for run in np.split(np.arange(len(sizes)),
+                        np.flatnonzero(np.diff(sizes)) + 1):
+        size = int(sizes[run[0]])
+        boxes.append(np.tile(index_box(size, dim), (len(run), 1))
+                     + np.repeat(starts[run], size**dim)[:, None])
+    return _Cells(coords, [np.repeat(balls, sizes)] * dim,
+                  np.concatenate(boxes).astype(np.int32), count, rho)
+
+
+def _compact(cells: _Cells) -> _Cells:
+    """cells with each axis's indices kept to the ones its rows use."""
+    coords, owner, inv = list(cells.coords), list(cells.owner), cells.inv
+    for a in range(inv.shape[1]):
+        used = np.zeros(len(coords[a]), dtype=bool)
+        used[inv[:, a]] = True
+        coords[a], owner[a] = coords[a][used], owner[a][used]
+        inv[:, a] = (np.cumsum(used) - 1)[inv[:, a]]
+    return _Cells(coords, owner, inv, cells.count, cells.rho)
+
+
+def _children(cells: _Cells) -> _Cells:
+    """The next level's cells: children 2i + {0, 1} per axis of each cell,
+    2^n consecutive rows per parent row."""
+    dim = cells.inv.shape[1]
+    coords = [(2 * c[:, None] + (0, 1)).ravel() for c in cells.coords]
+    owner = [np.repeat(o, 2) for o in cells.owner]
+    inv = ((2 * cells.inv)[:, None, :]
+           + index_box(2, dim).astype(np.int32)[None, :, :])
+    return _Cells(coords, owner, inv.reshape(-1, dim), 2 * cells.count,
+                  0.5 * cells.rho)
+
+
+def _merge(parts: list[_Cells]) -> _Cells:
+    """One set of the cells of parts, which share a level, in their order."""
+    if len(parts) == 1:
+        return parts[0]
+    dim = parts[0].inv.shape[1]
+    shift = np.cumsum([[0] * dim] + [[len(c) for c in p.coords]
+                                      for p in parts[:-1]], axis=0,
+                      dtype=np.int32)
+    return _Cells(
+        [np.concatenate([p.coords[a] for p in parts]) for a in range(dim)],
+        [np.concatenate([p.owner[a] for p in parts]) for a in range(dim)],
+        np.concatenate([p.inv + s for p, s in zip(parts, shift)]),
+        parts[0].count, parts[0].rho)
+
+
+def _split(cells: _Cells) -> list[_Cells]:
+    """cells in parts at ball boundaries whose rows, split into their 2^n
+    children, hold at most spectrum.PHASE_BLOCK cells (or hold one ball)."""
+    dim = cells.inv.shape[1]
+    ball = cells.owner[0][cells.inv[:, 0]]
+    heads = np.flatnonzero(np.diff(ball)) + 1
+    edges = np.concatenate([[0], heads, [len(ball)]])
+    runs = _runs(np.diff(edges) << dim)
+    if len(runs) == 1:
+        return [cells]
+    return [_compact(_Cells(cells.coords, cells.owner,
+                            cells.inv[edges[run.start]:edges[run.stop]].copy(),
+                            cells.count, cells.rho))
+            for run in runs]
+
+
+def _norms(xs, inv) -> np.ndarray:
+    """Distances of the cells inv from their balls' centers, from the
+    per-axis offsets xs of their indices."""
+    norms = np.zeros(len(inv))
+    for a in range(len(xs)):
+        norms += (xs[a] * xs[a])[inv[:, a]]
+    return np.sqrt(norms)
+
+
+class _Search:
+    """The state of one certified_max call: each ball's best cell-center
+    value inside the domain, its offset, and the ball's node count."""
+
+    def __init__(self, objective, domain, tol):
+        self.objective, self.domain, self.tol = objective, domain, tol
+        balls = len(objective.centers)
+        self.best = np.full(balls, -math.inf)
+        self.best_off = np.full((balls, objective.dim), np.nan)
+        self.nodes = np.zeros(balls, dtype=np.int64)
+
+    def run(self, balls, count, rho):
+        """Branch-and-bound of the given balls from their windows on the
+        first level of count cells per axis (cell circumradius rho): the
+        windows are evaluated in groups, and the survivors are pooled
+        across groups and descend pool by pool."""
+        dim = self.objective.dim
+        lows, sizes = self.domain.window(self.objective.centers[balls],
+                                         count, balls)
+        table = None
+        if np.sum(sizes**dim) > count**dim:
+            table = _torus_level(self.objective, count, rho)
+        # a pool's rows, split into their 2^n children, hold at most
+        # spectrum.PHASE_BLOCK cells
+        pool, rows = [], 0
+        for group in _runs(sizes**dim << dim):
+            cells = self.level(_window_cells(balls[group], lows[group],
+                                             sizes[group], count, rho), table)
+            if cells is None:
+                continue
+            more = len(cells.inv) << dim
+            if pool and rows + more > spectrum.PHASE_BLOCK:
+                self.descend(pool)
+                rows = 0
+            pool.append(cells)
+            rows += more
+            del cells
+            if rows >= spectrum.PHASE_BLOCK:  # one group's survivors
+                self.descend(pool)
+                rows = 0
+        if pool:
+            self.descend(pool)
+
+    def descend(self, pool: list[_Cells]):
+        """Branch-and-bound below the surviving cells of pool, which it
+        empties, in one lockstep until every gap has closed; a level whose
+        children would pass spectrum.PHASE_BLOCK cells is split at ball
+        boundaries and its parts descend depth-first."""
+        stack = [_merge(pool)]
+        pool.clear()
+        while stack:
+            cells = stack.pop()
+            if len(cells.inv) << cells.inv.shape[1] > spectrum.PHASE_BLOCK:
+                parts = _split(cells)
+                if len(parts) > 1:
+                    stack.extend(reversed(parts))
+                    del parts  # held, a part would outlive its descent
+                    continue
+            # the parent goes before the children's level is evaluated
+            cells = _children(cells)
+            cells = self.level(cells)
+            if cells is not None:
+                stack.append(cells)
+
+    def level(self, cells: _Cells, table=None) -> _Cells | None:
+        """Evaluates one level's cells, reading them from table, the torus
+        level's cell_bounds in row-major order, when there is one, and
+        updates the balls' best, best_off and nodes. Returns the cells
+        whose bound can still beat their ball's threshold, or None."""
+        objective, domain = self.objective, self.domain
+        dim = objective.dim
+        coords, owner, inv = cells.coords, cells.owner, cells.inv
+        count, rho = cells.count, cells.rho
+        best, nodes = self.best, self.nodes
         # per-axis offsets of the index rows from their balls' centers
         xs = [(coords[a] + 0.5) / count - objective.centers[owner[a], a]
               for a in range(dim)]
-        norms = np.zeros(len(inv))
-        for a in range(dim):
-            norms += (xs[a] * xs[a])[inv[:, a]]
-        norms = np.sqrt(norms)
-        band = domain.band_mask(norms, rho)
-        inv, norms = inv[band], norms[band]
-        del band  # phase chunks set the peak: hold no more through them
+        band = domain.band_mask(_norms(xs, inv), rho, owner[0][inv[:, 0]])
+        # the in-band rows replace the level's, which no caller reads again
+        cells.inv = inv = inv[band]
+        del band
         if len(inv) == 0:
-            break
-        ball = owner[0][inv[:, 0]]
-        counts = np.bincount(ball, minlength=len(nodes))
+            return None
+        counts = np.bincount(owner[0][inv[:, 0]], minlength=len(nodes))
         nodes += counts
-        _check_budget(objective, domain, tol, nodes)
+        _check_budget(objective, domain, self.tol, nodes)
+        # phase chunks set the peak: rows' balls and norms are made after
         if table is None:
             vals, ubs = _level_bounds(objective, coords, count, inv, rho)
         else:
@@ -440,39 +643,23 @@ def _lockstep(objective, domain, tol, balls, lows, size, count, rho,
             for a in range(1, dim):
                 flat = flat * count + np.mod(coords[a], count)[inv[:, a]]
             vals, ubs = table[0][flat], table[1][flat]
-            table = None  # the torus table holds the first level only
-        vals, ubs = objective.ball_bounds(vals, ubs, norms, rho)
+        ball, norms = owner[0][inv[:, 0]], _norms(xs, inv)
+        vals, ubs = objective.ball_bounds(vals, ubs, norms, rho, ball)
         # each present ball's first best cell inside the domain, from its
         # segment of the cells (sorted by ball)
         present = np.flatnonzero(counts)
         heads = np.cumsum(counts[present]) - counts[present]
-        inner = np.where(domain.contains(norms), vals, -math.inf)
+        inner = np.where(domain.contains(norms, ball), vals, -math.inf)
         top = np.full(len(nodes), -math.inf)
         top[present] = np.maximum.reduceat(inner, heads)
         hits = np.flatnonzero(inner == top[ball])
         first = hits[np.searchsorted(ball[hits], present)]
         gain = first[top[present] > best[present]]
         best[ball[gain]] = vals[gain]
-        best_off[ball[gain]] = np.stack([xs[a][inv[gain, a]]
-                                         for a in range(dim)], axis=-1)
-        threshold = np.where(best > 0, best * (1.0 + tol), best)
-        inv = inv[ubs > threshold[ball]]
-        # the next level's phase chunks set the peak: free this level's
-        del vals, ubs, ball, norms, counts, present, heads, inner, top, \
-            hits, first, gain, threshold
-        # children 2i + {0, 1} per axis, indices kept to the used ones
-        for a in range(dim):
-            used = np.zeros(len(coords[a]), dtype=bool)
-            used[inv[:, a]] = True
-            coords[a] = (2 * coords[a][used][:, None] + (0, 1)).ravel()
-            owner[a] = np.repeat(owner[a][used], 2)
-            inv[:, a] = 2 * (np.cumsum(used) - 1)[inv[:, a]]
-        inv = (inv[:, None, :] + bits[None, :, :]).reshape(-1, dim)
-        count *= 2
-        rho *= 0.5
-    lost = balls[np.isnan(best_off[balls, 0])]
-    if len(lost):
-        raise BudgetError(
-            f"scan of the {_ball_name(objective, domain, lost[0])} found no "
-            "admissible sample points"
-        )
+        self.best_off[ball[gain]] = np.stack([xs[a][inv[gain, a]]
+                                              for a in range(dim)], axis=-1)
+        threshold = np.where(best > 0, best * (1.0 + self.tol), best)
+        keep = ubs > threshold[ball]
+        if not keep.any():
+            return None
+        return _compact(_Cells(coords, owner, inv[keep], count, rho))

@@ -68,6 +68,14 @@ def test_scale_range_guards(sin1, rand100):
         certify_equidistribution(rand100, 0.3)  # above 1/4
 
 
+@pytest.mark.parametrize("k1, k2", [(0.0, 8.0), (-5.0, 1e300),
+                                    (8.0, 8.0), (9.0, 8.0)])
+def test_threshold_order_guard(rand100, k1, k2):
+    # without 0 < K1 < K2 a certificate could pass vacuously
+    with pytest.raises(ScaleRangeError):
+        certify_equidistribution(rand100, 0.25, k1=k1, k2=k2)
+
+
 def test_seeded_m325_passes(t2):
     spec = random_eigenfunction(325, t2, 0)
     cert = certify_equidistribution(spec, 0.2, k1=1.0, k2=8.0)

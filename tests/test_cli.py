@@ -275,6 +275,23 @@ def test_non_finite_number_exit_code(tmp_path, command, flag, value, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("doubling", ["--r", "0.3"]), ("doubling", ["--r", "1e300"]),
+    ("certify", ["--r", "0.25", "--k1", "-5", "--k2", "1e300"]),
+])
+def test_out_of_range_number_exit_code(tmp_path, command, flags, capsys):
+    # a doubling radius past 1/4 (the certified range) and thresholds out
+    # of the order 0 < K1 < K2 (a certificate that passes vacuously) are
+    # refused with exit 2 before any artifact is written
+    assert run(["--out", str(tmp_path), "gen", "--m", "25", "--seed",
+                "7"]) == 0
+    out = tmp_path / "out"
+    assert run(["--out", str(out), command, "--spec",
+                str(tmp_path / "spec_m25_dim2_seed7.json"), *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_family(tmp_path):
     out = str(tmp_path)
     for m, seed in ((100, 0), (100, 1), (325, 0)):

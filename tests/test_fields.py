@@ -240,6 +240,17 @@ def test_sup_radius_guard(rand25, name, s):
         BALL_MEASURES[name](rand25, (0, 0), s)
 
 
+@pytest.mark.parametrize("name", sorted(BALL_SUPS))
+def test_per_center_radius_guard(rand25, name):
+    # with one radius per center each radius is checked, the error naming
+    # the first bad one, and the radii must match the centers one to one
+    centers = np.array([[0.1, 0.2], [0.5, 0.5], [0.7, 0.3]])
+    with pytest.raises(EmbeddedBallError, match="radius 0.6 "):
+        BALL_SUPS[name](rand25, centers, np.array([0.1, 0.6, 0.2]))
+    with pytest.raises(ValueError, match="2 radii for 3 centers"):
+        BALL_SUPS[name](rand25, centers, np.array([0.1, 0.2]))
+
+
 # (dim, m, s, sup): small balls on T^2 and T^3 for every ball sup, and
 # balls of radius 0.3 whose eight windows (about 15k cells each) hold more
 # cells than the torus's first level (40k), so that a batch reads its first
@@ -253,14 +264,14 @@ BATCH_CASES = ([(*case, name) for case in ((2, 1105, 0.02), (3, 50, 0.03))
 def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     # a ball's sup does not depend on the balls that share its lockstep
     # scan: a cover scanned whole, shuffled and split in two, and in
-    # lockstep groups of one or two balls (levels and the torus table built
-    # in several chunks) gives every ball its own single-center value bit
-    # for bit, whichever route evaluated its first level; the groups of one
-    # scan share a single polish
+    # first-level groups of one or two balls (levels and the torus table
+    # built in several chunks) gives every ball its own single-center value
+    # bit for bit, whichever route evaluated its first level; the groups of
+    # one scan share a single polish
     sup = BALL_SUPS[name]
     spec = random_eigenfunction(m, TorusModel(dim), 4)
     centers = generate_cover(0.25, spec.model).centers[:8]
-    calls = {"pattern_search": 0, "_lockstep": 0, "_torus_level": 0}
+    calls = {"pattern_search": 0, "_window_cells": 0, "_torus_level": 0}
 
     def counted(attr):
         inner = getattr(scan, attr)
@@ -285,14 +296,72 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     assert calls["_torus_level"] == 3 * shared
     obj = scan.SpectralObjective(spec, centers[0], 0.0, 1.0)
     domain = scan.RadialDomain(0.0, s)
-    size = domain.window(obj.centers, scan._first_count(obj, domain))[1]
+    count = int(scan._first_counts(obj, domain)[0])
+    size = int(domain.window(obj.centers, count)[1][0])
     # two windows' children per group: four groups of two balls
     monkeypatch.setattr(spectrum, "PHASE_BLOCK", 2 * size**dim * 2**dim)
     for fn in calls:
         calls[fn] = 0
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
-    assert calls["pattern_search"] == 1 and calls["_lockstep"] >= 4
+    assert calls["pattern_search"] == 1 and calls["_window_cells"] >= 4
     assert calls["_torus_level"] == shared
+
+
+# (dim, m, radii, blocks): radii on both sides of 2 h0, below which a
+# ball's first level is finer than ceil(1/h0) cells per axis, and
+# PHASE_BLOCK values small enough that, over the runs, first levels run in
+# several groups, the survivors of several groups descend as one pool, and
+# levels split at ball boundaries
+MIXED_CASES = [(2, 1105, (0.004, 0.02, 0.03), (128, 1024)),
+               (3, 50, (0.03, 0.08), (4096, 8192))]
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SUPS))
+@pytest.mark.parametrize("dim,m,radii,blocks", MIXED_CASES)
+def test_mixed_radius_batches_equal_single_calls(name, dim, m, radii, blocks,
+                                                 monkeypatch):
+    # one scan of centers x radii gives every ball its own single-center
+    # value bit for bit: whole, shuffled and split in two, and under small
+    # PHASE_BLOCKs, where groups, pools and depth-first splits all occur
+    sup = BALL_SUPS[name]
+    spec = random_eigenfunction(m, TorusModel(dim), 4)
+    centers = np.tile(generate_cover(0.25, spec.model).centers[:6],
+                      (len(radii), 1))
+    s = np.repeat(radii, 6)
+    single = np.array([sup(spec, c, r, 1e-2) for c, r in zip(centers, s)])
+    seen = {"levels": set(), "groups": 0, "pools": 0, "splits": 0}
+    window_cells, merge, split = scan._window_cells, scan._merge, scan._split
+
+    def counted_window(balls, lows, sizes, count, rho):
+        seen["levels"].add(count)
+        seen["groups"] += 1
+        return window_cells(balls, lows, sizes, count, rho)
+
+    def counted_merge(parts):
+        seen["pools"] += len(parts) > 1
+        return merge(parts)
+
+    def counted_split(cells):
+        parts = split(cells)
+        seen["splits"] += len(parts) > 1
+        return parts
+
+    monkeypatch.setattr(scan, "_window_cells", counted_window)
+    monkeypatch.setattr(scan, "_merge", counted_merge)
+    monkeypatch.setattr(scan, "_split", counted_split)
+    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    assert len(seen["levels"]) == 2
+    order = np.random.default_rng(dim).permutation(len(s))
+    parts = np.split(order, [len(s) // 3])
+    assert np.array_equal(
+        np.concatenate([sup(spec, centers[p], s[p], 1e-2) for p in parts]),
+        single[order])
+    seen.update(groups=0, pools=0, splits=0)
+    for block in blocks:
+        monkeypatch.setattr(spectrum, "PHASE_BLOCK", block)
+        assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    assert seen["groups"] > 2 * len(blocks)
+    assert seen["pools"] and seen["splits"]
 
 
 def test_boundary_maxima_in_a_batch(sin1):
@@ -315,17 +384,22 @@ def test_boundary_maxima_in_a_batch(sin1):
 
 def test_batch_budget_error_names_the_ball(rand100, monkeypatch):
     # in a batch, the ball that runs out of NODE_BUDGET is named by its
-    # center and radius
+    # center and radius, its own when every ball has one
     centers = np.array([[0.2, 0.4], [0.65, 0.15], [0.9, 0.55]])
-    dom = scan.RadialDomain(0.0, 0.1)
-    nodes = [scan.certified_max(scan.SpectralObjective(rand100, c, 0.0, 1.0),
-                                dom, 1e-6).nodes for c in centers]
-    heavy = int(np.argmax(nodes))
-    monkeypatch.setattr(scan, "NODE_BUDGET", sorted(nodes)[1])
-    with pytest.raises(BudgetError) as err:
-        sup_on_ball(rand100, centers, 0.1, 1e-6)
-    name = "center ({:g}, {:g})".format(*centers[heavy])
-    assert name in str(err.value) and "radius 0.1" in str(err.value)
+    for s in (0.1, np.array([0.05, 0.2, 0.03])):
+        radii = np.broadcast_to(s, len(centers))
+        nodes = [scan.certified_max(
+            scan.SpectralObjective(rand100, c, 0.0, 1.0),
+            scan.RadialDomain(0.0, r), 1e-6).nodes
+            for c, r in zip(centers, radii)]
+        heavy = int(np.argmax(nodes))
+        monkeypatch.setattr(scan, "NODE_BUDGET", sorted(nodes)[1])
+        with pytest.raises(BudgetError) as err:
+            sup_on_ball(rand100, centers, s, 1e-6)
+        monkeypatch.undo()
+        name = "center ({:g}, {:g})".format(*centers[heavy])
+        assert name in str(err.value)
+        assert f"radius {radii[heavy]:g} " in str(err.value)
 
 
 def test_partition_mass_sums_to_norm(rand100):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -10,7 +11,7 @@ from nodalscope.certify import (
     largest_admissible_r,
 )
 from nodalscope import harness
-from nodalscope.geometry import generate_cover
+from nodalscope.geometry import generate_cover, member_cover
 from nodalscope.harness import (
     EnsembleMember,
     certified_member,
@@ -90,3 +91,21 @@ def test_member_nodal_stats_doubles_grid(t2, monkeypatch):
     member = _measured_member(random_eigenfunction(5525, t2, 0), None, 0)
     member_nodal_stats(member)
     assert grids == [1024]
+
+
+@pytest.mark.parametrize("measure", [harness.member_doubling,
+                                     harness.member_lift_index])
+def test_scan_memory_peak(t2, measure):
+    # each measurement is one lockstep scan over all its balls; its pooled
+    # descents and split levels hold at most spectrum.PHASE_BLOCK cells a
+    # level, so the traced peak stays small on the first m = 1105
+    # acceptance member (about 4.8 and 3.7 MiB; 10 MiB with unbounded pools)
+    member = certified_member(random_eigenfunction(1105, t2, 0))
+    member_cover(member.r, t2)  # the cached cover is not the scan's
+    tracemalloc.start()
+    try:
+        measure(member)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

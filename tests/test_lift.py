@@ -131,8 +131,8 @@ def test_cube_scans_once_per_x_offset_and_scale(dim, r, n_balls,
                                                 monkeypatch):
     # a ball's log sup ratio does not depend on its t-offset, so the 150
     # pairs (PAIR_BUDGET) of the cube scan each (x-offset, radius) ball
-    # once, against 2 per pair without sharing across t, in one lockstep
-    # scan per radius. The rule: grid point u in {0..8}^(dim+1) at offset
+    # once, against 2 per pair without sharing across t, all in one lockstep
+    # scan of 15 radii. The rule: grid point u in {0..8}^(dim+1) at offset
     # (2u - 8) r/9, ring k = max|u - 4|, scales r(9 - 2k)/(9 2^j) down to
     # r/64, pairs in (k, u) order; a pair needs its ball and the double.
     spec = random_eigenfunction(25 if dim == 2 else 50, TorusModel(dim), 7)
@@ -157,9 +157,9 @@ def test_cube_scans_once_per_x_offset_and_scale(dim, r, n_balls,
     balls, scans = [], []
 
     def recorded(spec, x_centers, s, tol):
-        balls.extend((tuple(x), s) for x in x_centers)
-        scans.append(s)
-        return np.full(len(x_centers), s)
+        balls.extend(zip(map(tuple, x_centers), s))
+        scans.append(set(s))
+        return np.array(s)
 
     monkeypatch.setattr(lift, "lifted_sup_on_ball", recorded)
     ci = cube_doubling_index(spec, center, r)
@@ -167,7 +167,7 @@ def test_cube_scans_once_per_x_offset_and_scale(dim, r, n_balls,
     assert ci.budget_exhausted
     assert len(balls) == len(set(balls)) == n_balls
     assert set(balls) == expected
-    assert len(scans) == len(set(scans)) == 15
-    assert set(scans) <= radii
+    assert len(scans) == 1 and len(scans[0]) == 15
+    assert scans[0] <= radii
     # every pair's double is twice its ball: each ratio is log 2
     assert ci.n_value == math.log(2.0)
