@@ -19,7 +19,8 @@ class CoverRadiusError(ScaleRangeError):
 
 class SpecError(NodalscopeError, ValueError):
     """An eigenfunction spec is malformed: not spec JSON, bad mode array,
-    |k|^2 != m, non-finite coefficients, repeated modes or a wrong norm."""
+    |k|^2 != m, non-finite coefficients, repeated modes, a wrong norm, or a
+    seed that is not an integer >= 0."""
 
 
 class DimensionError(NodalscopeError, ValueError):

@@ -34,26 +34,37 @@ applies that factor per ball.
 One scan serves a batch of B balls that share a domain shape. A radius (the
 domain's outer radius, the lifted ball's s) is one value or one per ball,
 and each ball's first level follows its own radius: the balls that share a
-first level run together. When their windows together hold more cells than
-the torus level, that level is evaluated once over the whole torus and each
-ball reads its window from the table; otherwise each ball's own cells are
-evaluated. Both routes give the same bits. The descent runs the (ball,
-cell) pairs of many balls in lockstep: every pair belongs to one ball, each
-ball keeps its own incumbent, prune threshold and node count (NODE_BUDGET,
-counted on its own cells however they were evaluated), and each level is
-evaluated in one pass over the pairs. First levels are evaluated in groups:
-balls enter a group until its windows' children (2^n per window cell)
-reach spectrum.PHASE_BLOCK cells (a ball too large for a group is a group
-of its own). The cells that survive the first level are pooled across
-groups under the same bound, rows times 2^n at most PHASE_BLOCK (a group
-whose own survivors reach it descends alone), and each pool descends in
-one lockstep. A level whose children would pass PHASE_BLOCK is split at
-ball boundaries and its parts descend depth-first. Every level's phases,
-the torus table's too, are built in chunks of at most PHASE_BLOCK cells x
-modes; together these bound the memory a scan takes. A ball's value does
-not depend on the balls that share its batch, to the last bit: every step
-is elementwise or reduces within one row (spectrum.mode_sum, point_phases)
-or within one ball's cells, which stay together in their order.
+first level run together. The descent runs the (ball, cell) pairs of many
+balls in lockstep: every pair belongs to one ball, each ball keeps its own
+incumbent, prune threshold and node count (NODE_BUDGET, counted on its own
+cells however they were evaluated), and each level is evaluated in one pass
+over the pairs. A level's pairs are in ball order, and a first level's are
+in window row-major order within each ball.
+
+A level evaluates each of its distinct cells once, whatever the number of
+pairs that hold it: overlapping windows and neighbouring balls share their
+cells, and every pair reads its cell's value and bound. When the windows of
+the balls that share a first level together hold more cells than the torus
+level, that level is evaluated once over the whole torus, and each ball
+reads its window from the table as a box, with wrapped index ranges: its
+norms, band, node count, best cell (the first in window row-major order)
+and prune are computed on the box, and only the surviving cells become
+pairs. Balls of one window size are read together, in ball order. Both
+routes give a ball the same bits and the same node count.
+
+First levels are evaluated in groups: balls enter a group until its
+windows' children (2^n per window cell) reach spectrum.PHASE_BLOCK cells (a
+ball too large for a group is a group of its own). The cells that survive
+the first level are pooled across groups under the same bound, rows times
+2^n at most PHASE_BLOCK (a group whose own survivors reach it descends
+alone), and each pool descends in one lockstep. A level whose children
+would pass PHASE_BLOCK is split at ball boundaries and its parts descend
+depth-first. Every level's phases, the torus table's too, are built in
+chunks of at most PHASE_BLOCK cells x modes; together these bound the
+memory a scan takes. A ball's value does not depend on the balls that share
+its batch, to the last bit: every step is elementwise or reduces within one
+row (spectrum.mode_sum, point_phases) or within one ball's cells, which
+stay together in their order.
 
 Every objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective)
 or psi^2 times the harmonic lift's t-factor (LiftedSquared, balls at t = 0:
@@ -62,7 +73,7 @@ psi and Hessian of psi come from one mode sum (spectrum.mode_sum). A level's
 phases are products of per-axis tables built once per level over its
 distinct reduced indices (spectrum.axis_phases, lattice_phases), so balls
 that share lattice rows share their exps and one product evaluates a chunk
-of the level.
+of the level's distinct cells.
 """
 
 from __future__ import annotations
@@ -430,19 +441,40 @@ def _check_budget(objective, domain, tol, nodes):
 
 def _level_bounds(objective, coords, count, inv, rho):
     """objective.cell_bounds of the cells of index coords[a][inv[p, a]] on
-    the lattice of count cells per axis, in chunks of at most
-    spectrum.PHASE_BLOCK cells x modes, from per-axis tables over the
-    distinct indices reduced mod count, built once per level."""
-    spec = objective.spec
+    the lattice of count cells per axis, from per-axis tables over the
+    distinct indices reduced mod count, built once per level. Each distinct
+    cell is evaluated once; every row then reads its cell's results."""
     tables, rows = [], []
     for a, c in enumerate(coords):
         reduced, row = np.unique(np.mod(c, count), return_inverse=True)
-        tables.append(axis_phases(spec, (reduced + 0.5) / count, a))
+        tables.append(axis_phases(objective.spec, (reduced + 0.5) / count, a))
         rows.append(row.ravel())
-    vals, ubs = np.empty(len(inv)), np.empty(len(inv))
-    for part in phase_blocks(len(inv), spec):
-        idx = np.stack([rows[a][inv[part, a]] for a in range(len(rows))],
-                       axis=-1)
+    # a row's cell is one key over its tables' rows, int32 when they fit
+    space = math.prod(len(t) for t in tables)
+    dtype = np.int32 if space <= np.iinfo(np.int32).max else np.int64
+    key = np.take(rows[0].astype(dtype), inv[:, 0])
+    for a in range(1, len(rows)):
+        key *= len(tables[a])
+        key += np.take(rows[a].astype(dtype), inv[:, a])
+    del rows
+    cells, back = np.unique(key, return_inverse=True)
+    del key
+    vals, ubs = _key_bounds(objective, tables, cells, rho)
+    del tables, cells
+    return vals[back], ubs[back]
+
+
+def _key_bounds(objective, tables, keys, rho):
+    """objective.cell_bounds of the cells keys, each the row-major index of
+    its rows in the per-axis tables, in chunks of at most
+    spectrum.PHASE_BLOCK cells x modes."""
+    vals, ubs = np.empty(len(keys)), np.empty(len(keys))
+    for part in phase_blocks(len(keys), objective.spec):
+        rest = keys[part]
+        idx = np.empty((len(rest), len(tables)), dtype=keys.dtype)
+        for a in range(len(tables) - 1, 0, -1):
+            rest, idx[:, a] = np.divmod(rest, len(tables[a]))
+        idx[:, 0] = rest
         vals[part], ubs[part] = objective.cell_bounds(
             lattice_phases(tables, idx), rho)
     return vals, ubs
@@ -451,8 +483,9 @@ def _level_bounds(objective, coords, count, inv, rho):
 def _torus_level(objective, count, rho):
     """objective.cell_bounds of every cell of the torus level of count cells
     per axis, in row-major order of the cell indices."""
-    return _level_bounds(objective, [np.arange(count)] * objective.dim, count,
-                         index_box(count, objective.dim), rho)
+    tables = [axis_phases(objective.spec, (np.arange(count) + 0.5) / count, a)
+              for a in range(objective.dim)]
+    return _key_bounds(objective, tables, np.arange(count**objective.dim), rho)
 
 
 @dataclass
@@ -493,7 +526,7 @@ def _compact(cells: _Cells) -> _Cells:
         used = np.zeros(len(coords[a]), dtype=bool)
         used[inv[:, a]] = True
         coords[a], owner[a] = coords[a][used], owner[a][used]
-        inv[:, a] = (np.cumsum(used) - 1)[inv[:, a]]
+        inv[:, a] = np.take(np.cumsum(used) - 1, inv[:, a])
     return _Cells(coords, owner, inv, cells.count, cells.rho)
 
 
@@ -540,12 +573,20 @@ def _split(cells: _Cells) -> list[_Cells]:
             for run in runs]
 
 
+def _box_axis(x, a: int, dim: int) -> np.ndarray:
+    """x (B, size), per-ball values along one axis, as a view that
+    broadcasts along axis a of (B, size, ..., size) boxes of dimension
+    dim."""
+    return x.reshape(x.shape[:1] + (1,) * a + x.shape[1:]
+                     + (1,) * (dim - 1 - a))
+
+
 def _norms(xs, inv) -> np.ndarray:
     """Distances of the cells inv from their balls' centers, from the
     per-axis offsets xs of their indices."""
     norms = np.zeros(len(inv))
     for a in range(len(xs)):
-        norms += (xs[a] * xs[a])[inv[:, a]]
+        norms += np.take(xs[a] * xs[a], inv[:, a])
     return np.sqrt(norms)
 
 
@@ -564,7 +605,9 @@ class _Search:
         """Branch-and-bound of the given balls from their windows on the
         first level of count cells per axis (cell circumradius rho): the
         windows are evaluated in groups, and the survivors are pooled
-        across groups and descend pool by pool."""
+        across groups and descend pool by pool. When the windows hold more
+        cells than the level, it is evaluated once over the torus and each
+        ball reads its window from that table as a box."""
         dim = self.objective.dim
         lows, sizes = self.domain.window(self.objective.centers[balls],
                                          count, balls)
@@ -575,8 +618,12 @@ class _Search:
         # spectrum.PHASE_BLOCK cells
         pool, rows = [], 0
         for group in _runs(sizes**dim << dim):
-            cells = self.level(_window_cells(balls[group], lows[group],
-                                             sizes[group], count, rho), table)
+            if table is None:
+                cells = self.level(_window_cells(
+                    balls[group], lows[group], sizes[group], count, rho))
+            else:
+                cells = self.boxes(table, balls[group], lows[group],
+                                   sizes[group], count, rho)
             if cells is None:
                 continue
             more = len(cells.inv) << dim
@@ -589,6 +636,7 @@ class _Search:
             if rows >= spectrum.PHASE_BLOCK:  # one group's survivors
                 self.descend(pool)
                 rows = 0
+        del table  # only first levels read it
         if pool:
             self.descend(pool)
 
@@ -613,11 +661,17 @@ class _Search:
             if cells is not None:
                 stack.append(cells)
 
-    def level(self, cells: _Cells, table=None) -> _Cells | None:
-        """Evaluates one level's cells, reading them from table, the torus
-        level's cell_bounds in row-major order, when there is one, and
-        updates the balls' best, best_off and nodes. Returns the cells
-        whose bound can still beat their ball's threshold, or None."""
+    def threshold(self) -> np.ndarray:
+        """Each ball's prune threshold: a cell survives when its bound
+        passes its ball's best value times 1 + tol (the best itself when
+        that is not positive)."""
+        best = self.best
+        return np.where(best > 0, best * (1.0 + self.tol), best)
+
+    def level(self, cells: _Cells) -> _Cells | None:
+        """Evaluates one level's cells and updates the balls' best,
+        best_off and nodes. Returns the cells whose bound can still beat
+        their ball's threshold, or None."""
         objective, domain = self.objective, self.domain
         dim = objective.dim
         coords, owner, inv = cells.coords, cells.owner, cells.inv
@@ -626,24 +680,20 @@ class _Search:
         # per-axis offsets of the index rows from their balls' centers
         xs = [(coords[a] + 0.5) / count - objective.centers[owner[a], a]
               for a in range(dim)]
-        band = domain.band_mask(_norms(xs, inv), rho, owner[0][inv[:, 0]])
+        band = domain.band_mask(_norms(xs, inv), rho,
+                                np.take(owner[0], inv[:, 0]))
         # the in-band rows replace the level's, which no caller reads again
-        cells.inv = inv = inv[band]
+        cells.inv = inv = np.compress(band, inv, axis=0)
         del band
         if len(inv) == 0:
             return None
-        counts = np.bincount(owner[0][inv[:, 0]], minlength=len(nodes))
+        counts = np.bincount(np.take(owner[0], inv[:, 0]),
+                             minlength=len(nodes))
         nodes += counts
         _check_budget(objective, domain, self.tol, nodes)
         # phase chunks set the peak: rows' balls and norms are made after
-        if table is None:
-            vals, ubs = _level_bounds(objective, coords, count, inv, rho)
-        else:
-            flat = np.mod(coords[0], count)[inv[:, 0]]
-            for a in range(1, dim):
-                flat = flat * count + np.mod(coords[a], count)[inv[:, a]]
-            vals, ubs = table[0][flat], table[1][flat]
-        ball, norms = owner[0][inv[:, 0]], _norms(xs, inv)
+        vals, ubs = _level_bounds(objective, coords, count, inv, rho)
+        ball, norms = np.take(owner[0], inv[:, 0]), _norms(xs, inv)
         vals, ubs = objective.ball_bounds(vals, ubs, norms, rho, ball)
         # each present ball's first best cell inside the domain, from its
         # segment of the cells (sorted by ball)
@@ -658,8 +708,62 @@ class _Search:
         best[ball[gain]] = vals[gain]
         self.best_off[ball[gain]] = np.stack([xs[a][inv[gain, a]]
                                               for a in range(dim)], axis=-1)
-        threshold = np.where(best > 0, best * (1.0 + self.tol), best)
-        keep = ubs > threshold[ball]
+        keep = ubs > self.threshold()[ball]
         if not keep.any():
             return None
-        return _compact(_Cells(coords, owner, inv[keep], count, rho))
+        return _compact(_Cells(coords, owner, np.compress(keep, inv, axis=0),
+                               count, rho))
+
+    def boxes(self, table, balls, lows, sizes, count, rho) -> _Cells | None:
+        """level() of the windows of balls (first cells lows (B, n), sizes
+        (B,) cells per axis) on the torus level of count cells per axis,
+        read as boxes from table, that level's cell_bounds in row-major
+        order, with wrapped index ranges. A run of balls of one window size
+        is one (balls, window row-major) array; only the cells that survive
+        become rows, in ball order."""
+        objective, domain = self.objective, self.domain
+        dim = objective.dim
+        parts = []
+        for run in np.split(np.arange(len(balls)),
+                            np.flatnonzero(np.diff(sizes)) + 1):
+            bs, size = balls[run], int(sizes[run[0]])
+            shape = (size,) * dim
+            # unwrapped indices and offsets from the centers, (balls, size)
+            # per axis; their sums over the box axes are (balls, size^n)
+            idx = [lows[run, a, None] + np.arange(size) for a in range(dim)]
+            xs = [(idx[a] + 0.5) / count - objective.centers[bs, a, None]
+                  for a in range(dim)]
+            sq = sum(_box_axis(x * x, a, dim) for a, x in enumerate(xs))
+            norms = np.sqrt(sq).reshape(len(bs), -1)
+            ball = bs[:, None]
+            band = domain.band_mask(norms, rho, ball)
+            self.nodes[bs] += np.count_nonzero(band, axis=1)
+            _check_budget(objective, domain, self.tol, self.nodes)
+            # each box cell's row in the table, row-major over the torus
+            rows = 0
+            for a, i in enumerate(idx):
+                rows = rows * count + _box_axis(np.mod(i, count), a, dim)
+            rows = rows.reshape(len(bs), -1)
+            vals, ubs = objective.ball_bounds(
+                np.take(table[0], rows), np.take(table[1], rows), norms, rho,
+                ball)
+            # each ball's first best cell inside the domain, row-major
+            inner = np.where(band & domain.contains(norms, ball), vals,
+                             -math.inf)
+            first = inner.argmax(axis=1)
+            top = inner[np.arange(len(bs)), first]
+            gain = np.flatnonzero(top > self.best[bs])
+            self.best[bs[gain]] = top[gain]
+            at = np.unravel_index(first[gain], shape)
+            self.best_off[bs[gain]] = np.stack(
+                [xs[a][gain, at[a]] for a in range(dim)], axis=-1)
+            keep = band & (ubs > self.threshold()[ball])
+            row, flat = np.nonzero(keep)
+            if len(row):
+                at = np.unravel_index(flat, shape)
+                inv = np.stack([row * size + at[a] for a in range(dim)],
+                               axis=-1).astype(np.int32)
+                parts.append(_compact(_Cells(
+                    [i.ravel() for i in idx], [np.repeat(bs, size)] * dim,
+                    inv, count, rho)))
+        return _merge(parts) if parts else None

@@ -74,7 +74,8 @@ def enumerate_lattice(m: int, n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class EigenfunctionSpec:
-    """Finite lattice-mode expansion with exact eigenvalue 4 pi^2 m."""
+    """Finite lattice-mode expansion with exact eigenvalue 4 pi^2 m; seed is
+    None or an integer >= 0, held as an int."""
 
     model: TorusModel
     m: int
@@ -104,6 +105,8 @@ class EigenfunctionSpec:
         norm = 0.5 * float(np.sum(a * a + b * b))
         if abs(norm - 1.0) > 1e-12:
             raise SpecError(f"L2 norm {norm} != 1")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def lam(self) -> float:
@@ -123,12 +126,22 @@ class EigenfunctionSpec:
         return self.coeff_l1() * (TWO_PI * math.sqrt(self.m)) ** order
 
 
+def _seed(seed) -> int:
+    """seed as an int; SpecError unless it is an integer >= 0 (a numpy
+    integer is one, a bool is not)."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise SpecError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def random_eigenfunction(m: int, model: TorusModel, seed: int) -> EigenfunctionSpec:
     """Gaussian coefficients on the canonical modes, normalized to unit L2 norm.
 
-    Deterministic in (m, seed); raises NoModesError when the spectrum at m is
-    empty.
+    Deterministic in (m, seed); raises SpecError unless seed is an integer
+    >= 0, and NoModesError when the spectrum at m is empty.
     """
+    seed = _seed(seed)
     reps = enumerate_lattice(m, model.dim)
     if not reps:
         raise NoModesError(m, model.dim)

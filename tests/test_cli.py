@@ -85,6 +85,34 @@ def test_bad_spec_exit_code(tmp_path, case, capsys):
     assert not list(tmp_path.glob("certificate_*.json"))
 
 
+@pytest.mark.parametrize("seed", ["a/b", 2.5, True, [1, 2], -1],
+                         ids=["slash", "float", "bool", "list", "negative"])
+def test_bad_seed_exit_code(tmp_path, sin1, seed, capsys):
+    # a spec's seed is None or an integer >= 0; any other is refused with
+    # exit 2 before any computation, by certify and by report (whose file
+    # names carry the seed), and no file is written
+    spec = json.loads(spec_to_json(sin1))
+    spec["seed"] = seed
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"specs": [str(path)]}))
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "certify", "--spec", str(path),
+                "--r", "0.25"]) == 2
+    assert run(["--out", str(out), "report", "--manifest",
+                str(manifest)]) == 2
+    assert capsys.readouterr().err.count("error: seed must be") == 2
+    assert not out.exists()
+
+
+def test_gen_negative_seed_exit_code(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "gen", "--m", "1", "--seed",
+                "-1"]) == 2
+    assert "error: seed must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 _BAD_MANIFESTS = {
     "not_json": "specs: [a.json]\n",
     "no_specs": json.dumps({"beta": 0.01}),

@@ -266,15 +266,17 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     # scan: a cover scanned whole, shuffled and split in two, and in
     # first-level groups of one or two balls (levels and the torus table
     # built in several chunks) gives every ball its own single-center value
-    # bit for bit, whichever route evaluated its first level; the groups of
-    # one scan share a single polish
+    # bit for bit, whichever route evaluated its first level (index rows of
+    # its window, or a box read from the torus table); the groups of one
+    # scan share a single polish
     sup = BALL_SUPS[name]
     spec = random_eigenfunction(m, TorusModel(dim), 4)
     centers = generate_cover(0.25, spec.model).centers[:8]
-    calls = {"pattern_search": 0, "_window_cells": 0, "_torus_level": 0}
+    calls = {"pattern_search": 0, "_window_cells": 0, "_torus_level": 0,
+             "boxes": 0}
 
-    def counted(attr):
-        inner = getattr(scan, attr)
+    def counted(owner, attr):
+        inner = getattr(owner, attr)
 
         def wrapper(*args):
             calls[attr] += 1
@@ -282,9 +284,10 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
         return wrapper
 
     for fn in calls:
-        monkeypatch.setattr(scan, fn, counted(fn))
+        owner = scan._Search if fn == "boxes" else scan
+        monkeypatch.setattr(owner, fn, counted(owner, fn))
     single = np.array([sup(spec, c, s, 1e-2) for c in centers])
-    assert calls["_torus_level"] == 0
+    assert calls["_torus_level"] == calls["boxes"] == 0
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
     shared = int(s == 0.3)
     assert calls["_torus_level"] == shared
@@ -303,7 +306,8 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     for fn in calls:
         calls[fn] = 0
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
-    assert calls["pattern_search"] == 1 and calls["_window_cells"] >= 4
+    groups = calls["boxes"] if shared else calls["_window_cells"]
+    assert calls["pattern_search"] == 1 and groups >= 4
     assert calls["_torus_level"] == shared
 
 
@@ -331,11 +335,18 @@ def test_mixed_radius_batches_equal_single_calls(name, dim, m, radii, blocks,
     single = np.array([sup(spec, c, r, 1e-2) for c, r in zip(centers, s)])
     seen = {"levels": set(), "groups": 0, "pools": 0, "splits": 0}
     window_cells, merge, split = scan._window_cells, scan._merge, scan._split
+    boxes = scan._Search.boxes
 
+    # a first-level group is read by either route
     def counted_window(balls, lows, sizes, count, rho):
         seen["levels"].add(count)
         seen["groups"] += 1
         return window_cells(balls, lows, sizes, count, rho)
+
+    def counted_boxes(search, table, balls, lows, sizes, count, rho):
+        seen["levels"].add(count)
+        seen["groups"] += 1
+        return boxes(search, table, balls, lows, sizes, count, rho)
 
     def counted_merge(parts):
         seen["pools"] += len(parts) > 1
@@ -347,6 +358,7 @@ def test_mixed_radius_batches_equal_single_calls(name, dim, m, radii, blocks,
         return parts
 
     monkeypatch.setattr(scan, "_window_cells", counted_window)
+    monkeypatch.setattr(scan._Search, "boxes", counted_boxes)
     monkeypatch.setattr(scan, "_merge", counted_merge)
     monkeypatch.setattr(scan, "_split", counted_split)
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
@@ -362,6 +374,50 @@ def test_mixed_radius_batches_equal_single_calls(name, dim, m, radii, blocks,
         assert np.array_equal(sup(spec, centers, s, 1e-2), single)
     assert seen["groups"] > 2 * len(blocks)
     assert seen["pools"] and seen["splits"]
+
+
+# (dim, m, sup, radii): windows of two sizes on one first level, which a
+# batch of balls alternating between the radii holds more cells of than
+# the level, so that the batch reads it as boxes of the torus table while
+# a single call evaluates its own cells
+BOX_CASES = [(2, 1105, "psi2", (0.3, 0.25)), (2, 1105, "lifted", (0.25, 0.2)),
+             (3, 50, "psi2", (0.3, 0.25)), (3, 50, "lifted", (0.25, 0.2))]
+
+
+@pytest.mark.parametrize("dim,m,name,radii", BOX_CASES)
+def test_box_reads_with_mixed_window_sizes(dim, m, name, radii, monkeypatch):
+    # first-level groups whose balls alternate window sizes read their boxes
+    # run by run, in ball order: whole, shuffled and split in two, every
+    # ball gets its own single-center value bit for bit
+    sup = BALL_SUPS[name]
+    spec = random_eigenfunction(m, TorusModel(dim), 4)
+    centers = np.repeat(generate_cover(0.25, spec.model).centers[:4], 2,
+                        axis=0)
+    s = np.tile(radii, 4)
+    single = np.array([sup(spec, c, r, 1e-2) for c, r in zip(centers, s)])
+    obj = scan.SpectralObjective(spec, centers, 0.0, 1.0)
+    domain = scan.RadialDomain(0.0, s)
+    counts = scan._first_counts(obj, domain)
+    assert len(np.unique(counts)) == 1
+    sizes = domain.window(obj.centers, int(counts[0]), np.arange(len(s)))[1]
+    assert len(np.unique(sizes)) == 2
+    mixed, boxes = [], scan._Search.boxes
+
+    def spy(search, table, balls, lows, sizes, count, rho):
+        mixed.append(len(np.unique(sizes)) > 1)
+        return boxes(search, table, balls, lows, sizes, count, rho)
+
+    monkeypatch.setattr(scan._Search, "boxes", spy)
+    # four windows' children per group: two of each size
+    monkeypatch.setattr(spectrum, "PHASE_BLOCK",
+                        int(np.sum(sizes[:4]**dim)) << dim)
+    assert np.array_equal(sup(spec, centers, s, 1e-2), single)
+    order = np.random.default_rng(dim).permutation(len(s))
+    parts = np.split(order, [3])
+    assert np.array_equal(
+        np.concatenate([sup(spec, centers[p], s[p], 1e-2) for p in parts]),
+        single[order])
+    assert any(mixed)
 
 
 def test_boundary_maxima_in_a_batch(sin1):

@@ -99,7 +99,7 @@ def test_scan_memory_peak(t2, measure):
     # each measurement is one lockstep scan over all its balls; its pooled
     # descents and split levels hold at most spectrum.PHASE_BLOCK cells a
     # level, so the traced peak stays small on the first m = 1105
-    # acceptance member (about 4.8 and 3.7 MiB; 10 MiB with unbounded pools)
+    # acceptance member (about 4.7 and 3.4 MiB; 10 MiB with unbounded pools)
     member = certified_member(random_eigenfunction(1105, t2, 0))
     member_cover(member.r, t2)  # the cached cover is not the scan's
     tracemalloc.start()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nodalscope import scan
+from nodalscope.doubling import default_scale_sweep
 from nodalscope.errors import BudgetError
-from nodalscope.geometry import TorusModel
+from nodalscope.fields import DEFAULT_TOL
+from nodalscope.geometry import TorusModel, member_cover
 from nodalscope.scan import (
     LiftedSquared,
     RadialDomain,
@@ -286,3 +288,44 @@ def test_project_batch():
     assert np.array_equal(out[3], d[3])
     ball = RadialDomain(0.0, 0.2)
     assert np.array_equal(ball.project(np.zeros((1, 2))), np.zeros((1, 2)))
+
+
+def test_each_distinct_cell_evaluated_once(monkeypatch):
+    # an m = 1105 doubling sweep, as scan_doubling runs it: every level's
+    # rows are evaluated once per distinct (level, reduced index) cell, so
+    # overlapping windows and the cells that balls share cost one row each;
+    # the node count, counted per ball, is the one the sweep took when each
+    # row was evaluated on its own
+    spec = random_eigenfunction(1105, TorusModel(2), 0)
+    centers = member_cover(0.25, spec.model).centers
+    radii = sorted({s for d in default_scale_sweep(spec.lam, 0.25)
+                    for s in (d, 2.0 * d)})
+    obj = SpectralObjective(spec, np.tile(centers, (len(radii), 1)), 0.0, 1.0)
+    domain = RadialDomain(0.0, np.repeat(radii, len(centers)))
+    level_bounds = scan._level_bounds
+    cell_bounds = SpectralObjective.cell_bounds
+    held, evaluated, phases = [], [], []
+
+    def spy_cells(self, chunk, rho):
+        phases.append(chunk.copy())
+        return cell_bounds(self, chunk, rho)
+
+    def spy_level(objective, coords, count, inv, rho):
+        phases.clear()
+        out = level_bounds(objective, coords, count, inv, rho)
+        cells = np.stack([np.mod(coords[a][inv[:, a]], count)
+                          for a in range(inv.shape[1])], axis=-1)
+        rows = np.concatenate(phases)
+        # no cell twice: as many rows, all different, as distinct cells
+        assert (len(np.unique(rows, axis=0)) == len(rows)
+                == len(np.unique(cells, axis=0)))
+        held.append(len(inv))
+        evaluated.append(len(rows))
+        return out
+
+    monkeypatch.setattr(scan, "_level_bounds", spy_level)
+    monkeypatch.setattr(SpectralObjective, "cell_bounds", spy_cells)
+    result = certified_max(obj, domain, DEFAULT_TOL)
+    assert len(held) > 10
+    assert sum(evaluated) <= 0.6 * sum(held)
+    assert result.nodes == 813_030
