@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import logging
 import math
 import sys
 from dataclasses import replace
@@ -240,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates for exact toral eigenfunctions",
     )
     parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("-v", dest="verbose", action="store_true",
+                        help="log the library's INFO lines to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random eigenfunction spec")
@@ -274,14 +277,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _logging(verbose: bool):
+    """Under -v, the package's INFO and higher records go to stderr while
+    the command runs; the handler and level are removed afterwards, so a
+    caller that runs main twice in one process sees no leftover."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("nodalscope")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (NodalscopeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _logging(args.verbose):
+        try:
+            return args.func(args)
+        except (NodalscopeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

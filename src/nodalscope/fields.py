@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j1
 
 from .errors import BudgetError
 from .geometry import ball_volume, embedded_radius, index_box, wrap_point
@@ -226,6 +225,8 @@ class MassEvaluator:
         out[zero] = ball_volume(r, self.spec.model)
         qs = q[~zero]
         if self.spec.model.dim == 2:
+            from scipy.special import j1
+
             out[~zero] = r * j1(2.0 * math.pi * qs * r) / qs
         else:
             z = 2.0 * math.pi * qs * r

@@ -2,17 +2,16 @@
 
 Covers are regular grids whose balls of radius r tile the torus with bounded
 overlap of the doubled balls; the overlap multiplicity is measured on a dense
-probe grid and stored with the cover.
+probe grid the first time a cover's overlap_bound is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CoverRadiusError, EmbeddedBallError
 
@@ -99,15 +98,20 @@ def index_box(size: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """Regular-grid cover by balls of radius r with measured doubled-ball overlap."""
+    """Regular-grid cover by balls of radius r; the doubled-ball overlap is
+    measured on first read of overlap_bound and kept with the cover."""
 
     radius: float
     centers: np.ndarray  # (C, n), rows in [0, 1)
-    overlap_bound: int
     grid_axis_count: int | None = None  # set when centers form the full K^n grid
 
     def __len__(self) -> int:
         return len(self.centers)
+
+    @cached_property
+    def overlap_bound(self) -> int:
+        """overlap_multiplicity of this cover on its torus."""
+        return overlap_multiplicity(self, TorusModel(self.centers.shape[1]))
 
 
 def _grid_axis_count(r: float, dim: int) -> int:
@@ -120,17 +124,15 @@ def _grid_axis_count(r: float, dim: int) -> int:
 @lru_cache(maxsize=64)
 def _cached_cover(r: float, dim: int) -> CoverSet:
     K = _grid_axis_count(r, dim)
-    cover = CoverSet(radius=r, centers=index_box(K, dim) / K,
-                     overlap_bound=0, grid_axis_count=K)
-    return replace(cover,
-                   overlap_bound=overlap_multiplicity(cover, TorusModel(dim)))
+    return CoverSet(radius=r, centers=index_box(K, dim) / K, grid_axis_count=K)
 
 
 def generate_cover(r: float, model: TorusModel) -> CoverSet:
     """Regular grid of ball centers at spacing <= r/sqrt(n).
 
-    Cardinality is at most (2 sqrt(n))^n r^(-n); the doubled-ball overlap
-    multiplicity is measured and stored.
+    Cardinality is at most (2 sqrt(n))^n r^(-n). Only the centers are built
+    here; the doubled-ball overlap multiplicity is measured when the cover's
+    overlap_bound is first read.
     """
     if not 0.0 < r <= 0.25:
         raise CoverRadiusError(f"cover radius {r} outside (0, 1/4]")
@@ -152,6 +154,8 @@ def overlap_multiplicity(cover: CoverSet, model: TorusModel) -> int:
     grid covers the multiplicity function is periodic with the grid cell, so
     the maximum is evaluated exactly on the P/K residue classes.
     """
+    from scipy.spatial import cKDTree
+
     n = model.dim
     r2 = 2.0 * cover.radius
     centers = np.asarray(cover.centers, dtype=float)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DimensionError, ResolutionError, ScaleRangeError
 from .geometry import min_image, wrap_point
@@ -433,6 +432,8 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     x, resid = x[hit], resid[hit]
     keep = np.ones(len(x), dtype=bool)
     if len(x) > 1:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(x, boxsize=1.0)
         for a, b in sorted(tree.query_pairs(h)):
             if keep[a]:
@@ -458,6 +459,8 @@ def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if not points:
         return [0] * len(centers)
+    from scipy.spatial import cKDTree
+
     weights = np.array([p.vanishing_order - 1 for p in points])
     tree = cKDTree(wrap_point([p.location for p in points]), boxsize=1.0)
     hits = tree.query_ball_point(wrap_point(centers), radius)

@@ -243,6 +243,22 @@ def test_nodal_singular_points_artifact(tmp_path, product_spec):
     assert rows == extract_nodal(product_spec, 512).segments.tolist()
 
 
+def test_verbose_logs_to_stderr(tmp_path, product_spec, capsys):
+    # -v shows the library's INFO lines and changes no written byte
+    spec_path = tmp_path / "product.json"
+    spec_path.write_text(spec_to_json(product_spec))
+    files, errs = {}, {}
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert run([*flags, "--out", str(out), "nodal", "--spec",
+                    str(spec_path), "--grid", "64"]) == 0
+        errs[len(flags)] = capsys.readouterr().err
+        files[len(flags)] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert errs[0] == ""
+    assert "singular search from" in errs[1]
+    assert files[0] == files[1]
+
+
 def test_doubling_artifacts(tmp_path):
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0

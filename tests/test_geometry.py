@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalscope import geometry
 from nodalscope.errors import CoverRadiusError, EmbeddedBallError
 from nodalscope.geometry import (
     TorusModel,
@@ -119,6 +120,30 @@ def test_overlap_multiplicity_scale_invariance(t2):
     assert m8 <= 43
 
 
+# overlap_bound of generate_cover(2^-j, TorusModel(n)) as the cover stored it
+# when it measured the overlap at construction, keyed by (n, j)
+STORED_OVERLAP = {(2, 2): 32, (2, 3): 32, (2, 4): 32, (2, 5): 28,
+                  (3, 2): 286, (3, 3): 191, (3, 4): 191, (3, 5): 186}
+
+
+@pytest.mark.parametrize("dim, j", sorted(STORED_OVERLAP))
+def test_overlap_measured_on_first_read(monkeypatch, dim, j):
+    calls = []
+
+    def spy(cover, model):
+        calls.append(cover.radius)
+        return overlap_multiplicity(cover, model)
+
+    monkeypatch.setattr(geometry, "overlap_multiplicity", spy)
+    geometry._cached_cover.cache_clear()  # no cover read by an earlier test
+    cover = generate_cover(2.0**-j, TorusModel(dim))
+    assert calls == []
+    assert cover.overlap_bound == STORED_OVERLAP[dim, j]
+    assert calls == [2.0**-j]
+    assert cover.overlap_bound == STORED_OVERLAP[dim, j]
+    assert calls == [2.0**-j]
+
+
 def test_overlap_multiplicity_nongrid_path(t2):
     # a hand-built (still covering) center set takes the brute-force probe
     cov = generate_cover(0.25, t2)
@@ -126,7 +151,7 @@ def test_overlap_multiplicity_nongrid_path(t2):
 
     shifted = CoverSet(radius=cov.radius,
                        centers=wrap_point(cov.centers + 0.013),
-                       overlap_bound=0, grid_axis_count=None)
+                       grid_axis_count=None)
     assert overlap_multiplicity(shifted, t2) == cov.overlap_bound
 
 
