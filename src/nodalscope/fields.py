@@ -4,7 +4,11 @@ auxiliary density q = |grad psi|^2 + (lambda/2)|psi|^2.
 Two mass routes are provided. MassEvaluator writes a ball mass as a
 quadratic form in the spec's own modes, whose entries are closed-form ball
 integrals (Bessel transforms) of the pairwise mode sums and differences; it
-is exact to rounding and is the path certificates use. l2_on_ball is midpoint
+is exact to rounding and is the path certificates use. On T^2 those entries
+need the Bessel function J1, which _bessel_j1 takes to rounding from the
+midpoint rule on its periodic integral, 2 floor(0.275 z) + 30 nodes for
+arguments up to z (truncation error below 2^-53 by Kapteyn's inequality),
+so certificates need no scipy. l2_on_ball is midpoint
 quadrature over grid cells (interior cells full, boundary cells weighted by a
 4^n-subsample partial-volume fraction), kept as the independent cross-check
 of the closed forms. Sup queries go through the certified branch-and-bound
@@ -19,6 +23,7 @@ import math
 
 import numpy as np
 
+from . import spectrum
 from .errors import BudgetError
 from .geometry import ball_volume, embedded_radius, index_box, wrap_point
 from .scan import (
@@ -202,6 +207,45 @@ def l2_on_ball(spec: EigenfunctionSpec | None, center, r: float,
     return mass
 
 
+def _j1_nodes(z_max: float) -> int:
+    """Midpoint nodes on [0, pi] that take _bessel_j1 to rounding for
+    0 <= z <= z_max: n = 2 floor(0.275 z_max) + 30, even and at least
+    0.55 z_max + 28 (the bound is stated in _bessel_j1)."""
+    return 2 * (int(0.275 * z_max) + 15)
+
+
+def _bessel_j1(z: np.ndarray) -> np.ndarray:
+    """Bessel J1 at each z >= 0 of an array, to rounding, in numpy alone.
+
+    J1(z) = (1/pi) int_0^pi sin t sin(z sin t) dt, and the integrand has
+    period pi and only even frequencies, so the n-point midpoint rule
+    (1/n) sum_j sin t_j sin(z sin t_j), t_j = pi (j + 1/2)/n, errs by
+    sum_{q>=1} (-1)^q (J_{2qn+1}(z) - J_{2qn-1}(z)) (Trefethen-Weideman
+    2014): about |J_{2n-1}(z)|. Kapteyn's inequality
+    |J_nu(nu sech a)| <= exp(-nu (a - tanh a)) bounds that sum below 2^-53
+    for every z <= z_max once n = _j1_nodes(z_max). For z_max >= 1300,
+    nu = 2n - 1 >= 1.1 z_max + 55 gives a - tanh a >= 0.027 and an exponent
+    past 40; below 1300 the bound is evaluated (tests/test_fields.py).
+    What remains is the rounding of z sin t_j, about 1e-16 sqrt(z). The
+    integrand is symmetric about pi/2 and n is even, so the rule is the
+    mean over its first n/2 nodes.
+
+    Each distinct z is evaluated once, with n from the largest, in blocks
+    of at most spectrum.PHASE_BLOCK z's x nodes/2; each z's nodes are
+    summed on their own, so its value depends on z and that n alone, not on
+    the blocks.
+    """
+    values, inverse = np.unique(z, return_inverse=True)
+    n = _j1_nodes(values[-1])
+    sin_t = np.sin((np.arange(n // 2) + 0.5) * (math.pi / n))
+    out = np.empty_like(values)
+    rows = max(1, spectrum.PHASE_BLOCK // len(sin_t))
+    for lo in range(0, len(values), rows):
+        part = slice(lo, lo + rows)
+        out[part] = (np.sin(values[part, None] * sin_t) * sin_t).sum(axis=1)
+    return (out / len(sin_t))[inverse].reshape(z.shape)
+
+
 class MassEvaluator:
     """Closed-form ball masses of |psi|^2 as a quadratic form in the modes.
 
@@ -210,14 +254,18 @@ class MassEvaluator:
     (1/2) Re[v^T S v + v^H D v], where S and D hold the exact ball integral
     W(|q|) of exp(2 pi i q . y) at q = k_l + k_l' and q = k_l - k_l':
     n=2: r J1(2 pi |q| r)/|q|; n=3: (sin z - z cos z)/(2 pi^2 |q|^3),
-    z = 2 pi |q| r. Exact for embedded balls (r <= 1/2).
+    z = 2 pi |q| r. Exact for embedded balls (r <= 1/2). J1 is
+    _bessel_j1: the midpoint rule on J1's periodic integral with
+    2 floor(0.275 z) + 30 nodes, z = 2 pi r max|q|, whose truncation error
+    Kapteyn's inequality keeps below 2^-53; it agrees with scipy's j1 to
+    about 2e-14 for z up to 7000.
     """
 
     def __init__(self, spec: EigenfunctionSpec):
         self.spec = spec
         k, k_t = spec.k[:, None, :], spec.k[None, :, :]
-        self.sum_norms = np.linalg.norm(k + k_t, axis=-1)
-        self.diff_norms = np.linalg.norm(k - k_t, axis=-1)
+        # |k_l + k_l'| and |k_l - k_l'|, (2, M, M)
+        self.norms = np.linalg.norm(np.stack((k + k_t, k - k_t)), axis=-1)
 
     def _ball_transform(self, q: np.ndarray, r: float) -> np.ndarray:
         out = np.empty_like(q)
@@ -225,9 +273,7 @@ class MassEvaluator:
         out[zero] = ball_volume(r, self.spec.model)
         qs = q[~zero]
         if self.spec.model.dim == 2:
-            from scipy.special import j1
-
-            out[~zero] = r * j1(2.0 * math.pi * qs * r) / qs
+            out[~zero] = r * _bessel_j1(2.0 * math.pi * qs * r) / qs
         else:
             z = 2.0 * math.pi * qs * r
             out[~zero] = (np.sin(z) - z * np.cos(z)) / (
@@ -241,8 +287,7 @@ class MassEvaluator:
     def mass_many(self, centers: np.ndarray, r: float) -> np.ndarray:
         embedded_radius(r)
         # with v = X + iY: Re[v^T S v + v^H D v] = X(S + D)X^T + Y(D - S)Y^T
-        s = self._ball_transform(self.sum_norms, r)
-        d = self._ball_transform(self.diff_norms, r)
+        s, d = self._ball_transform(self.norms, r)
         form_re, form_im = 0.5 * (d + s), 0.5 * (d - s)
         c = self.spec.a - 1j * self.spec.b
         out = np.empty(len(centers))

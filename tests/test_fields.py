@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalscope import scan, spectrum
+from nodalscope import fields, scan, spectrum
 from nodalscope.errors import BudgetError, EmbeddedBallError, ScaleRangeError
 from nodalscope.fields import (
     DEFAULT_TOL,
@@ -187,6 +187,67 @@ def test_mass_many_blocks_match_single_masses(dim, m, cover_r, monkeypatch):
     bench = random_eigenfunction(1105, TorusModel(2), 0)
     assert (len(generate_cover(0.0625, TorusModel(2)).centers)
             * bench.n_modes <= spectrum.PHASE_BLOCK)
+
+
+def _pair_norms(m):
+    """|k + k'| and |k - k'| over the canonical modes of |k|^2 = m on T^2,
+    as MassEvaluator holds them (numpy lattice: m = 1185665 in milliseconds)."""
+    x = np.arange(-math.isqrt(m), math.isqrt(m) + 1)
+    y = np.sqrt(m - x * x).round().astype(int)
+    x, y = x[y * y == m - x * x], y[y * y == m - x * x]
+    k = np.unique(np.concatenate([np.stack((x, y), 1), np.stack((x, -y), 1)]),
+                  axis=0)
+    k = k[(k[:, 0] > 0) | ((k[:, 0] == 0) & (k[:, 1] > 0))]
+    return np.linalg.norm(np.stack((k[:, None] + k, k[:, None] - k)), axis=-1)
+
+
+def _kapteyn_log_bound(nu, z):
+    """log of Kapteyn's bound exp(-nu (a - tanh a)) on |J_nu(z)|, z =
+    nu sech a <= nu."""
+    x = z / nu
+    s = np.sqrt(1 - x * x)
+    return nu * (np.log(x) + s - np.log1p(s))
+
+
+def test_j1_node_rule_bound():
+    # _j1_nodes is nondecreasing and Kapteyn's bound increases with z, so on
+    # each step [k, k + 1)/0.275 of floor(0.275 z) the node count at the
+    # left end and z at the right end bound the aliasing sum
+    # sum_q |J_{2qn-1}(z)| + |J_{2qn+1}(z)| for every z of the step
+    ends = np.arange(100_000) / 0.275
+    n = np.array([fields._j1_nodes(z) for z in ends[:-1]])
+    assert np.all(np.diff(n) >= 0) and np.all(n % 2 == 0) and n[0] == 30
+    z = ends[1:]
+    total = sum(np.exp(_kapteyn_log_bound(2 * q * n + sign, z))
+                for q in (1, 2, 3) for sign in (-1, 1))
+    assert np.max(total) < 2.0**-53
+
+
+def test_bessel_j1_matches_scipy():
+    from scipy.special import j1
+
+    z = np.linspace(0.0, 7000.0, 20001)
+    assert np.max(np.abs(fields._bessel_j1(z) - j1(z))) <= 1e-13
+    for m in (1105, 32045, 1185665):
+        q = _pair_norms(m)
+        q = q[q > 0]
+        for r in 2.0 ** -np.arange(1, 9):
+            arg = 2 * math.pi * q * r
+            assert np.max(np.abs(fields._bessel_j1(arg) - j1(arg))) <= 1e-13
+
+
+def test_bessel_j1_repeats_and_blocks_keep_bits(monkeypatch):
+    # the 2 x M x M pair norms of m = 32045 repeat each of 163 values; every
+    # repeat gets the same bits, and so does any split into PHASE_BLOCK blocks
+    q = _pair_norms(32045)
+    z = 2 * math.pi * q * 0.25
+    whole = fields._bessel_j1(z)
+    assert whole.shape == z.shape
+    for value in np.unique(z):
+        assert len(set(whole[z == value].tolist())) == 1
+    for block in (1, 3 * fields._j1_nodes(z.max()) + 1):
+        monkeypatch.setattr(spectrum, "PHASE_BLOCK", block)
+        assert np.array_equal(fields._bessel_j1(z), whole)
 
 
 _TRANSLATED = {dim: random_eigenfunction(m, TorusModel(dim), 0)

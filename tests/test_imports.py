@@ -1,6 +1,8 @@
-"""A fresh interpreter that imports every module and runs the commands
-that need no Bessel function or k-d tree loads no scipy: scipy is imported
-inside the functions that call it, so short processes do not pay for it."""
+"""A fresh interpreter that imports every module, certifies a T^2 spec
+(its ball masses take J1 from fields._bessel_j1) and runs gen, certify and
+doubling through cli.main loads no scipy: only the k-d tree and sparse-graph
+users in geometry and nodal import it, inside the functions that call it,
+so short processes do not pay for it."""
 
 import json
 import os
@@ -17,11 +19,18 @@ for path in sorted(Path(sys.argv[1], "nodalscope").glob("*.py")):
     importlib.import_module("nodalscope" if path.stem == "__init__"
                             else f"nodalscope.{path.stem}")
 from nodalscope import cli
+from nodalscope.certify import largest_admissible_r
 from nodalscope.geometry import TorusModel, generate_cover
 from nodalscope.spectrum import random_eigenfunction
 generate_cover(0.125, TorusModel(2))
-random_eigenfunction(25, TorusModel(2), 0)
-assert cli.main(["--out", sys.argv[2], "gen", "--m", "25"]) == 0
+assert largest_admissible_r(random_eigenfunction(1105, TorusModel(2), 0))
+out = sys.argv[2]
+spec = str(Path(out, "spec_m25_dim2_seed0.json"))
+assert cli.main(["--out", out, "gen", "--m", "25"]) == 0
+for command in ("certify", "doubling"):
+    # a failing certificate exits 1; an input error would exit 2
+    assert cli.main(["--out", out, command, "--spec", spec,
+                     "--r", "0.25"]) in (0, 1)
 print(json.dumps(sorted(name for name in sys.modules
                         if name.split(".")[0] == "scipy")))
 """
