@@ -1,14 +1,16 @@
 """Flat unit torus R^n/Z^n (n = 2 or 3): metric, ball volumes, covers.
 
 Covers are regular grids whose balls of radius r tile the torus with bounded
-overlap of the doubled balls; the overlap multiplicity is measured on a dense
-probe grid the first time a cover's overlap_bound is read.
+overlap of the doubled balls; the overlap multiplicity is counted on a dense
+probe grid the first time a cover's overlap_bound is read. pairs_within is
+the periodic neighbour search: a cell list plus min-image distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "generate_cover",
     "member_cover",
     "overlap_multiplicity",
+    "pairs_within",
 ]
 
 
@@ -148,34 +151,100 @@ _PROBE_MIN = 512  # probe-grid density per axis for overlap measurement
 
 
 def overlap_multiplicity(cover: CoverSet, model: TorusModel) -> int:
-    """Max number of doubled balls B_{2r}(x_i) containing any probe point.
+    """Max number of open doubled balls B_{2r}(x_i) containing any probe point.
+
+    The balls are open: a probe at distance exactly 2r from a center is not
+    in its ball. Every stored bound counts this way; at n = 3, r = 1/32,
+    closed balls would give 192 where the open count is 186.
 
     The probe grid has P = K*ceil(512/K) >= 512 points per axis. For regular
-    grid covers the multiplicity function is periodic with the grid cell, so
-    the maximum is evaluated exactly on the P/K residue classes.
+    grid covers the multiplicity function is periodic with the grid cell and
+    even in each axis, so the maximum is taken over the residues a in
+    [0, P/(2K)] per axis, exactly: in units of 1/P probes and centers sit on
+    integers, and a squared distance counts when it is below (2 r P)^2.
+    Other center sets are counted by brute force over blocks of probes.
     """
-    from scipy.spatial import cKDTree
-
     n = model.dim
-    r2 = 2.0 * cover.radius
     centers = np.asarray(cover.centers, dtype=float)
-    tree = cKDTree(centers, boxsize=1.0)
     K = cover.grid_axis_count
-    if K is not None and len(centers) == K**n:
-        c = math.ceil(_PROBE_MIN / K)
-        P = K * c
-    else:
-        P = c = _PROBE_MIN
+    if K is None or len(centers) != K**n:
+        return _overlap_brute_force(centers, 2.0 * cover.radius, n)
+    c = math.ceil(_PROBE_MIN / K)
+    P = K * c
+    # the largest integer below (2 r P)^2, from r's exact ratio
+    num, den = cover.radius.as_integer_ratio()
+    limit = ((2 * P * num) ** 2 - 1) // den**2
+    # squared min-image distances along one axis, residue x center column,
+    # over the columns some residue reaches
+    d = np.abs(np.arange(c // 2 + 1)[:, None] - c * np.arange(K))
+    d = np.minimum(d, P - d) ** 2
+    d = d[:, (d <= limit).any(axis=0)]
+    head = d
+    for _ in range(n - 2):
+        head = (head[:, None, :, None] + d[None, :, None, :]).reshape(
+            len(head) * len(d), -1)
+    return max(int(np.count_nonzero(head[:, :, None] + row <= limit,
+                                    axis=(1, 2)).max()) for row in d)
+
+
+def _overlap_brute_force(centers: np.ndarray, radius: float, n: int) -> int:
+    """Max count of centers within min-image distance < radius of a probe
+    index_box(512, n) / 512. Squared distances add over the axes, so each
+    axis's probe-center terms are computed once; the sums are taken for
+    one value of the first n - 2 probe coordinates at a time, in blocks of
+    about 2^20 probe-center pairs."""
+    axis = np.arange(_PROBE_MIN) / _PROBE_MIN
+    d = min_image(axis[:, None, None] - centers)
+    d *= d  # (probe coordinate, center, axis)
+    last = d[:, :, n - 1]
+    block = max(1, 2**20 // last.size)
     best = 0
-    # the probes are index_box(c, n) / P, taken in chunks along the first
-    # axis to bound memory for n=3 brute-force probes
-    first = np.arange(c) / P
-    rest = index_box(c, n - 1) / P
-    chunk = max(1, int(2e6) // len(rest))
-    for i0 in range(0, c, chunk):
-        sub = first[i0 : i0 + chunk]
-        pts = np.column_stack([np.repeat(sub, len(rest)),
-                               np.tile(rest, (len(sub), 1))])
-        counts = tree.query_ball_point(pts, r2, return_length=True)
-        best = max(best, int(counts.max()))
+    for lead in itertools.product(range(_PROBE_MIN), repeat=n - 2):
+        head = d[:, :, n - 2]
+        for i, a in enumerate(lead):
+            head = d[a, :, i] + head
+        for i0 in range(0, _PROBE_MIN, block):
+            inside = head[i0:i0 + block, None, :] + last < radius * radius
+            best = max(best, int(np.count_nonzero(inside, axis=2).max()))
     return best
+
+
+def pairs_within(points, queries, radius: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (q, p) with queries[q] within min-image distance radius
+    of points[p] (closed balls), both sets in [0, 1)^n.
+
+    The torus is cut into G^n cells of side 1/G > radius, so a pair lies
+    in the same or a neighbouring cell along each axis. The points are
+    sorted by cell, and each query reads its 3^n neighbouring cells (fewer
+    when G < 3) from the sorted list; the candidates' squared min-image
+    distances are then compared with radius^2. Pairs come grouped by
+    neighbour cell, not sorted.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    n = points.shape[1]
+    G = max(1, min(math.floor(1.0 / radius) - 1, 1 << 20))
+    dims = (G,) * n
+
+    def cells(x):
+        return np.minimum((x * G).astype(np.int64), G - 1)
+
+    key = np.ravel_multi_index(cells(points).T, dims)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    home = cells(queries)
+    shifts = sorted({s % G for s in (-1, 0, 1)})
+    q_idx, p_idx = [], []
+    for shift in itertools.product(shifts, repeat=n):
+        target = np.ravel_multi_index(((home + shift) % G).T, dims)
+        lo = np.searchsorted(key, target, "left")
+        count = np.searchsorted(key, target, "right") - lo
+        q = np.repeat(np.arange(len(queries)), count)
+        q_idx.append(q)
+        p_idx.append(order[np.arange(len(q)) + np.repeat(
+            lo - np.cumsum(count) + count, count)])
+    q, p = np.concatenate(q_idx), np.concatenate(p_idx)
+    d = min_image(points[p] - queries[q])
+    close = np.sum(d * d, axis=-1) <= radius * radius
+    return q[close], p[close]

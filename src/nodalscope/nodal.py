@@ -8,8 +8,11 @@ interpolants on the sign-change edges. Cell, node and edge indices are
 int32 wherever the grid allows, and every N^2- or segment-sized temporary
 is released once read. Segments are stitched into closed polylines across
 the torus seam through integer grid-edge ids: every sign-change edge is
-shared by exactly two segment endpoints, so the chains are the cycles of
-an endpoint permutation, walked by scipy's compiled graph traversals.
+shared by exactly two segment endpoints, and each segment is oriented with
+psi > 0 on its left, so the chains are the cycles of a successor map on
+the segments. A sparse ruling set ranks them (Reid-Miller 1994): lockstep
+walks between hashed ruler segments, then pointer jumping over the rulers,
+all int32 array operations.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResolutionError, ScaleRangeError
-from .geometry import min_image, wrap_point
+from .geometry import min_image, pairs_within, wrap_point
 from .spectrum import (
     TWO_PI,
     EigenfunctionSpec,
@@ -88,10 +91,18 @@ _SADDLES = {
 # along the axis
 _EDGE_BASE = np.array([(0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)],
                       dtype=np.int8)
+_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))  # local edge -> corners
 
 
-def _pair_table() -> tuple[np.ndarray, np.ndarray]:
-    """(pattern, center_positive, slot) -> edge pair, and pairs per pattern."""
+def _pair_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pattern, center_positive, slot) -> edge pair, pairs per pattern, and
+    (pattern, center_positive, slot) -> orientation: 1 when psi > 0 lies to
+    the left of the segment run from its first edge to its second.
+
+    A segment keeps each of its edges' positive corners on its positive
+    side. Which side a corner is on can be read off the edge midpoints,
+    since the crossing points move only along their edges.
+    """
     table = np.zeros((16, 2, 2, 2), dtype=np.uint8)
     count = np.zeros(16, dtype=np.uint8)
     for pat, pairs in _SEGMENTS.items():
@@ -100,10 +111,24 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray]:
     for pat, by_sign in _SADDLES.items():
         table[pat] = by_sign
         count[pat] = 2
-    return table, count
+    corner = ((0, 0), (1, 0), (1, 1), (0, 1))
+    orient = np.zeros((16, 2, 2), dtype=np.uint8)
+    for pat in range(16):
+        for pos in range(2):
+            for slot in range(count[pat]):
+                (a0, a1), (b0, b1) = (_EDGE_CORNERS[e]
+                                      for e in table[pat, pos, slot])
+                plus = a0 if pat >> a0 & 1 else a1
+                # from the first edge's midpoint to the second's and to the
+                # positive corner, doubled to stay in integers
+                mid = [corner[a0][k] + corner[a1][k] for k in (0, 1)]
+                d = [corner[b0][k] + corner[b1][k] - mid[k] for k in (0, 1)]
+                v = [2 * corner[plus][k] - mid[k] for k in (0, 1)]
+                orient[pat, pos, slot] = d[0] * v[1] > d[1] * v[0]
+    return table, count, orient
 
 
-_PAIRS, _N_PAIRS = _pair_table()
+_PAIRS, _N_PAIRS, _ORIENT = _pair_table()
 
 
 def nyquist_resolution(m: int) -> int:
@@ -178,8 +203,8 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     _check_grid(spec, N, "nodal extraction")
     vals = _signed_grid(spec, N).ravel()
     h = 1.0 / N
-    # node and cell indices below N^2, grid-edge ids below 2 N^2
-    index = np.int32 if 2 * N * N <= np.iinfo(np.int32).max else np.int64
+    # node and cell indices below N^2, endpoint ids below 4 N^2
+    index = np.int32 if 4 * N * N <= np.iinfo(np.int32).max else np.int64
     pattern = _cell_patterns(vals.reshape(N, N)).ravel()
     cells = np.flatnonzero(_N_PAIRS[pattern]).astype(index)
     pats = pattern[cells]
@@ -198,6 +223,7 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     # on the grid edge from node (i0, j0), unwrapped, one step along axis
     in_cell = np.arange(2) < n_pairs[:, None]
     base = _EDGE_BASE[_PAIRS[pats, center_pos][in_cell]]  # (S, 2, 3)
+    orient = _ORIENT[pats, center_pos][in_cell]
     i0 = np.repeat(ii, n_pairs)[:, None] + base[..., 0]
     j0 = np.repeat(jj, n_pairs)[:, None] + base[..., 1]
     axis = base[..., 2]
@@ -213,8 +239,14 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     seg[..., 1] = j0 + t * (axis == 1)
     seg *= h
     del i0, j0, t
-    edge_ids = (2 * node + axis).ravel()
-    del node, axis
+    # endpoint ids 2 e + 1 where the curve leaves its segment, psi > 0 on
+    # its left, through grid edge e = 2 node + axis, and 2 e where it enters
+    node *= 4
+    node += 2 * axis
+    node[:, 0] += 1 - orient
+    node[:, 1] += orient
+    edge_ids = node.ravel()
+    del node, axis, orient
     seg_arr = seg.reshape(-1, 4)
     length = _segments_length(seg_arr)
     polylines = _stitch(seg_arr, edge_ids)
@@ -231,51 +263,130 @@ def _segments_length(segments: np.ndarray) -> float:
 def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
     """Join segments into closed vertex chains through shared grid edges.
 
-    Endpoint p = 2 s + side of segment s lies on grid edge edge_ids[p]. Every
-    sign-change edge borders two cells and carries one endpoint from each,
-    so sorting the ids pairs each endpoint with its partner. The segments
-    then form disjoint cycles, and a chain is one cycle: it starts at the
-    lowest segment s of its cycle (the chains are ordered by s) and runs
-    from endpoint 2 s through the tips t -> partner[t] ^ 1 from 2 s + 1,
-    one per segment. Both walks run in compiled code: connected components
-    of the segment graph give each cycle's lowest segment and size, and one
-    depth-first order of the tip map, from a root linked to the first tip
-    of every chain in chain order, lists every chain's tips.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, depth_first_order
+    Endpoint p = 2 s + side of segment s has id edge_ids[p] = 2 e + 1 when
+    the curve, run with psi > 0 on its left, leaves s through grid edge e,
+    and 2 e when it enters s there. Every sign-change edge borders two
+    cells, so it carries one leaving and one entering endpoint, and the
+    segments form the cycles of the successor map: the segment a curve
+    enters where it leaves s. A chain is one cycle: it starts at the lowest
+    segment s of its cycle (the chains are ordered by s) and runs from
+    endpoint 2 s to 2 s + 1, with or against the successor map, then
+    through the far endpoint of each segment in turn.
 
-    n_ends = len(edge_ids)
-    if not n_ends:
+    The cycles are ranked by a sparse ruling set (Reid-Miller 1994): about
+    one segment in 16, picked by a fixed hash of its id, is a ruler, and
+    lockstep walks from every ruler to the next give each segment its
+    ruler and its distance from it. Every segment of a cycle no hash
+    picked (a short cycle, since about one in 16 segments is picked) is a
+    ruler of its own. Pointer jumping over the cycles of rulers then
+    gives each ruler its cycle's lowest segment and its distance along
+    the cycle, and so every segment its place in its chain.
+    """
+    if not len(edge_ids):
         return []
-    order = np.argsort(edge_ids).astype(edge_ids.dtype)
-    partner = np.empty_like(order)
-    partner[order[0::2]] = order[1::2]
-    partner[order[1::2]] = order[0::2]
+    path, heads = _chain_path(edge_ids)
+    points = np.take(segments.reshape(-1, 2), path, axis=0)
+    del path
+    points -= np.floor(points)  # np.mod(points, 1.0) to the bit, faster
+    return np.split(points, heads[1:])
+
+
+def _chain_path(edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of every chain in chain order, and where each chain
+    starts in that list; see _stitch. Its per-segment arrays are freed on
+    return, before _stitch gathers the vertices."""
+    n_seg = len(edge_ids) // 2
+    index = edge_ids.dtype
+    seg = np.arange(n_seg, dtype=index)
+    # ids sort into (2 e, 2 e + 1): an entering endpoint, then its partner
+    order = np.argsort(edge_ids).astype(index)
+    succ = np.empty(n_seg, dtype=index)
+    succ[order[1::2] >> 1] = order[0::2] >> 1
     del order
-    n_seg = n_ends // 2
-    _, label = connected_components(
-        csr_matrix((np.ones(n_ends), partner >> 1,
-                    np.arange(0, n_ends + 1, 2)), shape=(n_seg, n_seg)),
-        directed=False)
-    _, starts, sizes = np.unique(label, return_index=True,
-                                 return_counts=True)
-    del label
-    # scipy does not promise labels in order of their lowest segment
-    by_start = np.argsort(starts)
-    starts, sizes = starts[by_start], sizes[by_start]
-    root = n_ends
-    tip_map = csr_matrix(
-        (np.ones(n_ends + len(starts)),
-         np.concatenate([partner ^ 1, 2 * starts + 1]),
-         np.append(np.arange(n_ends + 1), n_ends + len(starts))),
-        shape=(n_ends + 1, n_ends + 1))
-    del partner
-    tips = depth_first_order(tip_map, root, return_predecessors=False)[1:]
-    del tip_map
-    path = np.insert(tips, np.cumsum(sizes) - sizes, 2 * starts)
-    points = np.mod(segments.reshape(-1, 2)[path], 1.0)
-    return np.split(points, np.cumsum(sizes + 1)[:-1])
+    is_ruler = (seg.astype(np.uint32) * np.uint32(0x9E3779B1)) >> 28 == 0
+    rulers = np.flatnonzero(is_ruler).astype(index)
+    owner = np.full(n_seg, -1, dtype=index)
+    offset = np.empty(n_seg, dtype=index)
+    walks = [_walk(succ, rulers, is_ruler, owner, offset, 0)]
+    # every segment of a cycle no hash picked becomes a ruler of its own
+    lost = np.flatnonzero(owner < 0).astype(index)
+    is_ruler[lost] = True
+    walks.append(_walk(succ, lost, is_ruler, owner, offset, len(rulers)))
+    rulers = np.concatenate([rulers, lost])
+    del succ, is_ruler
+    end, gap = (np.concatenate(w) for w in zip(*walks))
+    n_rul = len(rulers)
+    nxt = owner[end]
+    # each ruler's cycle's lowest segment, and the ruler holding it
+    label = np.full(n_rul, n_seg, dtype=index)
+    np.minimum.at(label, owner, seg)
+    jump, span = nxt, 1
+    while span < n_rul:
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+        span *= 2
+    anchor = owner[label]
+    # segments from each ruler to the end of its cycle cut before its
+    # anchor; the sentinel n_rul ends every cut cycle
+    dist = np.append(gap, 0)
+    jump = np.append(np.where(nxt == anchor, n_rul, nxt), n_rul)
+    span = 1
+    while span < n_rul:
+        dist = dist + dist[jump]
+        jump = jump[jump]
+        span *= 2
+    size = dist[anchor]
+    is_anchor = anchor == np.arange(n_rul)
+    firsts, sizes = label[is_anchor], size[is_anchor]
+    by_first = np.argsort(firsts)
+    firsts, sizes = firsts[by_first], sizes[by_first]
+    heads = np.cumsum(sizes + 1) - sizes - 1  # each chain's place in path
+    base = np.empty(n_rul, dtype=index)
+    base[np.flatnonzero(is_anchor)[by_first]] = heads
+    base = base[anchor] + 1
+    # side of each segment's leaving endpoint. A chain runs with the
+    # successor map when its first segment leaves through side 1, and its
+    # segments are then left through their leaving endpoints.
+    leaves = (edge_ids[1::2] & 1).astype(index)
+    forward = leaves[label]
+    sign = 2 * forward - 1
+    # each ruler's place in its chain: its distance after the cycle's
+    # lowest segment, with or against the chain's direction, mod size
+    first = (sign * (size - dist[:-1] - offset[label])) % size
+    size, sign, forward = size[owner], sign[owner], forward[owner]
+    place = first[owner] + sign * offset
+    place = np.where(place < 0, place + size, place)
+    place = np.where(place >= size, place - size, place)
+    path = np.empty(n_seg + len(firsts), dtype=index)
+    path[base[owner] + place] = 2 * seg + (leaves ^ 1 ^ forward)
+    path[heads] = 2 * firsts
+    return path, heads
+
+
+def _walk(succ, rulers, is_ruler, owner, offset, first):
+    """Lockstep walks along succ from each ruler to the next one.
+
+    Every segment a walk passes gets owner first + i, i the walk's number,
+    and offset its steps from rulers[i]. Returns each walk's end ruler and
+    its length in segments.
+    """
+    walker = np.arange(len(rulers), dtype=rulers.dtype)
+    owner[rulers] = walker + first
+    offset[rulers] = 0
+    end = np.empty_like(rulers)
+    gap = np.empty_like(rulers)
+    cur, step = rulers, 0
+    while len(cur):
+        step += 1
+        cur = succ[cur]
+        stop = is_ruler[cur]
+        end[walker[stop]] = cur[stop]
+        gap[walker[stop]] = step
+        go = ~stop
+        cur, walker = cur[go], walker[go]
+        owner[cur] = walker + first
+        offset[cur] = step
+    return end, gap
 
 
 def vanishing_order(spec: EigenfunctionSpec, x) -> int:
@@ -405,11 +516,11 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     modes, and drops each start a Kantorovich certificate proves cannot
     reach a zero of psi (_newton_singular); a result is accepted when
     max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
-    and points within h of an earlier accepted one are merged by a
-    periodic k-d tree. Points are returned in row-major order of their
-    nearest grid node, an integer key that ulp-level moves of a point
-    cannot flip (its float coordinates can: points on one grid line tie
-    up to rounding), each with its vanishing order.
+    and points within h of an earlier kept one are merged (_merge_close).
+    Points are returned in row-major order of their nearest grid node, an
+    integer key that ulp-level moves of a point cannot flip (its float
+    coordinates can: points on one grid line tie up to rounding), each
+    with its vanishing order.
     """
     _check_grid(spec, N, "singular-point search")
     h = 1.0 / N
@@ -430,14 +541,7 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
                 "RESIDUAL_TOL", len(cells), n_hit, n_drop,
                 len(cells) - n_hit - n_drop)
     x, resid = x[hit], resid[hit]
-    keep = np.ones(len(x), dtype=bool)
-    if len(x) > 1:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(x, boxsize=1.0)
-        for a, b in sorted(tree.query_pairs(h)):
-            if keep[a]:
-                keep[b] = False
+    keep = _merge_close(x, h)
     x, resid = x[keep], resid[keep]
     node = np.round(x * N).astype(np.int64) % N
     return [
@@ -447,10 +551,23 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     ]
 
 
+def _merge_close(x: np.ndarray, h: float) -> np.ndarray:
+    """Keep mask of the points x in [0, 1)^2: over the pairs (a, b), a < b,
+    within min-image distance h, in sorted order, b is dropped when a is
+    still kept."""
+    keep = np.ones(len(x), dtype=bool)
+    a, b = pairs_within(x, x, h)
+    for i, j in sorted(zip(a[a < b].tolist(), b[a < b].tolist())):
+        if keep[i]:
+            keep[j] = False
+    return keep
+
+
 def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
                             centers) -> list[int]:
     """Per-center sum of (order - 1) over singular points within
-    sqrt(r) lambda^(-1/4)."""
+    min-image distance sqrt(r) lambda^(-1/4), ball boundary included
+    (geometry.pairs_within)."""
     if r < lam ** -0.5:
         raise ScaleRangeError(
             f"need r >= lambda^(-1/2) = {lam ** -0.5:.3g}, got {r}"
@@ -459,9 +576,8 @@ def count_singular_in_balls(points: list[SingularPoint], r: float, lam: float,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if not points:
         return [0] * len(centers)
-    from scipy.spatial import cKDTree
-
     weights = np.array([p.vanishing_order - 1 for p in points])
-    tree = cKDTree(wrap_point([p.location for p in points]), boxsize=1.0)
-    hits = tree.query_ball_point(wrap_point(centers), radius)
-    return [int(weights[h].sum()) for h in hits]
+    center, point = pairs_within(wrap_point([p.location for p in points]),
+                                 wrap_point(centers), radius)
+    return np.bincount(center, weights[point],
+                       len(centers)).astype(int).tolist()

@@ -13,7 +13,9 @@ from nodalscope.geometry import (
     ball_volume,
     generate_cover,
     geodesic_distance,
+    min_image,
     overlap_multiplicity,
+    pairs_within,
     wrap_point,
 )
 
@@ -153,6 +155,82 @@ def test_overlap_multiplicity_nongrid_path(t2):
                        centers=wrap_point(cov.centers + 0.013),
                        grid_axis_count=None)
     assert overlap_multiplicity(shifted, t2) == cov.overlap_bound
+
+
+def _kdtree_overlap(cover, n):
+    """The multiplicity as a periodic k-d tree counts it: every probe of
+    one grid cell (all 512^n probes off the grid) queried at radius 2r."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(cover.centers, boxsize=1.0)
+    K = cover.grid_axis_count
+    c = 512 if K is None else math.ceil(512 / K)
+    P = c if K is None else K * c
+    rest = geometry.index_box(c, n - 1) / P
+    best = 0
+    for i in range(c):
+        probes = np.column_stack([np.full(len(rest), i / P), rest])
+        counts = tree.query_ball_point(probes, 2.0 * cover.radius,
+                                       return_length=True)
+        best = max(best, int(counts.max()))
+    return best
+
+
+@pytest.mark.parametrize("dim, j", sorted(STORED_OVERLAP) + [(2, None)])
+def test_overlap_matches_kdtree(dim, j):
+    # the exact integer count (open balls) against a periodic k-d tree's
+    # float count; (2, None) is the shifted, non-grid center set
+    model = TorusModel(dim)
+    cover = generate_cover(0.25 if j is None else 2.0**-j, model)
+    if j is None:
+        cover = geometry.CoverSet(radius=cover.radius,
+                                  centers=wrap_point(cover.centers + 0.013))
+    assert overlap_multiplicity(cover, model) == _kdtree_overlap(cover, dim)
+
+
+def test_overlap_counts_open_balls():
+    # at n = 3, r = 1/32 probes sit exactly 2r from centers: closed balls
+    # would count 192 of them at once, the stored bound is 186
+    cover = generate_cover(1 / 32, TorusModel(3))
+    K = cover.grid_axis_count
+    P = K * math.ceil(512 / K)
+    assert 2 * P / 32 == int(2 * P / 32)  # 2r lies on the probe grid
+    assert overlap_multiplicity(cover, TorusModel(3)) == 186
+    closed = geometry.CoverSet(radius=np.nextafter(1 / 32, 1.0),
+                               centers=cover.centers, grid_axis_count=K)
+    assert overlap_multiplicity(closed, TorusModel(3)) == 192
+
+
+def _brute_pairs(points, queries, radius):
+    d = min_image(queries[:, None, :] - points[None, :, :])
+    q, p = np.nonzero(np.sum(d * d, axis=-1) <= radius * radius)
+    return sorted(zip(q.tolist(), p.tolist()))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("radius", [1 / 512, 0.013, 0.1, 0.3, 0.45])
+def test_pairs_within_matches_brute_force(dim, radius):
+    # random sets plus points on the seams and on cell boundaries; radii
+    # from 1023 cells per axis down to one cell
+    rng = np.random.default_rng(dim)
+    edge = np.array([0.0, 1 / 3, 0.5, 1 - 1e-16, 1 - radius, radius])
+    points = np.vstack([rng.random((300, dim)),
+                        rng.choice(edge, (40, dim))])
+    queries = np.vstack([rng.random((50, dim)), rng.choice(edge, (20, dim))])
+    q, p = pairs_within(points, queries, radius)
+    got = sorted(zip(q.tolist(), p.tolist()))
+    assert len(set(got)) == len(got)
+    assert got == _brute_pairs(points, queries, radius)
+
+
+def test_pairs_within_exact_distance():
+    # grid-line neighbours exactly h apart, across both seams too, are pairs
+    h = 1 / 512
+    pts = np.array([[0.25, 0.5], [0.25 + h, 0.5], [0.0, 0.75], [1 - h, 0.75],
+                    [0.5, 0.0], [0.5, 1 - h], [0.5, 1 - 2 * h]])
+    q, p = pairs_within(pts, pts, h)
+    pairs = {(a, b) for a, b in zip(q.tolist(), p.tolist()) if a < b}
+    assert pairs == {(0, 1), (2, 3), (4, 5), (5, 6)}
 
 
 def test_cardinality_bound_dyadic_sweep(t2, t3):

@@ -239,8 +239,8 @@ def test_nodal_translation_on_grid(spec_id, i, j):
 @pytest.mark.parametrize("spec_id", ["wave325", "wave1105", "wave5525",
                                      "product_4_2"])
 def test_stitch_matches_reference_walk(monkeypatch, spec_id):
-    # the compiled chain walk gives the loop walker's chains: same count,
-    # same order, same vertices bit for bit
+    # the ruling-set chain ranking gives the loop walker's chains: same
+    # count, same order, same vertices bit for bit
     spec, N = {
         "wave325": (random_eigenfunction(325, TorusModel(2), 0), 256),
         "wave1105": (random_eigenfunction(1105, TorusModel(2), 5), 512),
@@ -284,6 +284,11 @@ def test_extract_memory_peak(t2):
     # the result (4.6 MB); int64 temporaries held into the stitch read
     # 53 MB
     peak = _traced_peak_mb(extract_nodal, random_eigenfunction(1105, t2, 5),
+                           1024)
+    assert peak < 25.0
+    # m = 5525, 212,468 segments: the stitching through scipy.sparse peaked
+    # at 24.69 MB; the numpy ranking's arrays are int32 and per segment
+    peak = _traced_peak_mb(extract_nodal, random_eigenfunction(5525, t2, 2),
                            1024)
     assert peak < 25.0
 
@@ -441,6 +446,41 @@ def test_count_singular_matches_brute_force():
         radius = math.sqrt(r) * lam**-0.25
         assert radius == pytest.approx(target, rel=1e-12)
         assert count_singular_in_balls(pts, r, lam, centers) == brute(radius)
+
+
+def _greedy_merge_reference(x, h):
+    """Keep mask by the greedy rule over all-pairs min-image distances:
+    over the sorted pairs (a, b), a < b, within h, drop b while a is kept."""
+    keep = np.ones(len(x), dtype=bool)
+    for a in range(len(x)):
+        for b in range(a + 1, len(x)):
+            d = min_image(x[a] - x[b])
+            if keep[a] and float(np.sum(d * d)) <= h * h:
+                keep[b] = False
+    return keep
+
+
+def test_singular_merge_matches_greedy_brute_force():
+    # chains and clusters straddling both seams and the corner, grid-line
+    # neighbours exactly h apart (chains of three keep both ends), and
+    # random points
+    h = 1 / 512
+    rng = np.random.default_rng(4)
+    corner = np.array([[0.0, 0.0], [1 - h / 2, 0.0], [0.0, 1 - h / 3],
+                       [1 - h / 4, 1 - h / 4], [h / 2, h / 2]])
+    seams = np.array([[0.0, 0.4], [1 - h, 0.4], [1 - 2 * h, 0.4],
+                      [0.7, 1 - h / 2], [0.7, h / 3], [0.7 + h / 2, 0.0]])
+    lines = np.array([[0.25, 0.5], [0.25 + h, 0.5], [0.25 + 2 * h, 0.5],
+                      [0.125, 0.75], [0.125, 0.75 + h]])
+    cloud = wrap_point(rng.random((8, 2)) + rng.normal(0, h, (40, 8, 2)))
+    x = np.vstack([corner, seams, lines, rng.random((60, 2)),
+                   cloud.reshape(-1, 2)])
+    order = rng.permutation(len(x))
+    for pts in (x, x[order]):
+        keep = nodal._merge_close(pts, h)
+        assert np.array_equal(keep, _greedy_merge_reference(pts, h))
+    keep = nodal._merge_close(lines, h)
+    assert keep.tolist() == [True, False, True, True, False]
 
 
 def test_zero_distance_from_cover_centers(sin_k, rand25):
