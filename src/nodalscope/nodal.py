@@ -1,12 +1,12 @@
 """Nodal sets of 2-D eigenfunctions: extraction, length, singular points.
 
 The zero set is traced by marching squares on the exact node samples, as
-array operations: a (pattern, center sign) table gives each crossing cell's
-edge pairs, saddle cells are resolved by the exact sign of psi at their
-centers (one batched evaluation), and crossing points are linear
-interpolants on the sign-change edges. Cell, node and edge indices are
-int32 wherever the grid allows, and every N^2- or segment-sized temporary
-is released once read. Segments are stitched into closed polylines across
+array operations: one gather of packed (pattern, center sign, slot) codes
+gives each segment's grid edges and orientation, saddle cells are resolved
+by the exact sign of psi at their centers (one batched evaluation), and
+crossing points are linear interpolants on the sign-change edges. Cell,
+node and edge indices are int32 wherever the grid allows, and every N^2-
+or segment-sized temporary is released once read. Segments are stitched into closed polylines across
 the torus seam through integer grid-edge ids: every sign-change edge is
 shared by exactly two segment endpoints, and each segment is oriented with
 psi > 0 on its left, so the chains are the cycles of a successor map on
@@ -16,15 +16,16 @@ all int32 array operations.
 
 Singular points (psi = |grad psi| = 0) are found by batched Newton on
 grad psi from the cells where psi changes sign and both gradient
-components change sign nearby (one component's grid at a time), in blocks
-of spectrum.PHASE_BLOCK starts x modes; each iteration takes grad psi and
-the Hessian from one mode sum over the phases at the points (the kernel the
-certified scan uses), the first from per-axis tables at the cell centers.
-A start stops once a Kantorovich certificate proves it cannot reach a zero
-of psi. A result counts when its residual max(|psi|, |grad psi|) is below
-RESIDUAL_TOL. The order of vanishing is exact: the first j whose
-derivative tensor D^j psi is not zero relative to D_j (spec.derivative_bound),
-its Frobenius norm read off a Gram form in the spec's modes, no n^j tensor.
+components change sign nearby (one dilation of a 4-bit sign code), all
+starts in lockstep; each iteration takes grad psi and the Hessian from one
+mode sum over the phases at the points (the kernel the certified scan
+uses), in blocks of spectrum.PHASE_BLOCK starts x modes, the first from
+per-axis tables at the cell centers. A start stops once a Kantorovich
+certificate proves it cannot reach a zero of psi. A result counts when its
+residual max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of
+vanishing is exact: the first j whose derivative tensor D^j psi is not zero
+relative to D_j (spec.derivative_bound), its Frobenius norm read off a Gram
+form in the spec's modes, no n^j tensor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResolutionError, ScaleRangeError
-from .geometry import min_image, pairs_within, wrap_point
+from .geometry import pairs_within, wrap_point
 from .spectrum import (
     TWO_PI,
     EigenfunctionSpec,
@@ -95,9 +96,11 @@ _EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))  # local edge -> corners
 
 
 def _pair_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pattern, center_positive, slot) -> edge pair, pairs per pattern, and
-    (pattern, center_positive, slot) -> orientation: 1 when psi > 0 lies to
-    the left of the segment run from its first edge to its second.
+    """(pattern, center_positive, slot) -> packed segment code, pairs per
+    pattern, and (pattern, center_positive, slot) -> orientation: 1 when
+    psi > 0 lies to the left of the segment run from its first edge to its
+    second. A code holds di + 2 dj + 4 axis (_EDGE_BASE) of its first edge
+    in bits 0-2, of its second in bits 3-5, and its orientation in bit 6.
 
     A segment keeps each of its edges' positive corners on its positive
     side. Which side a corner is on can be read off the edge midpoints,
@@ -125,10 +128,12 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 d = [corner[b0][k] + corner[b1][k] - mid[k] for k in (0, 1)]
                 v = [2 * corner[plus][k] - mid[k] for k in (0, 1)]
                 orient[pat, pos, slot] = d[0] * v[1] > d[1] * v[0]
-    return table, count, orient
+    edge = _EDGE_BASE @ np.array([1, 2, 4])
+    codes = edge[table[..., 0]] | edge[table[..., 1]] << 3 | orient << 6
+    return codes.astype(np.uint8), count, orient
 
 
-_PAIRS, _N_PAIRS, _ORIENT = _pair_table()
+_CODES, _N_PAIRS, _ = _pair_table()
 
 
 def nyquist_resolution(m: int) -> int:
@@ -176,6 +181,11 @@ def _cell_patterns(vals: np.ndarray) -> np.ndarray:
         + 8 * np.roll(pos, -1, axis=1)
 
 
+def _crossing(pattern: np.ndarray) -> np.ndarray:
+    """Cells whose corners differ in sign: pattern neither 0 nor 15."""
+    return pattern - np.uint8(1) < 14  # 0 wraps to 255
+
+
 def _signed_grid(spec: EigenfunctionSpec, N: int) -> np.ndarray:
     """psi on the N x N grid with every node at a rounding-level value set
     to +NUDGE, so that cell sign patterns do not follow rounding noise.
@@ -206,31 +216,32 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     # node and cell indices below N^2, endpoint ids below 4 N^2
     index = np.int32 if 4 * N * N <= np.iinfo(np.int32).max else np.int64
     pattern = _cell_patterns(vals.reshape(N, N)).ravel()
-    cells = np.flatnonzero(_N_PAIRS[pattern]).astype(index)
+    cells = np.flatnonzero(_crossing(pattern)).astype(index)
     pats = pattern[cells]
     del pattern
     n_pairs = _N_PAIRS[pats]
-    ii, jj = np.divmod(cells, N)
-    del cells
-
-    center_pos = np.zeros(len(pats), dtype=np.uint8)
     saddle = np.flatnonzero(n_pairs == 2)
-    centers = np.stack([(ii[saddle] + 0.5) * h, (jj[saddle] + 0.5) * h],
-                       axis=-1)
+    center_pos = np.zeros(len(pats), dtype=np.uint8)
+    centers = (np.stack(np.divmod(cells[saddle], N), axis=-1) + 0.5) * h
     center_pos[saddle] = evaluate(spec, centers) > 0.0
 
-    # one row per segment, in cell order then pair order; endpoint e lies
-    # on the grid edge from node (i0, j0), unwrapped, one step along axis
-    in_cell = np.arange(2) < n_pairs[:, None]
-    base = _EDGE_BASE[_PAIRS[pats, center_pos][in_cell]]  # (S, 2, 3)
-    orient = _ORIENT[pats, center_pos][in_cell]
-    i0 = np.repeat(ii, n_pairs)[:, None] + base[..., 0]
-    j0 = np.repeat(jj, n_pairs)[:, None] + base[..., 1]
-    axis = base[..., 2]
-    del ii, jj, pats, base
+    # one row per segment, in cell order then pair order (a saddle's slot 1
+    # after its slot 0); endpoint e lies on the grid edge from node
+    # (i0, j0), unwrapped, one step along axis
+    key = np.repeat(4 * pats + 2 * center_pos, n_pairs)  # flat _CODES index
+    key[saddle + np.arange(1, len(saddle) + 1)] += 1
+    code = np.take(_CODES, key)
+    ends = np.stack([code, code >> 3], axis=-1)  # each endpoint's edge
+    ii, jj = np.divmod(np.repeat(cells, n_pairs), N)
+    i0 = ii[:, None] + (ends & 1)
+    j0 = jj[:, None] + (ends >> 1 & 1)
+    axis = ends >> 2 & 1
+    orient = code >> 6
+    del cells, pats, n_pairs, center_pos, key, code, ends, ii, jj
+    # the far ends first, so that the grid shares the peak with one of v0, v1
+    v1 = vals[((i0 + 1 - axis) % N) * N + (j0 + axis) % N]
     node = (i0 % N) * N + j0 % N
     v0 = vals[node]
-    v1 = vals[((i0 + 1 - axis) % N) * N + (j0 + axis) % N]
     del vals
     t = v0 / (v0 - v1)
     del v0, v1
@@ -247,17 +258,13 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     node[:, 1] += orient
     edge_ids = node.ravel()
     del node, axis, orient
+    # a segment's ends lie on its own cell's unwrapped edges: no min-image
+    dx, dy = (seg[:, 1] - seg[:, 0]).T
+    length = float(np.sum(np.sqrt(dx * dx + dy * dy)))
+    del dx, dy
     seg_arr = seg.reshape(-1, 4)
-    length = _segments_length(seg_arr)
     polylines = _stitch(seg_arr, edge_ids)
     return NodalSet(polylines=polylines, length=length, segments=seg_arr)
-
-
-def _segments_length(segments: np.ndarray) -> float:
-    if len(segments) == 0:
-        return 0.0
-    d = min_image(segments[:, 2:4] - segments[:, 0:2])
-    return float(np.sum(np.linalg.norm(d, axis=-1)))
 
 
 def _stitch(segments: np.ndarray, edge_ids: np.ndarray) -> list:
@@ -355,6 +362,7 @@ def _chain_path(edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = (sign * (size - dist[:-1] - offset[label])) % size
     size, sign, forward = size[owner], sign[owner], forward[owner]
     place = first[owner] + sign * offset
+    del sign, offset
     place = np.where(place < 0, place + size, place)
     place = np.where(place >= size, place - size, place)
     path = np.empty(n_seg + len(firsts), dtype=index)
@@ -426,10 +434,11 @@ def vanishing_order(spec: EigenfunctionSpec, x) -> int:
 def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched Newton on grad psi from the centers of the grid cells (P, 2),
-    in blocks of spectrum.PHASE_BLOCK starts x modes.
+    every start in lockstep.
 
-    Each iteration takes psi, grad psi and the 2x2 Hessian of a block's
-    active points from one mode sum over their phases, with an explicit 2x2
+    Each iteration takes psi, grad psi and the 2x2 Hessian of the active
+    points from one mode sum over their phases, in blocks of
+    spectrum.PHASE_BLOCK starts x modes (_block_sums), with an explicit 2x2
     solve; the first iteration reads the cell-center phases off per-axis
     tables (axis_phases, lattice_phases), the later ones use point_phases.
     A point leaves the active set when its step drops below 1e-13 or its
@@ -459,41 +468,46 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
     x = coords[cells]
     resid = np.empty(len(x))
     dropped = np.zeros(len(x), dtype=bool)
-    for part in phase_blocks(len(x), spec):
-        block = np.arange(len(x))[part]
-        phases = lattice_phases(tables, cells[block])
-        active = block
-        for _ in range(NEWTON_ITERATIONS):
-            if not len(active):
-                break
-            if phases is None:
-                phases = point_phases(spec, x[active])
-            d = mode_sum(phases, weights)
-            phases = None
-            det = d[:, 3] * d[:, 6] - d[:, 4] * d[:, 4]
-            ok = det != 0.0
-            moved, d, det = active[ok], d[ok], det[ok]
-            gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
-            step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
-                            axis=-1) / det[:, None]
-            eta = np.linalg.norm(step, axis=-1)
-            # ||H|| = max|eig H|, so beta = 1/min|eig H| = ||H|| / |det H|
-            top = np.abs(hxx + hyy) / 2 + np.hypot((hxx - hyy) / 2, hxy)
-            h = 1.01 * lip * eta * top / np.abs(det)
-            t = 2.0 * eta / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * h, 0.0)))
-            psi = np.abs(d[:, 0])
-            sure = (h <= 0.5) & (psi - t * (np.hypot(gx, gy) + top * t
-                                            + 0.5 * lip * t * t) > floor)
-            dropped[moved[sure]] = True
-            resid[moved[sure]] = psi[sure]
-            moved, step, eta = moved[~sure], step[~sure], eta[~sure]
-            x[moved] = wrap_point(x[moved] + step)
-            active = moved[eta >= 1e-13]
-        done = block[~dropped[block]]
-        d = mode_sum(point_phases(spec, x[done]), weights[:, :3])
-        resid[done] = np.maximum(np.abs(d[:, 0]),
-                                 np.linalg.norm(d[:, 1:], axis=-1))
+    active = np.arange(len(x))
+    phases, rows = (lambda c: lattice_phases(tables, c)), cells
+    for _ in range(NEWTON_ITERATIONS):
+        if not len(active):
+            break
+        d = _block_sums(spec, phases, rows, weights)
+        det = d[:, 3] * d[:, 6] - d[:, 4] * d[:, 4]
+        ok = det != 0.0
+        moved, d, det = active[ok], d[ok], det[ok]
+        gx, gy, hxx, hxy, hyy = d[:, 1], d[:, 2], d[:, 3], d[:, 4], d[:, 6]
+        step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
+                        axis=-1) / det[:, None]
+        eta = np.linalg.norm(step, axis=-1)
+        # ||H|| = max|eig H|, so beta = 1/min|eig H| = ||H|| / |det H|
+        top = np.abs(hxx + hyy) / 2 + np.hypot((hxx - hyy) / 2, hxy)
+        h = 1.01 * lip * eta * top / np.abs(det)
+        t = 2.0 * eta / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * h, 0.0)))
+        psi = np.abs(d[:, 0])
+        sure = (h <= 0.5) & (psi - t * (np.hypot(gx, gy) + top * t
+                                        + 0.5 * lip * t * t) > floor)
+        dropped[moved[sure]] = True
+        resid[moved[sure]] = psi[sure]
+        moved, step, eta = moved[~sure], step[~sure], eta[~sure]
+        x[moved] = wrap_point(x[moved] + step)
+        active = moved[eta >= 1e-13]
+        phases, rows = (lambda p: point_phases(spec, p)), x[active]
+    done = np.flatnonzero(~dropped)
+    d = _block_sums(spec, lambda p: point_phases(spec, p), x[done],
+                    weights[:, :3])
+    resid[done] = np.maximum(np.abs(d[:, 0]),
+                             np.linalg.norm(d[:, 1:], axis=-1))
     return x, resid, dropped
+
+
+def _block_sums(spec, phases, rows, weights) -> np.ndarray:
+    """mode_sum(phases(rows), weights), a phase_blocks block at a time."""
+    out = np.empty((len(rows), weights.shape[1]))
+    for part in phase_blocks(len(rows), spec):
+        out[part] = mode_sum(phases(rows[part]), weights)
+    return out
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -505,18 +519,32 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _start_cells(gate: np.ndarray, grads) -> np.ndarray:
+    """Cells (i, j), row-major, where gate holds and each of the two grids
+    in grads (read one at a time) takes both signs on the nodes _dilate
+    gathers: a > 0 and a < 0 bit per grid in one code, dilated once."""
+    signs = np.zeros(gate.shape, dtype=np.uint8)
+    for grad in grads:
+        signs <<= 2
+        signs |= (grad > 0.0).view(np.uint8)
+        signs |= (grad < 0.0).view(np.uint8) << np.uint8(1)
+        del grad
+    flat = np.flatnonzero(gate & (_dilate(signs) == 15))
+    return np.stack(np.divmod(flat, gate.shape[1]), axis=-1)
+
+
 def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]:
     """Common zeros of psi and grad psi by batched Newton on grad psi.
 
     A cell is a candidate when psi changes sign on its corners and both
     d_x psi and d_y psi change sign on the nodes of its 3x3 cell
     neighbourhood: a singular point is a crossing of the two gradient
-    component zero sets, wherever it sits in the cell. Newton runs from
-    the candidate cell centers in blocks of spectrum.PHASE_BLOCK starts x
-    modes, and drops each start a Kantorovich certificate proves cannot
-    reach a zero of psi (_newton_singular); a result is accepted when
-    max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
-    and points within h of an earlier kept one are merged (_merge_close).
+    component zero sets, wherever it sits in the cell (_start_cells).
+    Newton runs from the candidate cell centers in lockstep, and drops each
+    start a Kantorovich certificate proves cannot reach a zero of psi
+    (_newton_singular); a result is accepted when max(|psi|, |grad psi|)
+    < 1e-8 (RESIDUAL_TOL), however Newton stopped, and points within h of
+    an earlier kept one are merged (_merge_close).
     Points are returned in row-major order of their nearest grid node, an
     integer key that ulp-level moves of a point cannot flip (its float
     coordinates can: points on one grid line tie up to rounding), each
@@ -524,15 +552,11 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     """
     _check_grid(spec, N, "singular-point search")
     h = 1.0 / N
-    gate = _N_PAIRS[_cell_patterns(_signed_grid(spec, N))] > 0
     # spectrum.evaluate_gradient_grid's columns, one grid at a time
     cols = (1j * TWO_PI) * spec.k * (spec.a - 1j * spec.b)[:, None]
-    for d in range(2):
-        grad = _grid_sum(spec, N, cols[:, d, None])[..., 0]
-        gate &= _dilate(grad > 0.0) & _dilate(grad < 0.0)
-        del grad
-    cells = np.argwhere(gate)
-    del gate
+    cells = _start_cells(_crossing(_cell_patterns(_signed_grid(spec, N))),
+                         (_grid_sum(spec, N, cols[:, d, None])[..., 0]
+                          for d in range(2)))
     x, resid, dropped = _newton_singular(spec, cells, N)
     hit = resid < RESIDUAL_TOL
     n_hit, n_drop = int(np.count_nonzero(hit)), int(np.count_nonzero(dropped))

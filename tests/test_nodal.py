@@ -286,11 +286,12 @@ def test_extract_memory_peak(t2):
     peak = _traced_peak_mb(extract_nodal, random_eigenfunction(1105, t2, 5),
                            1024)
     assert peak < 25.0
-    # m = 5525, 212,468 segments: the stitching through scipy.sparse peaked
-    # at 24.69 MB; the numpy ranking's arrays are int32 and per segment
+    # m = 5525, 212,468 segments: the peak is the grid beside both endpoint
+    # values, int32 (S, 2) node coordinates and uint8 axes (20.996 MB; three
+    # fancy-index gathers with int8 edge offsets read 24.40 MB)
     peak = _traced_peak_mb(extract_nodal, random_eigenfunction(5525, t2, 2),
                            1024)
-    assert peak < 25.0
+    assert peak < 21.0
 
 
 def test_singular_memory_peak(t2):
@@ -418,8 +419,9 @@ def test_count_singular_in_balls(product_spec):
 
 
 def test_count_singular_matches_brute_force():
-    # the periodic k-d tree against the all-pairs min-image loop, with
-    # points and centers on both sides of the seams and orders 1 to 4
+    # the periodic cell-list search (geometry.pairs_within) against the
+    # all-pairs min-image loop, with points and centers on both sides of the
+    # seams and orders 1 to 4
     rng = np.random.default_rng(12)
     seam = np.array([[0.999, 0.5], [0.001, 0.5], [0.5, 0.9995], [0.0, 0.0],
                      [0.9999, 0.0001], [1.0 - 1e-17, 0.3]])
@@ -529,6 +531,27 @@ def test_extraction_structure(spec_id):
     for chain in ns.polylines:
         assert len(chain) >= 3
         assert np.linalg.norm(min_image(chain[-1] - chain[0])) < 1e-12
+
+
+def test_packed_codes_decode_to_tables():
+    # each (pattern, center sign, slot) code holds the edges _SEGMENTS and
+    # _SADDLES list, as _EDGE_BASE rows, and _pair_table's orientation
+    _, count, orient = nodal._pair_table()
+    for pat in range(16):
+        for pos in range(2):
+            if pat in nodal._SADDLES:
+                pairs = nodal._SADDLES[pat][pos]
+            else:
+                pairs = nodal._SEGMENTS.get(pat, [])
+            assert nodal._N_PAIRS[pat] == count[pat] == len(pairs)
+            for slot, edges in enumerate(pairs):
+                code = int(nodal._CODES[pat, pos, slot])
+                for end, e in enumerate(edges):
+                    bits = code >> 3 * end
+                    assert (bits & 1, bits >> 1 & 1, bits >> 2 & 1) \
+                        == tuple(nodal._EDGE_BASE[e])
+                assert code >> 6 == orient[pat, pos, slot]
+    assert nodal._CODES.dtype == np.uint8
 
 
 def test_order_three_zeros_found():
@@ -686,3 +709,54 @@ def test_singular_search_logs_newton_outcomes(monkeypatch, caplog, t2):
     assert accepted == np.count_nonzero(resid < RESIDUAL_TOL) == len(points)
     assert n_dropped == np.count_nonzero(dropped) > 0
     assert above == n_cells - accepted - n_dropped
+
+
+def _start_cells_reference(gate, grads):
+    """The gate as the AND of four single-mask dilations, one for each sign
+    of each gradient component."""
+    for grad in grads:
+        gate = gate & nodal._dilate(grad > 0.0) & nodal._dilate(grad < 0.0)
+    return np.argwhere(gate)
+
+
+@pytest.mark.parametrize("name, make, N", _SOUNDNESS_SPECS,
+                         ids=[c[0] for c in _SOUNDNESS_SPECS])
+def test_start_cells_match_four_dilations(monkeypatch, name, make, N):
+    # the one-pass gate of find_singular_points, on its own psi gate and
+    # gradient grids, gives the reference's cells, and Newton starts there
+    seen = []
+    inner = nodal._start_cells
+
+    def recorded(gate, grads):
+        grads = list(grads)
+        cells = inner(gate.copy(), grads)
+        seen.append((gate, grads, cells))
+        return cells
+
+    monkeypatch.setattr(nodal, "_start_cells", recorded)
+    _, (newton_cells, *_) = _newton_runs(monkeypatch, make(), N)
+    [(gate, grads, cells)] = seen
+    ref = _start_cells_reference(gate, grads)
+    assert cells.dtype == ref.dtype and cells.shape == ref.shape
+    assert np.array_equal(cells, ref)
+    assert newton_cells is cells
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 13])
+def test_start_cells_match_four_dilations_on_sign_grids(N):
+    # sparse signs (zeros and -0.0 count as neither) and signs only on the
+    # seam rows and columns, where the dilation wraps around the torus
+    rng = np.random.default_rng(N)
+    values = np.array([-1.0, -0.0, 0.0, 1.0])
+    seam = np.zeros((N, N), dtype=bool)
+    seam[[0, -1, -2], :] = seam[:, [0, -1, -2]] = True
+    for trial in range(60):
+        grads = [values[rng.choice(4, (N, N), p=[0.1, 0.2, 0.6, 0.1])]
+                 for _ in range(2)]
+        if trial % 2:
+            grads = [np.where(seam, g, 0.0) for g in grads]
+        gate = rng.random((N, N)) < 0.7
+        cells = nodal._start_cells(gate.copy(), grads)
+        ref = _start_cells_reference(gate, grads)
+        assert cells.dtype == ref.dtype and cells.shape == ref.shape
+        assert np.array_equal(cells, ref)
