@@ -16,9 +16,11 @@ cell-center value inside the domain; cells whose bound cannot beat it by
 more than the relative tolerance are pruned, and survivors are subdivided.
 A cell-center value is a point value, no larger than the sup, so the
 pruning stays certified. Once every ball's gap has closed, one projected
-pattern search polishes every ball's best cell. The returned value is a
-pointwise evaluation at the returned offset, a lower bound of the true
-supremum within the requested relative tolerance.
+compass search polishes every ball's best cell; it only raises a value the
+certificate already holds, so each ball's search stops once its step is
+2 rho0 tol^(3/2), where what it could still gain is about 2 tol^3 relative.
+The returned value is a pointwise evaluation at the returned offset, a
+lower bound of the true supremum within the requested relative tolerance.
 
 The lattice is absolute. With N = ceil(1/h0), cell i of level L sits at
 (i + 1/2)/(N 2^L) on each axis, and its children are 2i and 2i + 1. A ball
@@ -45,8 +47,9 @@ A level evaluates each of its distinct cells once, whatever the number of
 pairs that hold it: overlapping windows and neighbouring balls share their
 cells, and every pair reads its cell's value and bound. When the windows of
 the balls that share a first level together hold more cells than the torus
-level, that level is evaluated once over the whole torus, and each ball
-reads its window from the table as a box, with wrapped index ranges: its
+level, that level is evaluated once, over the product of the per-axis
+unions of the windows' reduced indices, and each ball reads its window from
+that table as a box, with wrapped index ranges: its
 norms, band, node count, best cell (the first in window row-major order)
 and prune are computed on the box, and only the surviving cells become
 pairs. Balls of one window size are read together, in ball order. Both
@@ -118,6 +121,7 @@ class ScanResult:
     value: np.ndarray   # (B,) certified lower bounds, within rel. tol
     offset: np.ndarray  # (B, n) offsets from each center achieving value
     nodes: int          # objective evaluations, summed over the batch
+    polish_evals: int   # the pattern_search part of nodes
 
 
 def _per_ball(value, balls):
@@ -311,18 +315,23 @@ class LiftedSquared(SpectralObjective):
         return vals * self._t_factor(norms, balls), ubs * factor_max
 
 
-def pattern_search(objective, domain, balls, d0, step):
-    """Projected compass search for a local max of each ball's objective
-    from its start d0 (A, n), balls (A,) their ball ids, with initial step
-    lengths step (one, or one per ball).
+def pattern_search(objective, domain, balls, d0, step, tol):
+    """Projected compass search (Kolda, Lewis and Torczon 2003) for a local
+    max of each ball's objective from its start d0 (A, n), balls (A,) their
+    ball ids, with initial step lengths step (one, or one per ball).
 
-    Each step probes all 2n axis directions at every running ball's step
+    Each step probes the 2n axis directions at every running ball's step
     length in one objective.values call; a ball moves to its best probe that
-    improves, or halves its step when none does, and stops below STEP_FLOOR.
-    All balls stop once a ball has had MAX_POLISH_EVALS evaluations. Every
-    ball starts at iteration 0 with its own step, so a ball's path does not
-    depend on the balls beside it. Returns (offsets, values, evaluations)
-    per ball, each value a pointwise evaluation at its offset.
+    improves, or halves its step when none does. After a move it skips the
+    probe that leads straight back to the point it left. A ball stops once
+    its step is at most max(STEP_FLOOR, step tol^(3/2)): near a smooth
+    maximum the value a step of s can still gain is about 2 (s / step)^2
+    relative, about 2 tol^3, far inside the tolerance. All balls stop after
+    the steps at which 2n probes each reach MAX_POLISH_EVALS evaluations.
+    Every ball starts at step 0 with its own step length, so a ball's path
+    does not depend on the balls beside it. Returns (offsets, values,
+    evaluations) per ball, each value a pointwise evaluation at its offset
+    and evaluations the points it evaluated.
     """
     d = np.array(d0, dtype=float)
     v = objective.values(d, balls)
@@ -330,32 +339,42 @@ def pattern_search(objective, domain, balls, d0, step):
     dim = d.shape[1]
     dirs = np.vstack([np.eye(dim), -np.eye(dim)])
     steps = np.broadcast_to(np.asarray(step, dtype=float), len(d))
-    # running balls: their positions in d, offsets, values and steps, and
-    # the flat index of each one's first probe
-    run = np.flatnonzero(steps > STEP_FLOOR)
-    rd, rv, rs = d[run], v[run], steps[run]
+    floors = np.maximum(STEP_FLOOR, steps * tol**1.5)
+    # running balls: their positions in d, offsets, values, steps, floors,
+    # evaluations and the direction each skips (2n: none), and the flat
+    # index of each one's first probe
+    run = np.flatnonzero(steps > floors)
+    rd, rv, rs, rf, ru = d[run], v[run], steps[run], floors[run], used[run]
+    back = np.full(len(run), 2 * dim)
     probe_balls = np.repeat(balls[run], 2 * dim)
     base = 2 * dim * np.arange(len(run))
-    evals = 1
-    while len(run) and evals < MAX_POLISH_EVALS:
+    clock = 1  # evaluations of a ball that probed all 2n at every step
+    while len(run) and clock < MAX_POLISH_EVALS:
         cand = domain.project(
             (rd[:, None, :] + rs[:, None, None] * dirs).reshape(-1, dim),
             probe_balls)
-        cv = objective.values(cand, probe_balls).reshape(len(run), 2 * dim)
-        evals += 2 * dim
+        keep = (np.arange(2 * dim) != back[:, None]).ravel()
+        cv = np.full(len(cand), -math.inf)
+        cv[keep] = objective.values(cand[keep], probe_balls[keep])
+        cv = cv.reshape(len(run), 2 * dim)
+        clock += 2 * dim
+        ru += 2 * dim - (back < 2 * dim)
         top = np.maximum.reduce(cv, axis=1)
+        best = cv.argmax(axis=1)
         up = top > rv
-        rd = np.where(up[:, None], cand[base + cv.argmax(axis=1)], rd)
+        rd = np.where(up[:, None], cand[base + best], rd)
         rv = np.maximum(top, rv)
         rs = np.where(up, rs, 0.5 * rs)
-        done = rs <= STEP_FLOOR
+        back = np.where(up, (best + dim) % (2 * dim), 2 * dim)
+        done = rs <= rf
         if done.any():
             stop = run[done]
-            d[stop], v[stop], used[stop] = rd[done], rv[done], evals
-            run, rd, rv, rs = run[~done], rd[~done], rv[~done], rs[~done]
+            d[stop], v[stop], used[stop] = rd[done], rv[done], ru[done]
+            run, rd, rv, rs, rf, ru, back = (
+                x[~done] for x in (run, rd, rv, rs, rf, ru, back))
             probe_balls = np.repeat(balls[run], 2 * dim)
             base = base[:len(run)]
-    d[run], v[run], used[run] = rd, rv, evals
+    d[run], v[run], used[run] = rd, rv, ru
     return d, v, used
 
 
@@ -366,10 +385,12 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
     A ball's first level is the coarsest of the lattice whose spacing meets
     domain.max_spacing(objective.h0) at its radius. The branch-and-bound
     finds each ball's best cell center; one pattern_search over all balls
-    then polishes them from there. A ball's search starts at twice its
-    first level's cell radius: from a cell next to a maximum on the
-    domain's boundary, a shorter step crawls along the boundary until
-    MAX_POLISH_EVALS stops it.
+    then polishes them from there, and stops each at its tol. A ball's
+    search starts at twice its first level's cell radius: from a cell next
+    to a maximum on the domain's boundary, a shorter step crawls along the
+    boundary until MAX_POLISH_EVALS stops it. nodes counts the cells the
+    branch-and-bound evaluated and the polish's evaluations, polish_evals
+    the latter.
     Raises BudgetError when tol is NaN, infinite or below the certification
     floor, or, naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
@@ -394,11 +415,12 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
             "admissible sample points"
         )
     offset, value, used = pattern_search(
-        objective, domain, balls, search.best_off, step)
+        objective, domain, balls, search.best_off, step, tol)
     search.nodes += used
     _check_budget(objective, domain, tol, search.nodes)
     return ScanResult(value=value, offset=offset,
-                      nodes=int(search.nodes.sum()))
+                      nodes=int(search.nodes.sum()),
+                      polish_evals=int(used.sum()))
 
 
 def _first_counts(objective, domain) -> np.ndarray:
@@ -480,12 +502,14 @@ def _key_bounds(objective, tables, keys, rho):
     return vals, ubs
 
 
-def _torus_level(objective, count, rho):
-    """objective.cell_bounds of every cell of the torus level of count cells
-    per axis, in row-major order of the cell indices."""
-    tables = [axis_phases(objective.spec, (np.arange(count) + 0.5) / count, a)
-              for a in range(objective.dim)]
-    return _key_bounds(objective, tables, np.arange(count**objective.dim), rho)
+def _torus_level(objective, axes, count, rho):
+    """objective.cell_bounds of the cells of the torus level of count cells
+    per axis whose reduced indices lie in axes (one sorted array per axis),
+    in row-major order of their positions in axes."""
+    tables = [axis_phases(objective.spec, (idx + 0.5) / count, a)
+              for a, idx in enumerate(axes)]
+    return _key_bounds(objective, tables,
+                       np.arange(math.prod(len(i) for i in axes)), rho)
 
 
 @dataclass
@@ -607,13 +631,24 @@ class _Search:
         windows are evaluated in groups, and the survivors are pooled
         across groups and descend pool by pool. When the windows hold more
         cells than the level, it is evaluated once over the torus and each
-        ball reads its window from that table as a box."""
+        ball reads its window from that table as a box. The table holds
+        only the product of the per-axis unions of the windows' reduced
+        indices, and place[a] maps a reduced index to its row on axis a."""
         dim = self.objective.dim
         lows, sizes = self.domain.window(self.objective.centers[balls],
                                          count, balls)
         table = None
         if np.sum(sizes**dim) > count**dim:
-            table = _torus_level(self.objective, count, rho)
+            starts = np.cumsum(sizes) - sizes
+            local = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+            axes, place = [], []
+            for a in range(dim):
+                used = np.zeros(count, dtype=bool)
+                used[np.mod(np.repeat(lows[:, a], sizes) + local,
+                            count)] = True
+                axes.append(np.flatnonzero(used))
+                place.append(np.cumsum(used) - 1)
+            table = _torus_level(self.objective, axes, count, rho) + (place,)
         # a pool's rows, split into their 2^n children, hold at most
         # spectrum.PHASE_BLOCK cells
         pool, rows = [], 0
@@ -717,10 +752,11 @@ class _Search:
     def boxes(self, table, balls, lows, sizes, count, rho) -> _Cells | None:
         """level() of the windows of balls (first cells lows (B, n), sizes
         (B,) cells per axis) on the torus level of count cells per axis,
-        read as boxes from table, that level's cell_bounds in row-major
-        order, with wrapped index ranges. A run of balls of one window size
-        is one (balls, window row-major) array; only the cells that survive
-        become rows, in ball order."""
+        read as boxes from table = (values, bounds, place), that level's
+        cell_bounds in row-major order of the rows place[a] gives each
+        reduced index on axis a, with wrapped index ranges. A run of balls
+        of one window size is one (balls, window row-major) array; only the
+        cells that survive become rows, in ball order."""
         objective, domain = self.objective, self.domain
         dim = objective.dim
         parts = []
@@ -739,10 +775,12 @@ class _Search:
             band = domain.band_mask(norms, rho, ball)
             self.nodes[bs] += np.count_nonzero(band, axis=1)
             _check_budget(objective, domain, self.tol, self.nodes)
-            # each box cell's row in the table, row-major over the torus
+            # each box cell's row in the table, row-major over its axes
             rows = 0
             for a, i in enumerate(idx):
-                rows = rows * count + _box_axis(np.mod(i, count), a, dim)
+                place = table[2][a]  # its last entry + 1 is its row count
+                rows = (rows * (place[-1] + 1)
+                        + _box_axis(place[np.mod(i, count)], a, dim))
             rows = rows.reshape(len(bs), -1)
             vals, ubs = objective.ball_bounds(
                 np.take(table[0], rows), np.take(table[1], rows), norms, rho,

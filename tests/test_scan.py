@@ -8,6 +8,7 @@ from nodalscope.doubling import default_scale_sweep
 from nodalscope.errors import BudgetError
 from nodalscope.fields import DEFAULT_TOL
 from nodalscope.geometry import TorusModel, member_cover
+from nodalscope.lift import cube_doubling_index
 from nodalscope.scan import (
     LiftedSquared,
     RadialDomain,
@@ -290,18 +291,25 @@ def test_project_batch():
     assert np.array_equal(ball.project(np.zeros((1, 2))), np.zeros((1, 2)))
 
 
-def test_each_distinct_cell_evaluated_once(monkeypatch):
-    # an m = 1105 doubling sweep, as scan_doubling runs it: every level's
-    # rows are evaluated once per distinct (level, reduced index) cell, so
-    # overlapping windows and the cells that balls share cost one row each;
-    # the node count, counted per ball, is the one the sweep took when each
-    # row was evaluated on its own
+def _sweep_1105():
+    """An m = 1105 doubling sweep's objective and domain, as scan_doubling
+    builds them: the member cover's centers x the sweep's radii."""
     spec = random_eigenfunction(1105, TorusModel(2), 0)
     centers = member_cover(0.25, spec.model).centers
     radii = sorted({s for d in default_scale_sweep(spec.lam, 0.25)
                     for s in (d, 2.0 * d)})
     obj = SpectralObjective(spec, np.tile(centers, (len(radii), 1)), 0.0, 1.0)
-    domain = RadialDomain(0.0, np.repeat(radii, len(centers)))
+    return obj, RadialDomain(0.0, np.repeat(radii, len(centers)))
+
+
+def test_each_distinct_cell_evaluated_once(monkeypatch):
+    # an m = 1105 doubling sweep, as scan_doubling runs it: every level's
+    # rows are evaluated once per distinct (level, reduced index) cell, so
+    # overlapping windows and the cells that balls share cost one row each;
+    # the branch-and-bound's node count, counted per ball, is the one the
+    # sweep took when each row was evaluated on its own; the polish, which
+    # stops at 2 rho0 tol^(3/2), adds its own evaluations to nodes
+    obj, domain = _sweep_1105()
     level_bounds = scan._level_bounds
     cell_bounds = SpectralObjective.cell_bounds
     held, evaluated, phases = [], [], []
@@ -328,4 +336,120 @@ def test_each_distinct_cell_evaluated_once(monkeypatch):
     result = certified_max(obj, domain, DEFAULT_TOL)
     assert len(held) > 10
     assert sum(evaluated) <= 0.6 * sum(held)
-    assert result.nodes == 813_030
+    assert result.nodes - result.polish_evals == 774_026
+    assert result.polish_evals == 22_188
+
+
+def test_polish_stops_at_the_tolerance(monkeypatch):
+    # each ball's search stops once its step is 2 rho0 tol^(3/2): against
+    # the same search run down to STEP_FLOOR (tol at the floor), every ball
+    # keeps all but 4 tol^3 of the value and uses no more evaluations
+    tol = 1e-2
+    obj, domain = _sweep_1105()
+    search = scan.pattern_search
+    calls = []
+
+    def spy(*args):
+        calls.append((args, search(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scan, "pattern_search", spy)
+    result = certified_max(obj, domain, tol)
+    ((objective, dom, balls, d0, step, used_tol), (_, _, used)), = calls
+    assert used_tol == tol and used.sum() == result.polish_evals
+    # at the certification floor, 2 rho0 tol^(3/2) lies below STEP_FLOOR
+    assert np.max(step) * scan.TOL_FLOOR**1.5 <= scan.STEP_FLOOR
+    _, floor_value, floor_used = search(objective, dom, balls, d0, step,
+                                        scan.TOL_FLOOR)
+    assert np.all(result.value >= (1.0 - 4.0 * tol**3) * floor_value)
+    assert np.all(result.value <= floor_value)
+    assert np.all(used <= floor_used) and used.sum() < floor_used.sum()
+
+
+class _RowSpy:
+    """An objective whose values calls record their offsets and values."""
+
+    def __init__(self, objective):
+        self.objective, self.calls = objective, []
+
+    def values(self, offsets, balls):
+        out = self.objective.values(offsets, balls)
+        self.calls.append((offsets.copy(), out.copy()))
+        return out
+
+
+@pytest.mark.parametrize("dim,m", [(2, 100), (3, 50)])
+def test_polish_skips_the_probe_back(dim, m):
+    # after a move a ball evaluates 2n - 1 probes, none of them the point
+    # it left; after a halving it evaluates all 2n
+    spec = random_eigenfunction(m, TorusModel(dim), 4)
+    spy = _RowSpy(SpectralObjective(spec, np.full(dim, 0.3), 0.0, 1.0))
+    start = np.full((1, dim), 0.01)
+    d, v, used = scan.pattern_search(spy, TorusDomain(), np.zeros(1, int),
+                                     start, 0.004, 1e-3)
+    assert used[0] == sum(len(x) for x, _ in spy.calls)
+    assert len(spy.calls[0][0]) == 1 and len(spy.calls[1][0]) == 2 * dim
+    at, best = spy.calls[0][0][0], spy.calls[0][1][0]
+    moves = halvings = 0
+    for (probes, vals), (after, _) in zip(spy.calls[1:], spy.calls[2:]):
+        if vals.max() > best:
+            moves += 1
+            left, at, best = at, probes[vals.argmax()], vals.max()
+            assert len(after) == 2 * dim - 1
+            step = np.max(np.abs(at - left))
+            assert np.min(np.max(np.abs(after - left), axis=1)) > 0.5 * step
+        else:
+            halvings += 1
+            assert len(after) == 2 * dim
+    assert moves > 0 and halvings > 0
+    assert v[0] == best and np.array_equal(d[0], at)
+
+
+def test_polish_is_batch_invariant():
+    # a ball's polished offset, value and evaluations are the same bits
+    # alone and in a shuffled batch: starts inside and on the sphere of
+    # balls of several radii, one whose step is already at its floor
+    spec = random_eigenfunction(1105, TorusModel(2), 5)
+    rng = np.random.default_rng(8)
+    count = 12
+    obj = SpectralObjective(spec, rng.random((count, 2)), 0.0, 1.0)
+    hi = rng.uniform(0.004, 0.03, count)
+    domain = RadialDomain(0.0, hi)
+    d0 = domain.project(rng.uniform(-1.0, 1.0, (count, 2)) * hi[:, None]
+                        * rng.choice([0.5, 2.0], (count, 1)), np.arange(count))
+    step = rng.uniform(0.001, 0.004, count)
+    step[3] = 1e-9
+    balls = np.arange(count)
+    alone = [scan.pattern_search(obj, domain, balls[b:b + 1], d0[b:b + 1],
+                                 step[b:b + 1], 1e-2) for b in balls]
+    order = rng.permutation(count)
+    batch = scan.pattern_search(obj, domain, balls[order], d0[order],
+                                step[order], 1e-2)
+    for i, b in enumerate(order):
+        for part in range(3):
+            assert np.array_equal(batch[part][i], alone[b][part][0])
+    assert batch[2][np.flatnonzero(order == 3)[0]] == 1
+
+
+def test_torus_table_holds_the_windows_only(monkeypatch):
+    # a cube index reads its first level as boxes of one torus table; the
+    # table holds only the product of the per-axis unions of the windows'
+    # reduced indices, and each of its cells has the bits of that cell in
+    # the table of the whole torus
+    spec = random_eigenfunction(325, TorusModel(2), 0)
+    torus_level = scan._torus_level
+    calls = []
+
+    def spy(*args):
+        calls.append((args, torus_level(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scan, "_torus_level", spy)
+    cube_doubling_index(spec, np.full(2, 0.5), 0.125)
+    assert len(calls) == 1
+    (objective, axes, count, rho), (vals, ubs) = calls[0]
+    assert len(vals) == len(axes[0]) * len(axes[1]) < count**2 // 3
+    full = torus_level(objective, [np.arange(count)] * 2, count, rho)
+    rows = np.add.outer(axes[0] * count, axes[1]).ravel()
+    assert np.array_equal(full[0][rows], vals)
+    assert np.array_equal(full[1][rows], ubs)
