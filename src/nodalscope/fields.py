@@ -33,7 +33,7 @@ from .scan import (
     TorusDomain,
     certified_max,
 )
-from .spectrum import EigenfunctionSpec, phase_blocks, point_phases
+from .spectrum import EigenfunctionSpec, evaluate, phase_blocks, point_phases
 
 __all__ = [
     "sup_on_ball",
@@ -192,7 +192,6 @@ def l2_on_ball(spec: EigenfunctionSpec | None, center, r: float,
     if field is None:
         if spec is None:
             raise ValueError("need a spec or an explicit field")
-        from .spectrum import evaluate
 
         def field(points):
             return np.atleast_1d(evaluate(spec, points)) ** 2

@@ -1,9 +1,9 @@
 """Flat unit torus R^n/Z^n (n = 2 or 3): metric, ball volumes, covers.
 
-Covers are regular grids whose balls of radius r tile the torus with bounded
-overlap of the doubled balls; the overlap multiplicity is counted on a dense
-probe grid the first time a cover's overlap_bound is read. pairs_within is
-the periodic neighbour search: a cell list plus min-image distances.
+Every cover is a K^n grid whose balls of radius r tile the torus with bounded
+overlap of the doubled balls; the overlap multiplicity is counted exactly on
+the grid cell the first time a cover's overlap_bound is read. pairs_within
+is the periodic neighbour search: a cell list plus min-image distances.
 """
 
 from __future__ import annotations
@@ -101,20 +101,21 @@ def index_box(size: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """Regular-grid cover by balls of radius r; the doubled-ball overlap is
-    measured on first read of overlap_bound and kept with the cover."""
+    """Balls of radius r on the grid index_box(K, n)/K, K = grid_axis_count;
+    the doubled-ball overlap is measured on first read of overlap_bound and
+    kept with the cover."""
 
     radius: float
-    centers: np.ndarray  # (C, n), rows in [0, 1)
-    grid_axis_count: int | None = None  # set when centers form the full K^n grid
+    centers: np.ndarray  # (K^n, n), rows in [0, 1)
+    grid_axis_count: int
 
     def __len__(self) -> int:
         return len(self.centers)
 
     @cached_property
     def overlap_bound(self) -> int:
-        """overlap_multiplicity of this cover on its torus."""
-        return overlap_multiplicity(self, TorusModel(self.centers.shape[1]))
+        """overlap_multiplicity of this cover."""
+        return overlap_multiplicity(self)
 
 
 def _grid_axis_count(r: float, dim: int) -> int:
@@ -150,25 +151,21 @@ def member_cover(r: float, model: TorusModel) -> CoverSet:
 _PROBE_MIN = 512  # probe-grid density per axis for overlap measurement
 
 
-def overlap_multiplicity(cover: CoverSet, model: TorusModel) -> int:
+def overlap_multiplicity(cover: CoverSet) -> int:
     """Max number of open doubled balls B_{2r}(x_i) containing any probe point.
 
     The balls are open: a probe at distance exactly 2r from a center is not
     in its ball. Every stored bound counts this way; at n = 3, r = 1/32,
     closed balls would give 192 where the open count is 186.
 
-    The probe grid has P = K*ceil(512/K) >= 512 points per axis. For regular
-    grid covers the multiplicity function is periodic with the grid cell and
+    The probe grid has P = K*ceil(512/K) >= 512 points per axis. On the
+    K^n grid the multiplicity function is periodic with the grid cell and
     even in each axis, so the maximum is taken over the residues a in
     [0, P/(2K)] per axis, exactly: in units of 1/P probes and centers sit on
     integers, and a squared distance counts when it is below (2 r P)^2.
-    Other center sets are counted by brute force over blocks of probes.
     """
-    n = model.dim
-    centers = np.asarray(cover.centers, dtype=float)
+    n = cover.centers.shape[1]
     K = cover.grid_axis_count
-    if K is None or len(centers) != K**n:
-        return _overlap_brute_force(centers, 2.0 * cover.radius, n)
     c = math.ceil(_PROBE_MIN / K)
     P = K * c
     # the largest integer below (2 r P)^2, from r's exact ratio
@@ -185,28 +182,6 @@ def overlap_multiplicity(cover: CoverSet, model: TorusModel) -> int:
             len(head) * len(d), -1)
     return max(int(np.count_nonzero(head[:, :, None] + row <= limit,
                                     axis=(1, 2)).max()) for row in d)
-
-
-def _overlap_brute_force(centers: np.ndarray, radius: float, n: int) -> int:
-    """Max count of centers within min-image distance < radius of a probe
-    index_box(512, n) / 512. Squared distances add over the axes, so each
-    axis's probe-center terms are computed once; the sums are taken for
-    one value of the first n - 2 probe coordinates at a time, in blocks of
-    about 2^20 probe-center pairs."""
-    axis = np.arange(_PROBE_MIN) / _PROBE_MIN
-    d = min_image(axis[:, None, None] - centers)
-    d *= d  # (probe coordinate, center, axis)
-    last = d[:, :, n - 1]
-    block = max(1, 2**20 // last.size)
-    best = 0
-    for lead in itertools.product(range(_PROBE_MIN), repeat=n - 2):
-        head = d[:, :, n - 2]
-        for i, a in enumerate(lead):
-            head = d[a, :, i] + head
-        for i0 in range(0, _PROBE_MIN, block):
-            inside = head[i0:i0 + block, None, :] + last < radius * radius
-            best = max(best, int(np.count_nonzero(inside, axis=2).max()))
-    return best
 
 
 def pairs_within(points, queries, radius: float

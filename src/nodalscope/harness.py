@@ -112,12 +112,8 @@ def member_nodal_stats(member: EnsembleMember) -> None:
     member.max_vanishing_order = max(
         [p.vanishing_order for p in points], default=1
     )
-    if points:
-        centers = member_cover(member.r, spec.model).centers
-        counts = count_singular_in_balls(points, member.r, spec.lam, centers)
-        member.max_singular_count = max(counts)
-    else:
-        member.max_singular_count = 0
+    member.max_singular_count = max(count_singular_in_balls(
+        points, member.r, spec.lam, member_cover(member.r, spec.model).centers))
 
 
 def member_lift_index(member: EnsembleMember) -> None:

@@ -132,9 +132,9 @@ STORED_OVERLAP = {(2, 2): 32, (2, 3): 32, (2, 4): 32, (2, 5): 28,
 def test_overlap_measured_on_first_read(monkeypatch, dim, j):
     calls = []
 
-    def spy(cover, model):
+    def spy(cover):
         calls.append(cover.radius)
-        return overlap_multiplicity(cover, model)
+        return overlap_multiplicity(cover)
 
     monkeypatch.setattr(geometry, "overlap_multiplicity", spy)
     geometry._cached_cover.cache_clear()  # no cover read by an earlier test
@@ -146,26 +146,15 @@ def test_overlap_measured_on_first_read(monkeypatch, dim, j):
     assert calls == [2.0**-j]
 
 
-def test_overlap_multiplicity_nongrid_path(t2):
-    # a hand-built (still covering) center set takes the brute-force probe
-    cov = generate_cover(0.25, t2)
-    from nodalscope.geometry import CoverSet
-
-    shifted = CoverSet(radius=cov.radius,
-                       centers=wrap_point(cov.centers + 0.013),
-                       grid_axis_count=None)
-    assert overlap_multiplicity(shifted, t2) == cov.overlap_bound
-
-
 def _kdtree_overlap(cover, n):
     """The multiplicity as a periodic k-d tree counts it: every probe of
-    one grid cell (all 512^n probes off the grid) queried at radius 2r."""
+    one grid cell queried at radius 2r."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(cover.centers, boxsize=1.0)
     K = cover.grid_axis_count
-    c = 512 if K is None else math.ceil(512 / K)
-    P = c if K is None else K * c
+    c = math.ceil(512 / K)
+    P = K * c
     rest = geometry.index_box(c, n - 1) / P
     best = 0
     for i in range(c):
@@ -176,16 +165,25 @@ def _kdtree_overlap(cover, n):
     return best
 
 
-@pytest.mark.parametrize("dim, j", sorted(STORED_OVERLAP) + [(2, None)])
+@pytest.mark.parametrize("dim, j", sorted(STORED_OVERLAP))
 def test_overlap_matches_kdtree(dim, j):
     # the exact integer count (open balls) against a periodic k-d tree's
-    # float count; (2, None) is the shifted, non-grid center set
+    # float count
+    cover = generate_cover(2.0**-j, TorusModel(dim))
+    assert overlap_multiplicity(cover) == _kdtree_overlap(cover, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_cover_is_its_grid(dim):
+    # overlap_multiplicity counts residues of the K^n grid only, so every
+    # cover the package builds must be that grid
     model = TorusModel(dim)
-    cover = generate_cover(0.25 if j is None else 2.0**-j, model)
-    if j is None:
-        cover = geometry.CoverSet(radius=cover.radius,
-                                  centers=wrap_point(cover.centers + 0.013))
-    assert overlap_multiplicity(cover, model) == _kdtree_overlap(cover, dim)
+    for r in [2.0**-j for j in range(2, 7)] + [0.2, 0.1, 0.07, 1 / 12]:
+        cover = generate_cover(r, model)
+        K = cover.grid_axis_count
+        assert isinstance(K, int)
+        assert len(cover) == K**dim
+        assert np.array_equal(cover.centers, geometry.index_box(K, dim) / K)
 
 
 def test_overlap_counts_open_balls():
@@ -195,10 +193,10 @@ def test_overlap_counts_open_balls():
     K = cover.grid_axis_count
     P = K * math.ceil(512 / K)
     assert 2 * P / 32 == int(2 * P / 32)  # 2r lies on the probe grid
-    assert overlap_multiplicity(cover, TorusModel(3)) == 186
+    assert overlap_multiplicity(cover) == 186
     closed = geometry.CoverSet(radius=np.nextafter(1 / 32, 1.0),
                                centers=cover.centers, grid_axis_count=K)
-    assert overlap_multiplicity(closed, TorusModel(3)) == 192
+    assert overlap_multiplicity(closed) == 192
 
 
 def _brute_pairs(points, queries, radius):
