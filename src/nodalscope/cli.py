@@ -22,6 +22,7 @@ from pathlib import Path
 from .certify import (
     SCHEMA_VERSION,
     ReportConfig,
+    _spec_id,
     certify_equidistribution,
     config_hash,
     report_to_json,
@@ -97,12 +98,21 @@ def _load_spec(path: str):
     return spec_from_json(Path(path).read_text())
 
 
+def _spec_name(spec) -> str:
+    """The spec's part of an artifact's file name: m, dim and seed as gen
+    names the spec file, or the certificate's spec id for a spec without a
+    seed."""
+    if spec.seed is None:
+        return _spec_id(spec)
+    return f"m{spec.m}_dim{spec.model.dim}_seed{spec.seed}"
+
+
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
     cert = certify_equidistribution(spec, args.r, args.k1, args.k2)
     digest = config_hash(_config_payload(args, ["r", "k1", "k2"],
                                          spec=spec_to_json(spec)))
-    _write_json(args, f"certificate_m{spec.m}_r{args.r}.json", {
+    _write_json(args, f"certificate_{_spec_name(spec)}_r{args.r}.json", {
         "spec_id": cert.spec_id,
         "r": cert.r, "K1": cert.k1, "K2": cert.k2,
         "min_ratio": cert.min_ratio, "max_ratio": cert.max_ratio,
@@ -121,10 +131,11 @@ def cmd_nodal(args) -> int:
     points = find_singular_points(spec, args.grid)
     digest = config_hash(_config_payload(args, ["grid"],
                                          spec=spec_to_json(spec)))
-    _write_csv(args, f"nodal_segments_m{spec.m}_N{args.grid}.csv", digest,
+    name = f"{_spec_name(spec)}_N{args.grid}"
+    _write_csv(args, f"nodal_segments_{name}.csv", digest,
                ["x1", "y1", "x2", "y2"],
                ([f"{c:.17g}" for c in seg] for seg in ns.segments))
-    _write_json(args, f"nodal_summary_m{spec.m}_N{args.grid}.json", {
+    _write_json(args, f"nodal_summary_{name}.json", {
         "length": ns.length,
         "n_segments": len(ns.segments),
         "n_polylines": len(ns.polylines),
@@ -145,14 +156,15 @@ def cmd_doubling(args) -> int:
     c_star = fit_growth_constant(records, args.r, spec.lam)
     digest = config_hash(_config_payload(args, ["r", "tol"],
                                          spec=spec_to_json(spec)))
+    name = f"{_spec_name(spec)}_r{args.r}"
     _write_csv(
-        args, f"doubling_records_m{spec.m}_r{args.r}.csv", digest,
+        args, f"doubling_records_{name}.csv", digest,
         [f"center_{d}" for d in range(spec.model.dim)]
         + ["scale", "index_sup", "context_r", "lambda"],
         ([f"{v:.17g}" for v in (*rec.center, rec.scale, rec.index_sup,
                                 rec.context_r, rec.lam)]
          for rec in records))
-    _write_json(args, f"doubling_summary_m{spec.m}_r{args.r}.json", {
+    _write_json(args, f"doubling_summary_{name}.json", {
         "m": spec.m, "lambda": spec.lam, "r": args.r, "c_star": c_star,
         "max_index": max(rec.index_sup for rec in records),
         "n_records": len(records),

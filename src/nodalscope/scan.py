@@ -3,17 +3,26 @@
 The engine is a branch-and-bound over the cells of one nested lattice on the
 torus. Every cell carries an upper bound of the objective over the cell,
 built by squaring Taylor enclosures of psi and grad psi on the ball of
-radius rho around the cell center x,
+radius rho around the cell center x. With g = grad psi(x), H the Hessian of
+psi at x and t = |y - x| <= rho,
 
-    |psi| <= |psi(x)| + |grad psi(x)| rho + (1/2) ||H psi(x)||_F rho^2
-             + (1/6) D3 rho^3,
-    |grad psi| <= |grad psi(x)| + ||H psi(x)||_F rho + (1/2) D3 rho^2,
+    +-psi(y) <= +-psi(x) + max_{0 <= t <= rho} (|g| t + mu+- t^2 / 2)
+                + (1/6) D3 rho^3,
+    |grad psi| <= |g| + ||H||_F rho + (1/2) D3 rho^2,
 
-with D_j = ||c||_1 (2 pi sqrt(m))^j, which bounds the j-th derivative tensor
-of psi mode by mode: psi to order 2 with its Lagrange remainder
-(|d^T H d| <= ||H||_F |d|^2), grad psi to order 1. Each ball keeps its best
-cell-center value inside the domain; cells whose bound cannot beat it by
-more than the relative tolerance are pruned, and survivors are subdivided.
+and U_psi, the larger of the two signs, bounds |psi| on the cell. Here
+mu+- = +-tr H / n + sqrt((n - 1)/n) ||H - (tr H / n) I||_F bounds
+lambda_max(+-H), the largest eigenvalue (the trace bound of Wolkowicz and
+Styan 1980, exact in 2-D, never above ||H||_F), and the maximum over t is
+|g| rho + mu rho^2 / 2, or |g|^2 / (2 |mu|) when mu < 0 and |g| < |mu| rho.
+So U_psi is never above |psi(x)| + |g| rho + (1/2) ||H||_F rho^2
++ (1/6) D3 rho^3; near a maximum of |psi|, where sign(psi) H has no
+positive eigenvalue, its curvature term is at most 0. D_j = ||c||_1
+(2 pi sqrt(m))^j bounds the j-th derivative tensor of psi mode by mode:
+psi is enclosed to order 2 with its Lagrange remainder, grad psi to order
+1. Each ball keeps its best cell-center value inside the domain; cells
+whose bound cannot beat it by more than the relative tolerance are pruned,
+and survivors are subdivided.
 A cell-center value is a point value, no larger than the sup, so the
 pruning stays certified. Once every ball's gap has closed, one projected
 compass search polishes every ball's best cell; it only raises a value the
@@ -71,8 +80,12 @@ stay together in their order.
 
 Every objective is f = alpha |grad psi|^2 + beta psi^2 (SpectralObjective)
 or psi^2 times the harmonic lift's t-factor (LiftedSquared, balls at t = 0:
-the cube index does not depend on a ball's t-offset). A cell's psi, grad
-psi and Hessian of psi come from one mode sum (spectrum.mode_sum). A level's
+the cube index does not depend on a ball's t-offset). The lifted objective
+has a second cell bound, in log space (LiftedSquared.log_bounds), which the
+search computes only for the cells the first bound keeps, and a cell
+survives only if both bounds can beat its ball's threshold. A cell's psi,
+grad psi and Hessian of psi come from one mode sum (spectrum.mode_sum). A
+level's
 phases are products of per-axis tables built once per level over its
 distinct reduced indices (spectrum.axis_phases, lattice_phases), so balls
 that share lattice rows share their exps and one product evaluates a chunk
@@ -128,6 +141,33 @@ def _per_ball(value, balls):
     """A radius that is one value, or the entries of the given balls when it
     holds one value per ball."""
     return value if np.ndim(value) == 0 else value[balls]
+
+
+def _enclosure(parts, dim, d3, rho):
+    """(|grad psi|, ||H||_F, mu, U_psi) per cell, from the order-2 mode_sum
+    parts at the cell centers: mu (2, P) bounds lambda_max(H) and
+    lambda_max(-H) by the trace bound, and U_psi >= |psi| on each cell's
+    ball of radius rho (module docstring). Every step is elementwise over
+    the cells, on the parts' columns."""
+    cols = np.ascontiguousarray(parts.T)
+    psi, g, hess = cols[0], cols[1:dim + 1], cols[dim + 1:]
+    g2 = np.einsum("ap,ap->p", g, g)
+    slope = np.sqrt(g2)
+    curv = np.sqrt(np.einsum("ap,ap->p", hess, hess))
+    # the diagonal of the row-major n x n block is every (n + 1)-th row;
+    # hess becomes H - (tr H / n) I
+    diag = hess[::dim + 1]
+    mean = diag.sum(axis=0) / dim
+    diag -= mean
+    spread = math.sqrt((dim - 1) / dim) * np.sqrt(
+        np.einsum("ap,ap->p", hess, hess))
+    mu = np.stack([spread + mean, spread - mean])
+    # the largest |grad psi| t + mu t^2 / 2 over t in [0, rho]: at t = rho,
+    # or at the vertex |grad psi| / |mu| when mu < 0 puts it inside
+    rise = slope * rho + (0.5 * rho * rho) * mu
+    np.divide(g2, -2.0 * mu, out=rise, where=slope < -rho * mu)
+    u_psi = np.maximum(psi + rise[0], rise[1] - psi) + d3 * rho**3 / 6.0
+    return slope, curv, mu, u_psi
 
 
 class RadialDomain:
@@ -219,9 +259,10 @@ class SpectralObjective:
     Cell bounds take psi, grad psi and the Hessian H of psi from one mode
     sum over the phases exp(2 pi i k . x) of the cell centers; pointwise
     values take psi and, when alpha != 0, grad psi. A cell's bound is
-    beta U_psi^2 + alpha U_grad^2, U_psi the order-2 and U_grad the order-1
-    Taylor enclosure of |psi| and |grad psi| on the cell's ball (module
-    docstring); d3 is their remainder constant D3 = lambda^(3/2) ||c||_1
+    beta U_psi^2 + alpha U_grad^2, U_psi the order-2 enclosure of |psi|
+    with the signed curvatures mu+- of the trace bound and U_grad the
+    order-1 enclosure of |grad psi| on the cell's ball (module docstring);
+    d3 is their remainder constant D3 = lambda^(3/2) ||c||_1
     (spec.derivative_bound(3)). The first lattice has
     N = ceil(1/h0) cells per axis.
     """
@@ -238,6 +279,9 @@ class SpectralObjective:
         self.d3 = spec.derivative_bound(3)
         self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
+    # f has no log-space cell bound (LiftedSquared.log_bounds)
+    log_bounds = None
+
     def _value(self, parts: np.ndarray) -> np.ndarray:
         psi = parts[:, 0]
         f = self.beta * psi * psi
@@ -252,21 +296,16 @@ class SpectralObjective:
             point_phases(self.spec, self.centers[balls] + offsets),
             self.point_weights))
 
-    def cell_bounds(self, phases: np.ndarray, rho: float):
-        """f at the cell centers and its upper bound over each cell of
-        circumradius rho, from the phases of the cell centers."""
+    def cell_bounds(self, phases: np.ndarray, rho: float) -> np.ndarray:
+        """(2, P): f at the cell centers and its upper bound over each cell
+        of circumradius rho, from the phases of the cell centers."""
         parts = mode_sum(phases, self.weights)
-        g = parts[:, 1:self.dim + 1]
-        hess = parts[:, self.dim + 1:]
-        slope = np.sqrt(np.einsum("pa,pa->p", g, g))
-        curv = np.sqrt(np.einsum("pa,pa->p", hess, hess))
-        u_psi = (np.abs(parts[:, 0]) + slope * rho + 0.5 * curv * rho * rho
-                 + self.d3 * rho**3 / 6.0)
+        slope, curv, _, u_psi = _enclosure(parts, self.dim, self.d3, rho)
         ub = self.beta * u_psi * u_psi
         if self.alpha:
             u_grad = slope + curv * rho + 0.5 * self.d3 * rho * rho
             ub += self.alpha * u_grad * u_grad
-        return self._value(parts), ub
+        return np.stack([self._value(parts), ub])
 
     def ball_bounds(self, vals, ubs, norms, rho, balls=None):
         """cell_bounds of cells whose centers lie at distances norms from
@@ -282,9 +321,24 @@ class LiftedSquared(SpectralObjective):
     Moving the ball to t = tau multiplies the sup by exp(2 tau sqrt(lambda)),
     so the log ratio of two concentric ball sups does not depend on tau. The
     t maximization is closed form (exp is increasing), reducing the ball to
-    the n-dimensional objective psi(x0+d)^2 exp(2 sqrt(lambda) sqrt(s^2-|d|^2)).
-    Cell bounds multiply the squared psi enclosure by the exact cell maximum
-    of the monotone t-factor. Raises LiftOverflowError, naming the first
+    the n-dimensional objective psi(x0+d)^2 exp(tau(d)), with
+    tau(d) = 2 sqrt(lambda) sqrt(s^2 - |d|^2).
+
+    A cell has two bounds, and the search keeps the smaller. The first
+    multiplies the squared psi enclosure by the exact cell maximum of the
+    monotone t-factor. At the lifted maximum the gradients of log psi^2
+    and tau cancel, but the first bound adds both slopes, so it is loose
+    there. The second bounds G = log f = log psi^2 + tau by its own Taylor
+    model: on a cell whose center x lies inside the ball and whose
+    psi_min = |psi| - |grad psi| rho - ||H||_F rho^2 / 2 - D3 rho^3 / 6 is
+    positive (psi keeps one sign sigma there),
+
+        G <= G(x) + |2 grad psi / psi + grad tau(x)| rho + Lambda rho^2 / 2,
+        Lambda = 2 max(lambda_max(sigma H) + D3 rho, 0) / psi_min,
+
+    since the Hessian of log psi^2 is at most 2 sigma H / |psi| and tau is
+    concave on the ball, so it adds no curvature term (log_bounds).
+    Raises LiftOverflowError, naming the first
     such s, when the t-factor's exponent 2 s sqrt(lambda) exceeds EXP_GUARD,
     where the sup would overflow.
     """
@@ -310,9 +364,48 @@ class LiftedSquared(SpectralObjective):
         norms = np.linalg.norm(offsets, axis=-1)
         return super().values(offsets, balls) * self._t_factor(norms, balls)
 
+    def cell_bounds(self, phases, rho):
+        """(n + 3, P): psi^2 at the cell centers, U_psi^2, and the cell's
+        part of log_bounds, log psi^2 + Lambda rho^2 / 2 and the n rows of
+        2 grad psi / psi, where psi_min > 0 (else inf and 0)."""
+        parts = mode_sum(phases, self.weights)
+        slope, curv, mu, u_psi = _enclosure(parts, self.dim, self.d3, rho)
+        psi = parts[:, 0]
+        out = np.zeros((self.dim + 3, len(psi)))
+        out[0] = psi * psi
+        out[1] = u_psi * u_psi
+        out[2] = math.inf
+        size = np.abs(psi)
+        floor = (size - slope * rho - 0.5 * curv * rho * rho
+                 - self.d3 * rho**3 / 6.0)
+        ok = np.flatnonzero(floor > 0.0)
+        # lambda_max(sign(psi) H) + D3 rho bounds it on the whole cell
+        top = np.where(psi[ok] > 0.0, mu[0, ok], mu[1, ok]) + self.d3 * rho
+        out[2, ok] = (2.0 * np.log(size[ok])
+                      + np.maximum(top, 0.0) * (rho * rho) / floor[ok])
+        out[3:, ok] = 2.0 * parts[ok, 1:self.dim + 1].T / psi[ok]
+        return out
+
     def ball_bounds(self, vals, ubs, norms, rho, balls=None):
         factor_max = self._t_factor(np.maximum(norms - rho, 0.0), balls)
         return vals * self._t_factor(norms, balls), ubs * factor_max
+
+    def log_bounds(self, cells, offsets, rho, balls=None):
+        """The log-space bound G(x) + |2 grad psi / psi + grad tau(x)| rho
+        + Lambda rho^2 / 2 (class docstring) of the cells whose cell_bounds
+        columns are cells (n + 3, Q), at offsets (Q, n) from their balls'
+        centers; inf where the cell's center lies outside its ball or
+        psi_min <= 0."""
+        s = _per_ball(self.s, balls)
+        gap = s * s - np.einsum("pa,pa->p", offsets, offsets)
+        out = np.full(len(offsets), math.inf)
+        ok = np.flatnonzero((gap > 0.0) & (cells[2] < math.inf))
+        root = np.sqrt(gap[ok])
+        grad = (cells[3:, ok].T
+                - (2.0 * self.sqrt_lam / root)[:, None] * offsets[ok])
+        out[ok] = (cells[2, ok] + 2.0 * self.sqrt_lam * root
+                   + rho * np.sqrt(np.einsum("pa,pa->p", grad, grad)))
+        return out
 
 
 def pattern_search(objective, domain, balls, d0, step, tol):
@@ -462,10 +555,11 @@ def _check_budget(objective, domain, tol, nodes):
 
 
 def _level_bounds(objective, coords, count, inv, rho):
-    """objective.cell_bounds of the cells of index coords[a][inv[p, a]] on
-    the lattice of count cells per axis, from per-axis tables over the
-    distinct indices reduced mod count, built once per level. Each distinct
-    cell is evaluated once; every row then reads its cell's results."""
+    """(objective.cell_bounds of the distinct cells, each row's column in
+    it) of the cells of index coords[a][inv[p, a]] on the lattice of count
+    cells per axis, from per-axis tables over the distinct indices reduced
+    mod count, built once per level. Each distinct cell is evaluated once;
+    every row then reads its cell's column."""
     tables, rows = [], []
     for a, c in enumerate(coords):
         reduced, row = np.unique(np.mod(c, count), return_inverse=True)
@@ -481,25 +575,25 @@ def _level_bounds(objective, coords, count, inv, rho):
     del rows
     cells, back = np.unique(key, return_inverse=True)
     del key
-    vals, ubs = _key_bounds(objective, tables, cells, rho)
-    del tables, cells
-    return vals[back], ubs[back]
+    return _key_bounds(objective, tables, cells, rho), back
 
 
 def _key_bounds(objective, tables, keys, rho):
     """objective.cell_bounds of the cells keys, each the row-major index of
     its rows in the per-axis tables, in chunks of at most
-    spectrum.PHASE_BLOCK cells x modes."""
-    vals, ubs = np.empty(len(keys)), np.empty(len(keys))
+    spectrum.PHASE_BLOCK cells x modes: one column per key."""
+    out = None
     for part in phase_blocks(len(keys), objective.spec):
         rest = keys[part]
         idx = np.empty((len(rest), len(tables)), dtype=keys.dtype)
         for a in range(len(tables) - 1, 0, -1):
             rest, idx[:, a] = np.divmod(rest, len(tables[a]))
         idx[:, 0] = rest
-        vals[part], ubs[part] = objective.cell_bounds(
-            lattice_phases(tables, idx), rho)
-    return vals, ubs
+        bounds = objective.cell_bounds(lattice_phases(tables, idx), rho)
+        if out is None:
+            out = np.empty((len(bounds), len(keys)))
+        out[:, part] = bounds
+    return out
 
 
 def _torus_level(objective, axes, count, rho):
@@ -648,7 +742,7 @@ class _Search:
                             count)] = True
                 axes.append(np.flatnonzero(used))
                 place.append(np.cumsum(used) - 1)
-            table = _torus_level(self.objective, axes, count, rho) + (place,)
+            table = (_torus_level(self.objective, axes, count, rho), place)
         # a pool's rows, split into their 2^n children, hold at most
         # spectrum.PHASE_BLOCK cells
         pool, rows = [], 0
@@ -703,6 +797,15 @@ class _Search:
         best = self.best
         return np.where(best > 0, best * (1.0 + self.tol), best)
 
+    def log_keep(self, cells, offsets, rho, balls) -> np.ndarray:
+        """Whether each cell's objective.log_bounds, from its cell_bounds
+        columns cells at offsets from the centers of its balls, can still
+        beat its ball's threshold."""
+        thr = self.threshold()[balls]
+        logs = self.objective.log_bounds(cells, offsets, rho, balls)
+        return logs > np.log(thr, out=np.full(len(thr), -math.inf),
+                             where=thr > 0)
+
     def level(self, cells: _Cells) -> _Cells | None:
         """Evaluates one level's cells and updates the balls' best,
         best_off and nodes. Returns the cells whose bound can still beat
@@ -727,9 +830,10 @@ class _Search:
         nodes += counts
         _check_budget(objective, domain, self.tol, nodes)
         # phase chunks set the peak: rows' balls and norms are made after
-        vals, ubs = _level_bounds(objective, coords, count, inv, rho)
+        bounds, back = _level_bounds(objective, coords, count, inv, rho)
         ball, norms = np.take(owner[0], inv[:, 0]), _norms(xs, inv)
-        vals, ubs = objective.ball_bounds(vals, ubs, norms, rho, ball)
+        vals, ubs = objective.ball_bounds(bounds[0, back], bounds[1, back],
+                                          norms, rho, ball)
         # each present ball's first best cell inside the domain, from its
         # segment of the cells (sorted by ball)
         present = np.flatnonzero(counts)
@@ -744,6 +848,13 @@ class _Search:
         self.best_off[ball[gain]] = np.stack([xs[a][inv[gain, a]]
                                               for a in range(dim)], axis=-1)
         keep = ubs > self.threshold()[ball]
+        if objective.log_bounds is not None:
+            # the second bound only where the first keeps a cell
+            sel = np.flatnonzero(keep)
+            keep[sel] = self.log_keep(
+                bounds[:, back[sel]],
+                np.stack([np.take(xs[a], inv[sel, a]) for a in range(dim)],
+                         axis=-1), rho, ball[sel])
         if not keep.any():
             return None
         return _compact(_Cells(coords, owner, np.compress(keep, inv, axis=0),
@@ -752,11 +863,11 @@ class _Search:
     def boxes(self, table, balls, lows, sizes, count, rho) -> _Cells | None:
         """level() of the windows of balls (first cells lows (B, n), sizes
         (B,) cells per axis) on the torus level of count cells per axis,
-        read as boxes from table = (values, bounds, place), that level's
-        cell_bounds in row-major order of the rows place[a] gives each
-        reduced index on axis a, with wrapped index ranges. A run of balls
-        of one window size is one (balls, window row-major) array; only the
-        cells that survive become rows, in ball order."""
+        read as boxes from table = (bounds, place), that level's
+        cell_bounds columns in row-major order of the rows place[a] gives
+        each reduced index on axis a, with wrapped index ranges. A run of
+        balls of one window size is one (balls, window row-major) array;
+        only the cells that survive become rows, in ball order."""
         objective, domain = self.objective, self.domain
         dim = objective.dim
         parts = []
@@ -778,13 +889,13 @@ class _Search:
             # each box cell's row in the table, row-major over its axes
             rows = 0
             for a, i in enumerate(idx):
-                place = table[2][a]  # its last entry + 1 is its row count
+                place = table[1][a]  # its last entry + 1 is its row count
                 rows = (rows * (place[-1] + 1)
                         + _box_axis(place[np.mod(i, count)], a, dim))
             rows = rows.reshape(len(bs), -1)
             vals, ubs = objective.ball_bounds(
-                np.take(table[0], rows), np.take(table[1], rows), norms, rho,
-                ball)
+                np.take(table[0][0], rows), np.take(table[0][1], rows), norms,
+                rho, ball)
             # each ball's first best cell inside the domain, row-major
             inner = np.where(band & domain.contains(norms, ball), vals,
                              -math.inf)
@@ -797,8 +908,14 @@ class _Search:
                 [xs[a][gain, at[a]] for a in range(dim)], axis=-1)
             keep = band & (ubs > self.threshold()[ball])
             row, flat = np.nonzero(keep)
+            at = np.unravel_index(flat, shape)
+            if len(row) and objective.log_bounds is not None:
+                live = self.log_keep(
+                    table[0][:, rows[row, flat]],
+                    np.stack([xs[a][row, at[a]] for a in range(dim)],
+                             axis=-1), rho, bs[row])
+                row, at = row[live], [i[live] for i in at]
             if len(row):
-                at = np.unravel_index(flat, shape)
                 inv = np.stack([row * size + at[a] for a in range(dim)],
                                axis=-1).astype(np.int32)
                 parts.append(_compact(_Cells(

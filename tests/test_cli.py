@@ -47,10 +47,27 @@ def test_certify_exit_codes(tmp_path, t2, sin1):
     assert run(["--out", out, "certify", "--spec",
                 str(tmp_path / "spec_m325_dim2_seed0.json"),
                 "--r", "0.25"]) == 0
-    cert = json.loads((tmp_path / "certificate_m325_r0.25.json").read_text())
+    cert = json.loads(
+        (tmp_path / "certificate_m325_dim2_seed0_r0.25.json").read_text())
     assert cert["schema_version"] == SCHEMA_VERSION
     assert cert["config_hash"]
     assert cert["pass"] is True
+
+
+def test_certify_names_each_spec(tmp_path):
+    # two specs of one m certified into one --out leave two certificates,
+    # each named by m, dim and seed as gen names the spec
+    out = str(tmp_path)
+    for seed in ("0", "1"):
+        assert run(["--out", out, "gen", "--m", "325", "--seed", seed]) == 0
+        assert run(["--out", out, "certify", "--spec",
+                    str(tmp_path / f"spec_m325_dim2_seed{seed}.json"),
+                    "--r", "0.25"]) in (0, 1)
+    names = sorted(p.name for p in tmp_path.glob("certificate_*.json"))
+    assert names == ["certificate_m325_dim2_seed0_r0.25.json",
+                     "certificate_m325_dim2_seed1_r0.25.json"]
+    ids = [json.loads((tmp_path / n).read_text())["spec_id"] for n in names]
+    assert ids == ["m=325,seed=0,dim=2", "m=325,seed=1,dim=2"]
 
 
 def test_certify_bad_r_exit_code(tmp_path, sin1):
@@ -192,10 +209,11 @@ def test_nodal_artifacts(tmp_path, sin1):
     assert run(["--out", out, "nodal", "--spec", str(sin_path),
                 "--grid", "512"]) == 0
     summary = json.loads(
-        (tmp_path / "nodal_summary_m1_N512.json").read_text()
+        (tmp_path / "nodal_summary_m=1,seed=None,dim=2_N512.json").read_text()
     )
     assert summary["length"] == pytest.approx(2.0, rel=1e-3)
-    seg_text = (tmp_path / "nodal_segments_m1_N512.csv").read_text()
+    seg_text = (tmp_path
+                / "nodal_segments_m=1,seed=None,dim=2_N512.csv").read_text()
     assert seg_text.startswith(f"# schema_version={SCHEMA_VERSION} config=")
 
 
@@ -213,8 +231,9 @@ def test_nodal_default_grid(tmp_path, m, grid):
                     *extra]) == 0
         files[sub] = {p.name: p.read_bytes()
                       for p in (tmp_path / sub).iterdir()}
-    assert sorted(files["default"]) == [f"nodal_segments_m{m}_N{grid}.csv",
-                                        f"nodal_summary_m{m}_N{grid}.json"]
+    name = f"m{m}_dim2_seed0_N{grid}"
+    assert sorted(files["default"]) == [f"nodal_segments_{name}.csv",
+                                        f"nodal_summary_{name}.json"]
     assert files["default"] == files["explicit"]
 
 
@@ -226,13 +245,14 @@ def test_nodal_singular_points_artifact(tmp_path, product_spec):
     assert run(["--out", str(tmp_path), "nodal", "--spec", str(spec_path),
                 "--grid", "512"]) == 0
     summary = json.loads(
-        (tmp_path / "nodal_summary_m2_N512.json").read_text()
+        (tmp_path / "nodal_summary_m=2,seed=None,dim=2_N512.json").read_text()
     )
     points = summary["singular_points"]
     assert len(points) == 4
     assert all(p["vanishing_order"] == 2 for p in points)
     assert all(p["residual"] < 1e-8 for p in points)
-    seg_bytes = (tmp_path / "nodal_segments_m2_N512.csv").read_bytes()
+    seg_bytes = (tmp_path
+                 / "nodal_segments_m=2,seed=None,dim=2_N512.csv").read_bytes()
     assert b"\r" not in seg_bytes  # every line ends in "\n"
     seg_lines = seg_bytes.decode().splitlines()
     assert seg_lines[0].endswith(f"config={summary['config_hash']}")
@@ -266,13 +286,13 @@ def test_doubling_artifacts(tmp_path):
     assert run(["--out", out, "doubling", "--spec", spec_path,
                 "--r", "0.25", "--tol", "1e-2"]) == 0
     summary = json.loads(
-        (tmp_path / "doubling_summary_m25_r0.25.json").read_text()
+        (tmp_path / "doubling_summary_m25_dim2_seed7_r0.25.json").read_text()
     )
     for key in ("m", "lambda", "r", "c_star", "max_index", "n_records"):
         assert key in summary
     assert summary["lambda"] == pytest.approx(4 * math.pi**2 * 25)
-    lines = (tmp_path / "doubling_records_m25_r0.25.csv").read_text() \
-        .splitlines()
+    lines = (tmp_path / "doubling_records_m25_dim2_seed7_r0.25.csv") \
+        .read_text().splitlines()
     assert lines[0].startswith(f"# schema_version={SCHEMA_VERSION} config=")
     header, rows = lines[1].split(","), [ln.split(",") for ln in lines[2:]]
     assert len(rows) == summary["n_records"]
@@ -444,7 +464,8 @@ def test_config_hash_independent_of_environment(tmp_path, monkeypatch, sin1):
         out = tmp_path / f"threads{threads}"
         assert run(["--out", str(out), "certify", "--spec", str(sin_path),
                     "--r", "0.25"]) == 1
-        cert = json.loads((out / "certificate_m1_r0.25.json").read_text())
+        cert = json.loads(
+            (out / "certificate_m=1,seed=None,dim=2_r0.25.json").read_text())
         hashes.append(cert["config_hash"])
     assert hashes[0] == hashes[1]
 

@@ -506,7 +506,7 @@ def test_segments_csv(tmp_path, product_spec):
     assert main(["--out", str(tmp_path), "nodal", "--spec", str(spec_path),
                  "--grid", "512"]) == 0
     ns = extract_nodal(product_spec, 512)
-    path = tmp_path / "nodal_segments_m2_N512.csv"
+    path = tmp_path / "nodal_segments_m=2,seed=None,dim=2_N512.csv"
     lines = path.read_text().splitlines()
     assert lines[0].startswith(f"# schema_version={SCHEMA_VERSION} config=")
     assert lines[1] == "x1,y1,x2,y2"

@@ -7,7 +7,7 @@ from nodalscope import scan
 from nodalscope.doubling import default_scale_sweep
 from nodalscope.errors import BudgetError
 from nodalscope.fields import DEFAULT_TOL
-from nodalscope.geometry import TorusModel, member_cover
+from nodalscope.geometry import TorusModel, index_box, member_cover
 from nodalscope.lift import cube_doubling_index
 from nodalscope.scan import (
     LiftedSquared,
@@ -61,13 +61,25 @@ def _lattice_phases(spec, center, coords, inv):
 
 
 def _bounds(obj, center, cells, rho):
-    """obj's cell values and bounds over the cells (coords, inv, offsets)
-    around center, as certified_max makes them: cell_bounds from the cells'
-    phases, then the ball's factor at the offsets' norms."""
+    """obj's cell values, bounds and log-space bounds over the cells
+    (coords, inv, offsets) around center, as certified_max makes them:
+    cell_bounds from the cells' phases, then the ball's factor at the
+    offsets' norms, and log_bounds at the offsets (inf for an objective
+    without them)."""
     coords, inv, offsets = cells
-    vals, ubs = obj.cell_bounds(_lattice_phases(obj.spec, center, coords,
-                                                inv), rho)
-    return obj.ball_bounds(vals, ubs, np.linalg.norm(offsets, axis=-1), rho)
+    bounds = obj.cell_bounds(_lattice_phases(obj.spec, center, coords, inv),
+                             rho)
+    vals, ubs = obj.ball_bounds(bounds[0], bounds[1],
+                                np.linalg.norm(offsets, axis=-1), rho)
+    logs = np.full(len(vals), math.inf)
+    if obj.log_bounds is not None:
+        logs = obj.log_bounds(bounds, offsets, rho)
+    return vals, ubs, logs
+
+
+def _log(x):
+    """log x, -inf where x <= 0."""
+    return np.log(x, out=np.full(np.shape(x), -math.inf), where=x > 0)
 
 
 def _lattice(rng, dim, spacing, origin, count=300):
@@ -133,7 +145,7 @@ def test_objective_values_and_slopes(name, dim, m):
     g = evaluate_gradient(spec, x)
     f_ref = alpha * np.sum(g * g, axis=-1) + beta * psi * psi
 
-    vals, ubs = _bounds(obj, center, cells, 1e-3)
+    vals, ubs, logs = _bounds(obj, center, cells, 1e-3)
     pointwise = obj.values(offsets, 0)
     factor = 1.0
     if name == "lifted":
@@ -144,6 +156,7 @@ def test_objective_values_and_slopes(name, dim, m):
     assert np.max(np.abs(vals - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
     assert np.max(np.abs(pointwise - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
     assert np.all(ubs >= vals)
+    assert np.all(logs >= _log(vals))
 
 
 def _dense_offsets(domain, n):
@@ -191,6 +204,29 @@ def test_certified_max_brackets_dense_max(rand100, name, domain_name):
         if isinstance(domain, RadialDomain):
             assert domain.contains(np.linalg.norm(res.offset[0]))
         assert res.nodes > 0
+
+
+@pytest.mark.parametrize("dim,m,n", [(2, 100, 161), (2, 1105, 161),
+                                     (3, 50, 31)])
+def test_lifted_batch_brackets_dense_max(dim, m, n):
+    # 40 lifted balls of random radii in one scan from a coarse first level
+    # (h0 = 0.3), so that pruning by both cell bounds, not the first
+    # level's best cell, decides each result: the largest value on a dense
+    # grid of each ball is at most its value times 1 + tol
+    tol = 1e-3
+    spec = random_eigenfunction(m, TorusModel(dim), 5)
+    rng = np.random.default_rng(1)
+    s = rng.uniform(0.02, 0.12, 40)
+    obj = LiftedSquared(spec, rng.random((40, dim)), s)
+    obj.h0 = 0.3
+    res = certified_max(obj, RadialDomain(0.0, s), tol)
+    axis = np.linspace(-1.0, 1.0, n)
+    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"),
+                    -1).reshape(-1, dim)
+    grid = grid[np.linalg.norm(grid, axis=-1) <= 1.0]
+    for b in range(40):
+        dense = obj.values(grid * s[b], np.full(len(grid), b)).max()
+        assert dense <= res.value[b] * (1 + tol)
 
 
 def test_certified_max_budget_errors(rand100, monkeypatch):
@@ -242,42 +278,206 @@ def _cell_samples(spacing, dim, per_axis=5):
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
+def _ball_cases(spec, dim, h, radius, rng):
+    """Cases (label, spec, center, cells, h) of the lattice of spacing h
+    around balls of the given radius: up to 200 cells whose centers lie
+    inside the ball and whose disks cross its edge; at three random
+    centers, the cell centered on the ball's center; and the 5^n cells
+    around the maxima of the lifted objective and of psi^2 on the ball."""
+    rho = h * math.sqrt(dim) / 2
+    u = rng.standard_normal((400, dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    idx = np.unique(np.round(u * (radius - rng.random((400, 1)) * rho) / h)
+                    .astype(int), axis=0)
+    norms = np.linalg.norm(idx * h, axis=-1)
+    shell = idx[(norms < radius) & (norms + rho > radius)][:200]
+    cases = [("edge", spec, rng.random(dim), _cells(shell, h, -0.5 * h), h)]
+    cases += [("center", spec, rng.random(dim),
+               _cells(np.zeros((1, dim), int), h, -0.5 * h), h)
+              for _ in range(3)]
+    for obj in (LiftedSquared(spec, rng.random(dim), radius),
+                SpectralObjective(spec, rng.random(dim), 0.0, 1.0)):
+        peak = certified_max(obj, RadialDomain(0.0, radius),
+                             1e-3).offset[0]
+        near = np.round(peak / h).astype(int) + index_box(5, dim) - 2
+        cases.append(("peak", spec, obj.centers[0],
+                      _cells(near, h, -0.5 * h), h))
+    return cases
+
+
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 @pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
 def test_cell_bound_dominates_samples(name, dim, m):
     # each cell's upper bound is at least the objective's largest value on
-    # dense samples inside the cell: on random waves, at half the Nyquist
-    # spacing and at the first level's spacing 1/N, the largest cells a scan
-    # bounds; and on the diagonal single mode with cells centered on zeros
-    # of psi (index sum 0) and of |grad psi| (index sum 100 at spacing
-    # 1/400, where k.x = 1/4), where the slope vanishes and the higher-order
-    # terms alone must cover the cell
+    # dense samples inside the cell, and its log-space bound (the lifted
+    # objective's) at least the log of the largest on the samples that also
+    # lie in the ball: on random waves, at half the Nyquist spacing and at
+    # the first level's spacing 1/N, the largest cells a scan bounds; on
+    # the diagonal single mode with cells centered on zeros of psi (index
+    # sum 0), where the log form must not apply, and of |grad psi| (index
+    # sum 100 at spacing 1/400, where k.x = 1/4), where the slope vanishes
+    # and the higher-order terms alone must cover the cell; and, at both
+    # spacings and at 1/16 of the first, where the Taylor terms are nearly
+    # tight, on cells whose centers lie inside the lifted ball and whose
+    # disks cross its edge, on cells at the ball's center, where grad tau
+    # vanishes, and on cells around the maxima of the lifted objective,
+    # where the log-space bound is the smaller one, and of psi^2, where the
+    # curvature term of U_psi is negative
     make = OBJECTIVES[name][0]
     rng = np.random.default_rng(dim + 3)
     wave = random_eigenfunction(m, TorusModel(dim), 11)
+    radius = OBJECTIVES["lifted"][0](wave, np.zeros(dim)).s
     spacing = 0.5 / (2 * math.pi * math.sqrt(m))
-    cases = [(wave, rng.random(dim), _lattice(rng, dim, spacing, -0.05),
-              spacing)]
+    cases = [("wave", wave, rng.random(dim),
+              _lattice(rng, dim, spacing, -0.05), spacing)]
     free = rng.integers(-30, 30, size=(60, dim - 1))
     idx = np.concatenate([
         np.hstack([free, -free.sum(axis=1, keepdims=True)]),
         np.hstack([free, 100 - free.sum(axis=1, keepdims=True)]),
     ])
-    cases.append((_on_diagonal_mode(dim), np.zeros(dim),
+    cases.append(("diagonal", _on_diagonal_mode(dim), np.zeros(dim),
                   _cells(idx, 1 / 400, -0.5 / 400), 1 / 400))
     first = 1.0 / math.ceil(1.0 / make(wave, np.zeros(dim)).h0)
-    cases.append((wave, rng.random(dim), _lattice(rng, dim, first, -0.05),
-                   first))
-    for spec, center, cells, h in cases:
+    cases.append(("wave", wave, rng.random(dim),
+                  _lattice(rng, dim, first, -0.05), first))
+    for h in (spacing / 16, spacing, first):
+        cases += _ball_cases(wave, dim, h, radius, rng)
+    tighter = 0
+    for label, spec, center, cells, h in cases:
         obj = make(spec, center)
         offsets = cells[2]
         rho = h * math.sqrt(dim) / 2
-        vals, ubs = _bounds(obj, center, cells, rho)
+        vals, ubs, logs = _bounds(obj, center, cells, rho)
         samples = _cell_samples(h, dim)
         pts = (offsets[:, None, :] + samples[None, :, :]).reshape(-1, dim)
-        dense = obj.values(pts, 0).reshape(len(offsets), -1).max(axis=1)
+        values = obj.values(pts, 0).reshape(len(offsets), -1)
+        dense = values.max(axis=1)
         assert np.all(ubs >= dense)
         assert np.all(dense >= vals - 1e-12 * np.max(np.abs(vals)))
+        inside = (np.linalg.norm(pts, axis=-1) <= radius).reshape(
+            len(offsets), -1)
+        assert np.all(logs >= _log(np.where(inside, values, 0.0).max(axis=1)))
+        if label == "diagonal":
+            assert np.all(logs[:len(free)] == math.inf)
+        if label == "peak":
+            tighter += np.count_nonzero(logs < _log(ubs))
+    assert (tighter > 0) == (name == "lifted")
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_signed_enclosure_never_above_the_frobenius_one(dim, m):
+    # U_psi = max(psi + rise(mu+), -psi + rise(mu-)) + D3 rho^3 / 6 is never
+    # above |psi| + |grad psi| rho + ||H||_F rho^2 / 2 + D3 rho^3 / 6 on
+    # random cells, and below it on most of them
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    x = np.random.default_rng(dim + 5).random((2000, dim))
+    parts = mode_sum(point_phases(spec, x), mode_weights(spec, 2))
+    d3 = spec.derivative_bound(3)
+    for rho in (1e-4, 1e-3, 1e-2, 0.05):
+        slope, curv, _, u_psi = scan._enclosure(parts, dim, d3, rho)
+        old = (np.abs(parts[:, 0]) + slope * rho + 0.5 * curv * rho * rho
+               + d3 * rho**3 / 6.0)
+        assert np.all(u_psi <= old)
+        assert np.mean(u_psi < old) > 0.9
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_lifted_log_rows_follow_their_closed_form(dim, m):
+    # LiftedSquared.cell_bounds' log-space rows against psi, grad psi and
+    # the Hessian's eigenvalues from the closed forms and eigvalsh: they
+    # apply where psi_min = |psi| - |g| rho - ||H||_F rho^2 / 2
+    # - D3 rho^3 / 6 > 0, and there read log psi^2 + Lambda rho^2 / 2, with
+    # Lambda = 2 max(lambda_max(sign(psi) H) + D3 rho, 0) / psi_min (equal
+    # to rounding in 2-D, where the trace bound is exact, and at least it
+    # in 3-D), and 2 grad psi / psi
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    x = np.random.default_rng(dim + 9).random((3000, dim))
+    obj = LiftedSquared(spec, np.zeros(dim), 0.05)
+    psi, g = evaluate(spec, x), evaluate_gradient(spec, x)
+    hess = evaluate_hessian(spec, x)
+    d3 = spec.derivative_bound(3)
+    for rho in np.array([1e-3, 1e-2, 0.1]) / (2 * math.pi * math.sqrt(m)):
+        rows = obj.cell_bounds(point_phases(spec, x), rho)
+        floor = (np.abs(psi) - np.linalg.norm(g, axis=-1) * rho
+                 - 0.5 * np.linalg.norm(hess, axis=(1, 2)) * rho * rho
+                 - d3 * rho**3 / 6)
+        clear = np.abs(floor) > 1e-3 * np.abs(psi)
+        ok = clear & (floor > 0)
+        assert ok.sum() > 100
+        assert np.all(rows[2, clear & (floor < 0)] == math.inf)
+        top = np.linalg.eigvalsh(np.sign(psi)[:, None, None] * hess)[:, -1]
+        ref = (2 * np.log(np.abs(psi)) + np.maximum(top + d3 * rho, 0.0)
+               * rho * rho / floor)[ok]
+        if dim == 2:
+            assert np.allclose(rows[2, ok], ref, rtol=1e-9, atol=1e-9)
+        else:
+            assert np.all(rows[2, ok] >= ref - 1e-9 * np.abs(ref) - 1e-9)
+        assert np.allclose(rows[3:, ok].T, 2 * g[ok] / psi[ok, None],
+                           rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trace_bound_dominates_eigenvalues(dim):
+    # mu+ = tr/n + sqrt((n - 1)/n) ||H - (tr/n) I||_F >= lambda_max(H) and
+    # mu- = sqrt((n - 1)/n) ||H - (tr/n) I||_F - tr/n >= -lambda_min(H)
+    # (Wolkowicz and Styan 1980) on random symmetric matrices of several
+    # scales, multiples of I and rank-one ones, up to rounding; in 2-D
+    # both are exact
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((3000, dim, dim))
+    v = rng.standard_normal((500, dim))
+    hess = np.concatenate([
+        (a + a.transpose(0, 2, 1)) * 10.0 ** rng.integers(-3, 4, (3000, 1, 1)),
+        rng.standard_normal((500, 1, 1)) * np.eye(dim),
+        v[:, :, None] * v[:, None, :] * rng.choice([-1.0, 1.0], (500, 1, 1)),
+    ])
+    parts = np.hstack([np.zeros((len(hess), 1 + dim)),
+                       hess.reshape(len(hess), -1)])
+    _, curv, (up, down), _ = scan._enclosure(parts, dim, 1.0, 1e-3)
+    eig = np.linalg.eigvalsh(hess)
+    slack = 1e-14 * curv
+    assert np.all(up >= eig[:, -1] - slack)
+    assert np.all(down >= -eig[:, 0] - slack)
+    assert np.all(up <= curv + slack) and np.all(down <= curv + slack)
+    if dim == 2:
+        assert np.all(np.abs(up - eig[:, -1]) <= 1e-13 * curv)
+        assert np.all(np.abs(down + eig[:, 0]) <= 1e-13 * curv)
+    else:
+        assert np.mean(up > eig[:, -1] + 1e-3 * curv) > 0.5
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_bounds_raise_no_floating_point_errors(dim, m):
+    # with every numpy division, overflow and invalid-operation error
+    # raised: the bounds of cells where psi, grad psi and H all vanish, of
+    # cells centered on zeros of psi, where psi_min <= 0, and of random
+    # cells; the lifted log-space bounds at the ball's center, inside it,
+    # on its sphere and outside it; a lifted ball scan centered on a zero
+    # of psi; and a cube index
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    diagonal = _on_diagonal_mode(dim)
+    rng = np.random.default_rng(dim)
+    radius = 0.05
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for sp, phases in (
+                (spec, np.zeros((4, spec.n_modes), complex)),
+                (diagonal, point_phases(diagonal, np.zeros((1, dim)))),
+                (spec, point_phases(spec, rng.random((500, dim))))):
+            for name in sorted(OBJECTIVES):
+                obj = OBJECTIVES[name][0](sp, np.zeros(dim))
+                for rho in (1e-6, 1e-3, 0.05):
+                    bounds = obj.cell_bounds(phases, rho)
+                    if obj.log_bounds is None:
+                        continue
+                    d = rng.standard_normal((len(phases), dim))
+                    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+                    for r in (0.0, 0.5 * radius, radius, 2.0 * radius):
+                        logs = obj.log_bounds(bounds, r * d, rho)
+                        assert np.all(np.isfinite(logs) | (logs == math.inf))
+        res = certified_max(LiftedSquared(diagonal, np.zeros(dim), radius),
+                            RadialDomain(0.0, radius), 1e-3)
+        assert res.value[0] > 0.0
+        cube_doubling_index(spec, np.full(dim, 0.5), 0.125)
 
 
 def test_project_batch():
@@ -335,9 +535,10 @@ def test_each_distinct_cell_evaluated_once(monkeypatch):
     monkeypatch.setattr(SpectralObjective, "cell_bounds", spy_cells)
     result = certified_max(obj, domain, DEFAULT_TOL)
     assert len(held) > 10
-    assert sum(evaluated) <= 0.6 * sum(held)
-    assert result.nodes - result.polish_evals == 774_026
-    assert result.polish_evals == 22_188
+    # 46,638 of 71,550 rows: the dedupe, pinned exactly
+    assert (sum(evaluated), sum(held)) == (46_638, 71_550)
+    assert result.nodes - result.polish_evals == 656_494
+    assert result.polish_evals == 22_620
 
 
 def test_polish_stops_at_the_tolerance(monkeypatch):
@@ -447,9 +648,8 @@ def test_torus_table_holds_the_windows_only(monkeypatch):
     monkeypatch.setattr(scan, "_torus_level", spy)
     cube_doubling_index(spec, np.full(2, 0.5), 0.125)
     assert len(calls) == 1
-    (objective, axes, count, rho), (vals, ubs) = calls[0]
-    assert len(vals) == len(axes[0]) * len(axes[1]) < count**2 // 3
+    (objective, axes, count, rho), table = calls[0]
+    assert table.shape[1] == len(axes[0]) * len(axes[1]) < count**2 // 3
     full = torus_level(objective, [np.arange(count)] * 2, count, rho)
     rows = np.add.outer(axes[0] * count, axes[1]).ravel()
-    assert np.array_equal(full[0][rows], vals)
-    assert np.array_equal(full[1][rows], ubs)
+    assert np.array_equal(full[:, rows], table)
