@@ -110,13 +110,24 @@ def certify_equidistribution(spec: EigenfunctionSpec, r: float,
     )
 
 
+def _admissible(spec: EigenfunctionSpec
+                ) -> tuple[float, EquidistCertificate] | None:
+    """(r, its certificate) for the largest of DYADIC_RADII at or above
+    lambda^(-1/2) whose certificate passes at the default thresholds, from
+    one certify_equidistribution call per radius walked; None when all
+    fail."""
+    for r in (r for r in DYADIC_RADII if r >= spec.lam ** -0.5):
+        cert = certify_equidistribution(spec, r)
+        if cert.passed:
+            return r, cert
+    return None
+
+
 def largest_admissible_r(spec: EigenfunctionSpec) -> float | None:
     """Largest of DYADIC_RADII at or above lambda^(-1/2) whose certificate
     passes at the default thresholds; None when all fail."""
-    for r in (r for r in DYADIC_RADII if r >= spec.lam ** -0.5):
-        if certify_equidistribution(spec, r).passed:
-            return r
-    return None
+    found = _admissible(spec)
+    return None if found is None else found[0]
 
 
 def lambda_threshold(family: list[EigenfunctionSpec], r: float

@@ -19,11 +19,10 @@ from .certify import (
     BoundsReport,
     EquidistCertificate,
     ReportConfig,
+    _admissible,
     build_report,
     calibrate_length_constant,
-    certify_equidistribution,
     config_hash,
-    largest_admissible_r,
 )
 from .doubling import DoublingRecord, fit_growth_constant, scan_doubling
 from .fields import ENSEMBLE_SUP_TOL, gradient_sup_global, sup_global
@@ -66,13 +65,13 @@ class EnsembleMember:
 
 
 def certified_member(spec: EigenfunctionSpec) -> EnsembleMember | None:
-    """The spec with its certificate at the largest admissible radius;
-    None when no radius certifies at the default thresholds."""
-    r = largest_admissible_r(spec)
-    if r is None:
+    """The spec with its certificate at the largest admissible radius, the
+    one the radius walk passed; None when no radius certifies at the
+    default thresholds."""
+    found = _admissible(spec)
+    if found is None:
         return None
-    return EnsembleMember(spec=spec, r=r,
-                          certificate=certify_equidistribution(spec, r))
+    return EnsembleMember(spec=spec, r=found[0], certificate=found[1])
 
 
 def collect_certified_members(m: int, model: TorusModel):

@@ -233,16 +233,21 @@ def extract_nodal(spec: EigenfunctionSpec, N: int) -> NodalSet:
     code = np.take(_CODES, key)
     ends = np.stack([code, code >> 3], axis=-1)  # each endpoint's edge
     ii, jj = np.divmod(np.repeat(cells, n_pairs), N)
-    i0 = ii[:, None] + (ends & 1)
-    j0 = jj[:, None] + (ends >> 1 & 1)
     axis = ends >> 2 & 1
     orient = code >> 6
-    del cells, pats, n_pairs, center_pos, key, code, ends, ii, jj
-    # the far ends first, so that the grid shares the peak with one of v0, v1
-    v1 = vals[((i0 + 1 - axis) % N) * N + (j0 + axis) % N]
-    node = (i0 % N) * N + j0 % N
+    del cells, pats, n_pairs, center_pos, key, code
+    # the endpoint values are read from wrapped node ids before the (S, 2)
+    # node coordinates i0, j0 are built, and the far ends first, so that
+    # the grid shares the peak with one of v0, v1 and neither of i0, j0
+    v1 = vals[((ii[:, None] + (ends & 1) + 1 - axis) % N) * N
+              + (jj[:, None] + (ends >> 1 & 1) + axis) % N]
+    node = ((ii[:, None] + (ends & 1)) % N) * N + (jj[:, None]
+                                                   + (ends >> 1 & 1)) % N
     v0 = vals[node]
     del vals
+    i0 = ii[:, None] + (ends & 1)
+    j0 = jj[:, None] + (ends >> 1 & 1)
+    del ends, ii, jj
     t = v0 / (v0 - v1)
     del v0, v1
     seg = np.empty(i0.shape + (2,))
@@ -363,10 +368,20 @@ def _chain_path(edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size, sign, forward = size[owner], sign[owner], forward[owner]
     place = first[owner] + sign * offset
     del sign, offset
-    place = np.where(place < 0, place + size, place)
-    place = np.where(place >= size, place - size, place)
+    wrap = place < 0
+    place[wrap] += size[wrap]
+    wrap = place >= size
+    place[wrap] -= size[wrap]
+    del size, wrap
+    # in place from here: per-segment temporaries set the stitch's peak
+    place += base[owner]
+    del owner
+    forward ^= 1
+    leaves ^= forward
+    seg <<= 1
+    seg += leaves
     path = np.empty(n_seg + len(firsts), dtype=index)
-    path[base[owner] + place] = 2 * seg + (leaves ^ 1 ^ forward)
+    path[place] = seg
     path[heads] = 2 * firsts
     return path, heads
 

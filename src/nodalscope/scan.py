@@ -24,10 +24,15 @@ psi is enclosed to order 2 with its Lagrange remainder, grad psi to order
 whose bound cannot beat it by more than the relative tolerance are pruned,
 and survivors are subdivided.
 A cell-center value is a point value, no larger than the sup, so the
-pruning stays certified. Once every ball's gap has closed, one projected
-compass search polishes every ball's best cell; it only raises a value the
-certificate already holds, so each ball's search stops once its step is
-2 rho0 tol^(3/2), where what it could still gain is about 2 tol^3 relative.
+pruning stays certified. Once every ball's gap has closed, one batched
+trust-region Newton ascent (trust.polish, More and Sorensen 1983) polishes
+every ball's best cell, from f, grad f and the Hessian of f at the points
+(objective.taylor, one mode sum each step); on a sphere of the domain where
+grad f points out, it steps in the tangent space with the Lagrangian
+Hessian. It takes a step only if the value rises, so it only raises a value
+the certificate already holds, and each ball stops once its step or trust
+radius is 2 rho0 tol^(3/2), where what it could still gain is about 2 tol^3
+relative.
 The returned value is a pointwise evaluation at the returned offset, a
 lower bound of the true supremum within the requested relative tolerance.
 
@@ -68,11 +73,15 @@ First levels are evaluated in groups: balls enter a group until its
 windows' children (2^n per window cell) reach spectrum.PHASE_BLOCK cells (a
 ball too large for a group is a group of its own). The cells that survive
 the first level are pooled across groups under the same bound, rows times
-2^n at most PHASE_BLOCK (a group whose own survivors reach it descends
-alone), and each pool descends in one lockstep. A level whose children
-would pass PHASE_BLOCK is split at ball boundaries and its parts descend
-depth-first. Every level's phases, the torus table's too, are built in
-chunks of at most PHASE_BLOCK cells x modes; together these bound the
+2^n at most PHASE_BLOCK; a pool that reaches it (or a group whose own
+survivors do) descends at once in one lockstep. The last pool of every
+first level waits in one work list keyed by cells per axis, and the
+coarsest waiting level is merged in ball order and evaluated in one pass,
+its survivors waiting at the next: so the balls of all first levels
+descend together. A level whose children would pass PHASE_BLOCK is split
+at ball boundaries and its parts descend depth-first. Every level's
+phases, the torus table's too, are built in chunks of at most PHASE_BLOCK
+cells x modes; together these bound the
 memory a scan takes. A ball's value does not depend on the balls that share
 its batch, to the last bit: every step is elementwise or reduces within one
 row (spectrum.mode_sum, point_phases) or within one ball's cells, which
@@ -102,6 +111,7 @@ import numpy as np
 from . import spectrum
 from .errors import BudgetError, LiftOverflowError, ScaleRangeError
 from .geometry import index_box
+from .trust import polish
 from .spectrum import (
     EigenfunctionSpec,
     axis_phases,
@@ -119,13 +129,10 @@ __all__ = [
     "SpectralObjective",
     "LiftedSquared",
     "certified_max",
-    "pattern_search",
 ]
 
 TOL_FLOOR = 1e-9
 NODE_BUDGET = 4_000_000
-STEP_FLOOR = 1e-9
-MAX_POLISH_EVALS = 600
 EXP_GUARD = 700.0  # largest exponent of the harmonic lift's t-factor
 
 
@@ -134,7 +141,8 @@ class ScanResult:
     value: np.ndarray   # (B,) certified lower bounds, within rel. tol
     offset: np.ndarray  # (B, n) offsets from each center achieving value
     nodes: int          # objective evaluations, summed over the batch
-    polish_evals: int   # the pattern_search part of nodes
+    polish_evals: int   # the polish part of nodes
+    residual: np.ndarray  # (B,) projected |grad f| at each offset
 
 
 def _per_ball(value, balls):
@@ -201,15 +209,43 @@ class RadialDomain:
         return ((norms >= self.lo - rho)
                 & (norms <= _per_ball(self.hi, balls) + rho))
 
-    def project(self, d: np.ndarray, balls=None) -> np.ndarray:
-        """Radial projection of a batch of offsets (P, n) into the band; an
-        offset at the origin goes to lo along the first axis."""
-        r = np.sqrt(np.einsum("pa,pa->p", d, d))
-        scale = np.minimum(np.maximum(r, self.lo), _per_ball(self.hi, balls))
-        out = d * (scale / np.maximum(r, 1e-300))[:, None]
+    def clip(self, d: np.ndarray, p: np.ndarray, balls=None) -> np.ndarray:
+        """d + t p for offsets d (P, n) in the band and steps p (P, n), with
+        the largest t <= 1 that keeps the segment from d in the band; an end
+        on one of its spheres is scaled onto it."""
+        hi = _per_ball(self.hi, balls)
+        dd = np.einsum("pa,pa->p", d, d)
+        dp = np.einsum("pa,pa->p", d, p)
+        pp = np.einsum("pa,pa->p", p, p)
+        moving = pp > 0.0
+        # where the segment's line leaves through |x| = hi, and enters
+        # |x| < lo (inf where it does not)
+        t = np.divide(np.sqrt(np.maximum(dp * dp + pp * (hi * hi - dd), 0.0))
+                      - dp, pp, out=np.full(len(d), math.inf), where=moving)
+        sphere = np.where(t < 1.0, hi, 0.0)
         if self.lo > 0.0:
-            out[r == 0.0, 0] = self.lo
+            disc = dp * dp - pp * (dd - self.lo * self.lo)
+            inner = np.divide(-dp - np.sqrt(np.maximum(disc, 0.0)), pp,
+                              out=np.full(len(d), math.inf),
+                              where=moving & (dp < 0.0) & (disc > 0.0))
+            sphere = np.where((inner < t) & (inner < 1.0), self.lo, sphere)
+            t = np.minimum(inner, t)
+        out = d + np.clip(t, 0.0, 1.0)[:, None] * p
+        ends = sphere > 0.0
+        norms = np.sqrt(np.einsum("pa,pa->p", out[ends], out[ends]))
+        out[ends] *= (sphere[ends] / norms)[:, None]
         return out
+
+    def boundary(self, d: np.ndarray, grad: np.ndarray, balls=None):
+        """Per offset of d (P, n), the radius of the sphere (hi, or lo > 0)
+        it lies on, up to a relative 1e-12, when grad (P, n) points out of
+        the domain there; 0 elsewhere."""
+        r = np.sqrt(np.einsum("pa,pa->p", d, d))
+        out = np.einsum("pa,pa->p", grad, d)
+        hi = np.broadcast_to(_per_ball(self.hi, balls), len(d))
+        return np.where((r >= hi * (1.0 - 1e-12)) & (out > 0.0), hi,
+                        np.where((r <= self.lo * (1.0 + 1e-12)) & (out < 0.0),
+                                 self.lo, 0.0))
 
     def max_spacing(self, h0: float):
         """Largest first-level spacing, per radius: h0, at most half the
@@ -241,8 +277,11 @@ class TorusDomain:
     def band_mask(self, norms, rho, balls=None):
         return np.ones_like(norms, dtype=bool)
 
-    def project(self, d, balls=None):
-        return d
+    def clip(self, d, p, balls=None):
+        return d + p
+
+    def boundary(self, d, grad, balls=None):
+        return np.zeros(len(d))
 
     def max_spacing(self, h0: float) -> float:
         return h0
@@ -258,7 +297,8 @@ class SpectralObjective:
 
     Cell bounds take psi, grad psi and the Hessian H of psi from one mode
     sum over the phases exp(2 pi i k . x) of the cell centers; pointwise
-    values take psi and, when alpha != 0, grad psi. A cell's bound is
+    values and their derivatives (taylor) take psi's derivatives to order 2,
+    or 3 when alpha != 0, from one mode sum at the points. A cell's bound is
     beta U_psi^2 + alpha U_grad^2, U_psi the order-2 enclosure of |psi|
     with the signed curvatures mu+- of the trace bound and U_grad the
     order-1 enclosure of |grad psi| on the cell's ball (module docstring);
@@ -275,7 +315,7 @@ class SpectralObjective:
         self.alpha = alpha
         self.beta = beta
         self.weights = mode_weights(spec, 2)
-        self.point_weights = mode_weights(spec, 1 if alpha else 0)
+        self.point_weights = mode_weights(spec, 3) if alpha else self.weights
         self.d3 = spec.derivative_bound(3)
         self.h0 = 1.0 / ((8.0 if alpha else 6.0) * math.sqrt(spec.m))
 
@@ -292,9 +332,28 @@ class SpectralObjective:
 
     def values(self, offsets: np.ndarray, balls) -> np.ndarray:
         """Pointwise f at offsets (P, n) from the centers of balls (P,)."""
-        return self._value(mode_sum(
-            point_phases(self.spec, self.centers[balls] + offsets),
-            self.point_weights))
+        return self.taylor(offsets, balls)[0]
+
+    def taylor(self, offsets: np.ndarray, balls):
+        """(f (P,), grad f (P, n), Hessian of f (P, n, n)) at offsets (P, n)
+        from the centers of balls (P,): with g = grad psi, H its Hessian and
+        T its third derivatives, grad f = 2 beta psi g + 2 alpha H g and
+        Hessian 2 beta (g g^T + psi H) + 2 alpha (H H + sum_k g_k T_k)."""
+        n = self.dim
+        x = self.centers[balls] + offsets
+        parts = mode_sum(point_phases(self.spec, x), self.point_weights)
+        psi, g = parts[:, 0], parts[:, 1:n + 1]
+        hess = parts[:, n + 1:n + 1 + n * n].reshape(-1, n, n)
+        grad = (2.0 * self.beta * psi)[:, None] * g
+        second = (2.0 * self.beta) * (g[:, :, None] * g[:, None, :]
+                                      + psi[:, None, None] * hess)
+        if self.alpha:
+            third = parts[:, n + 1 + n * n:].reshape(-1, n, n, n)
+            grad += (2.0 * self.alpha) * np.einsum("pab,pb->pa", hess, g)
+            second += (2.0 * self.alpha) * (
+                np.einsum("pac,pcb->pab", hess, hess)
+                + np.einsum("pk,pkab->pab", g, third))
+        return self._value(parts), grad, second
 
     def cell_bounds(self, phases: np.ndarray, rho: float) -> np.ndarray:
         """(2, P): f at the cell centers and its upper bound over each cell
@@ -360,9 +419,28 @@ class LiftedSquared(SpectralObjective):
         g = np.sqrt(np.maximum(s**2 - norms**2, 0.0))
         return np.exp(2.0 * self.sqrt_lam * g)
 
-    def values(self, offsets, balls):
-        norms = np.linalg.norm(offsets, axis=-1)
-        return super().values(offsets, balls) * self._t_factor(norms, balls)
+    def taylor(self, offsets, balls):
+        """SpectralObjective.taylor of f = psi^2 exp(tau), tau(d) =
+        2 sqrt(lambda) sqrt(s^2 - |d|^2): grad tau = -c d and Hessian
+        -(c I + c d d^T / (s^2 - |d|^2)), c = 2 sqrt(lambda) / sqrt(s^2 -
+        |d|^2), inside the ball; on and outside its sphere f is psi^2 and
+        tau's derivatives are taken as 0."""
+        f, grad, hess = super().taylor(offsets, balls)
+        s = _per_ball(self.s, balls)
+        gap = s * s - np.einsum("pa,pa->p", offsets, offsets)
+        inside = gap > 0.0
+        c = np.divide(2.0 * self.sqrt_lam, np.sqrt(np.maximum(gap, 0.0)),
+                      out=np.zeros(len(gap)), where=inside)
+        w = np.divide(c, gap, out=np.zeros(len(gap)), where=inside)
+        slope = -c[:, None] * offsets
+        curv = -(c[:, None, None] * np.eye(self.dim) + w[:, None, None]
+                 * offsets[:, :, None] * offsets[:, None, :])
+        cross = grad[:, :, None] * slope[:, None, :]
+        hess += cross + cross.transpose(0, 2, 1) + f[:, None, None] * (
+            slope[:, :, None] * slope[:, None, :] + curv)
+        grad += f[:, None] * slope
+        factor = self._t_factor(np.linalg.norm(offsets, axis=-1), balls)
+        return f * factor, grad * factor[:, None], hess * factor[:, None, None]
 
     def cell_bounds(self, phases, rho):
         """(n + 3, P): psi^2 at the cell centers, U_psi^2, and the cell's
@@ -408,82 +486,19 @@ class LiftedSquared(SpectralObjective):
         return out
 
 
-def pattern_search(objective, domain, balls, d0, step, tol):
-    """Projected compass search (Kolda, Lewis and Torczon 2003) for a local
-    max of each ball's objective from its start d0 (A, n), balls (A,) their
-    ball ids, with initial step lengths step (one, or one per ball).
-
-    Each step probes the 2n axis directions at every running ball's step
-    length in one objective.values call; a ball moves to its best probe that
-    improves, or halves its step when none does. After a move it skips the
-    probe that leads straight back to the point it left. A ball stops once
-    its step is at most max(STEP_FLOOR, step tol^(3/2)): near a smooth
-    maximum the value a step of s can still gain is about 2 (s / step)^2
-    relative, about 2 tol^3, far inside the tolerance. All balls stop after
-    the steps at which 2n probes each reach MAX_POLISH_EVALS evaluations.
-    Every ball starts at step 0 with its own step length, so a ball's path
-    does not depend on the balls beside it. Returns (offsets, values,
-    evaluations) per ball, each value a pointwise evaluation at its offset
-    and evaluations the points it evaluated.
-    """
-    d = np.array(d0, dtype=float)
-    v = objective.values(d, balls)
-    used = np.ones(len(d), dtype=int)
-    dim = d.shape[1]
-    dirs = np.vstack([np.eye(dim), -np.eye(dim)])
-    steps = np.broadcast_to(np.asarray(step, dtype=float), len(d))
-    floors = np.maximum(STEP_FLOOR, steps * tol**1.5)
-    # running balls: their positions in d, offsets, values, steps, floors,
-    # evaluations and the direction each skips (2n: none), and the flat
-    # index of each one's first probe
-    run = np.flatnonzero(steps > floors)
-    rd, rv, rs, rf, ru = d[run], v[run], steps[run], floors[run], used[run]
-    back = np.full(len(run), 2 * dim)
-    probe_balls = np.repeat(balls[run], 2 * dim)
-    base = 2 * dim * np.arange(len(run))
-    clock = 1  # evaluations of a ball that probed all 2n at every step
-    while len(run) and clock < MAX_POLISH_EVALS:
-        cand = domain.project(
-            (rd[:, None, :] + rs[:, None, None] * dirs).reshape(-1, dim),
-            probe_balls)
-        keep = (np.arange(2 * dim) != back[:, None]).ravel()
-        cv = np.full(len(cand), -math.inf)
-        cv[keep] = objective.values(cand[keep], probe_balls[keep])
-        cv = cv.reshape(len(run), 2 * dim)
-        clock += 2 * dim
-        ru += 2 * dim - (back < 2 * dim)
-        top = np.maximum.reduce(cv, axis=1)
-        best = cv.argmax(axis=1)
-        up = top > rv
-        rd = np.where(up[:, None], cand[base + best], rd)
-        rv = np.maximum(top, rv)
-        rs = np.where(up, rs, 0.5 * rs)
-        back = np.where(up, (best + dim) % (2 * dim), 2 * dim)
-        done = rs <= rf
-        if done.any():
-            stop = run[done]
-            d[stop], v[stop], used[stop] = rd[done], rv[done], ru[done]
-            run, rd, rv, rs, rf, ru, back = (
-                x[~done] for x in (run, rd, rv, rs, rf, ru, back))
-            probe_balls = np.repeat(balls[run], 2 * dim)
-            base = base[:len(run)]
-    d[run], v[run], used[run] = rd, rv, ru
-    return d, v, used
-
-
 def certified_max(objective, domain, tol: float) -> ScanResult:
     """Max of the objective over the domain around each of its centers,
     within relative tolerance tol.
 
     A ball's first level is the coarsest of the lattice whose spacing meets
     domain.max_spacing(objective.h0) at its radius. The branch-and-bound
-    finds each ball's best cell center; one pattern_search over all balls
-    then polishes them from there, and stops each at its tol. A ball's
-    search starts at twice its first level's cell radius: from a cell next
-    to a maximum on the domain's boundary, a shorter step crawls along the
-    boundary until MAX_POLISH_EVALS stops it. nodes counts the cells the
-    branch-and-bound evaluated and the polish's evaluations, polish_evals
-    the latter.
+    runs every first level, then drains the survivors of all of them level
+    by level (_Search.drain), and finds each ball's best cell center; one
+    trust.polish over all balls then climbs from there, and stops each at
+    its tol. A ball's trust radius starts at twice its first level's cell
+    radius. nodes counts the cells the branch-and-bound evaluated and the
+    polish's evaluations, polish_evals the latter; residual is each ball's
+    projected-gradient norm at its offset.
     Raises BudgetError when tol is NaN, infinite or below the certification
     floor, or, naming the ball, when one ball's evaluations pass NODE_BUDGET.
     """
@@ -501,19 +516,20 @@ def certified_max(objective, domain, tol: float) -> ScanResult:
         rho = math.sqrt(dim) / (2.0 * count)
         step[level] = 2.0 * rho
         search.run(level, count, rho)
+    search.drain()
     lost = np.flatnonzero(np.isnan(search.best_off[:, 0]))
     if len(lost):
         raise BudgetError(
             f"scan of the {_ball_name(objective, domain, lost[0])} found no "
             "admissible sample points"
         )
-    offset, value, used = pattern_search(
+    offset, value, used, residual = polish(
         objective, domain, balls, search.best_off, step, tol)
     search.nodes += used
     _check_budget(objective, domain, tol, search.nodes)
     return ScanResult(value=value, offset=offset,
                       nodes=int(search.nodes.sum()),
-                      polish_evals=int(used.sum()))
+                      polish_evals=int(used.sum()), residual=residual)
 
 
 def _first_counts(objective, domain) -> np.ndarray:
@@ -661,18 +677,23 @@ def _children(cells: _Cells) -> _Cells:
 
 
 def _merge(parts: list[_Cells]) -> _Cells:
-    """One set of the cells of parts, which share a level, in their order."""
+    """One set of the cells of parts, which share a level and hold disjoint
+    balls, with rows in ball order: a stable reorder keeps each ball's rows
+    in their order where the parts' balls interleave."""
     if len(parts) == 1:
         return parts[0]
     dim = parts[0].inv.shape[1]
     shift = np.cumsum([[0] * dim] + [[len(c) for c in p.coords]
                                       for p in parts[:-1]], axis=0,
                       dtype=np.int32)
+    owner = [np.concatenate([p.owner[a] for p in parts]) for a in range(dim)]
+    inv = np.concatenate([p.inv + s for p, s in zip(parts, shift)])
+    ball = np.take(owner[0], inv[:, 0])
+    if np.any(ball[1:] < ball[:-1]):
+        inv = inv[np.argsort(ball, kind="stable")]
     return _Cells(
         [np.concatenate([p.coords[a] for p in parts]) for a in range(dim)],
-        [np.concatenate([p.owner[a] for p in parts]) for a in range(dim)],
-        np.concatenate([p.inv + s for p, s in zip(parts, shift)]),
-        parts[0].count, parts[0].rho)
+        owner, inv, parts[0].count, parts[0].rho)
 
 
 def _split(cells: _Cells) -> list[_Cells]:
@@ -718,12 +739,16 @@ class _Search:
         self.best = np.full(balls, -math.inf)
         self.best_off = np.full((balls, objective.dim), np.nan)
         self.nodes = np.zeros(balls, dtype=np.int64)
+        # surviving cells that wait for their next level, by cells per axis
+        self.waiting: dict[int, list[_Cells]] = {}
 
     def run(self, balls, count, rho):
-        """Branch-and-bound of the given balls from their windows on the
-        first level of count cells per axis (cell circumradius rho): the
+        """Evaluates the first level of count cells per axis (cell
+        circumradius rho) of the given balls from their windows: the
         windows are evaluated in groups, and the survivors are pooled
-        across groups and descend pool by pool. When the windows hold more
+        across groups. A pool that reaches spectrum.PHASE_BLOCK children
+        descends at once; the last one waits in self.waiting for drain().
+        When the windows hold more
         cells than the level, it is evaluated once over the torus and each
         ball reads its window from that table as a box. The table holds
         only the product of the per-axis unions of the windows' reduced
@@ -767,7 +792,22 @@ class _Search:
                 rows = 0
         del table  # only first levels read it
         if pool:
-            self.descend(pool)
+            self.waiting.setdefault(count, []).extend(pool)
+
+    def drain(self):
+        """Branch-and-bound below the waiting cells, coarsest level first:
+        the parts that wait at one level, whatever their first levels, are
+        merged in ball order and evaluate their children in one pass, and
+        the survivors wait at the next level. A level whose children would
+        pass spectrum.PHASE_BLOCK cells descends depth-first instead."""
+        while self.waiting:
+            cells = _merge(self.waiting.pop(min(self.waiting)))
+            if len(cells.inv) << cells.inv.shape[1] > spectrum.PHASE_BLOCK:
+                self.descend([cells])
+                continue
+            cells = self.level(_children(cells))
+            if cells is not None:
+                self.waiting.setdefault(cells.count, []).append(cells)
 
     def descend(self, pool: list[_Cells]):
         """Branch-and-bound below the surviving cells of pool, which it

@@ -178,12 +178,13 @@ def test_bad_manifest_number_exit_code(tmp_path, key, value, capsys,
 def test_3d_spec_exit_code(tmp_path, command, capsys, monkeypatch):
     # 3-D specs are refused with exit 2; report refuses them before it
     # computes any certificate, even after a 2-D spec in the manifest
-    import nodalscope.harness as harness
+    # (every member's certificates come from certify_equidistribution)
+    import nodalscope.certify as certify
 
-    def no_certificate(spec):
+    def no_certificate(*args):
         raise AssertionError("certificate computed for a refused report")
 
-    monkeypatch.setattr(harness, "largest_admissible_r", no_certificate)
+    monkeypatch.setattr(certify, "certify_equidistribution", no_certificate)
     out = str(tmp_path)
     assert run(["--out", out, "gen", "--m", "25", "--seed", "7"]) == 0
     assert run(["--out", out, "gen", "--m", "50", "--dim", "3",

@@ -333,7 +333,7 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
     sup = BALL_SUPS[name]
     spec = random_eigenfunction(m, TorusModel(dim), 4)
     centers = generate_cover(0.25, spec.model).centers[:8]
-    calls = {"pattern_search": 0, "_window_cells": 0, "_torus_level": 0,
+    calls = {"polish": 0, "_window_cells": 0, "_torus_level": 0,
              "boxes": 0}
 
     def counted(owner, attr):
@@ -368,7 +368,7 @@ def test_batch_sups_equal_single_calls(name, dim, m, s, monkeypatch):
         calls[fn] = 0
     assert np.array_equal(sup(spec, centers, s, 1e-2), single)
     groups = calls["boxes"] if shared else calls["_window_cells"]
-    assert calls["pattern_search"] == 1 and groups >= 4
+    assert calls["polish"] == 1 and groups >= 4
     assert calls["_torus_level"] == shared
 
 

@@ -10,7 +10,7 @@ from nodalscope.certify import (
     config_hash,
     largest_admissible_r,
 )
-from nodalscope import harness
+from nodalscope import certify, harness
 from nodalscope.geometry import generate_cover, member_cover
 from nodalscope.harness import (
     EnsembleMember,
@@ -29,6 +29,33 @@ def test_certified_member(sin1, t2):
     assert member.spec is spec
     assert member.r == largest_admissible_r(spec)
     assert member.certificate.passed and member.certificate.r == member.r
+
+
+def test_member_certified_once(t2, monkeypatch):
+    # a member costs exactly the certify_equidistribution calls of its
+    # radius walk, down from 1/4 to the radius that passes (or all of the
+    # grid's radii at or above lambda^(-1/2) when none does): its
+    # certificate is the passing one, not a second computation
+    inner = certify.certify_equidistribution
+    radii = []
+
+    def spy(spec, r, *args):
+        radii.append(r)
+        return inner(spec, r, *args)
+
+    monkeypatch.setattr(certify, "certify_equidistribution", spy)
+    for spec, passes in ((random_eigenfunction(100, t2, 0), True),
+                         (random_eigenfunction(1105, t2, 1), True),
+                         (random_eigenfunction(25, t2, 0), False)):
+        walk = [r for r in certify.DYADIC_RADII if r >= spec.lam ** -0.5]
+        radii.clear()
+        member = certified_member(spec)
+        assert (member is not None) == passes
+        if member is None:
+            assert radii == walk and len(walk) == 3
+        else:
+            assert radii == walk[:walk.index(member.r) + 1]
+            assert member.certificate.r == radii[-1]
 
 
 def _measured_member(spec, length, count):

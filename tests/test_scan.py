@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nodalscope import scan
+from nodalscope import scan, trust
 from nodalscope.doubling import default_scale_sweep
 from nodalscope.errors import BudgetError
 from nodalscope.fields import DEFAULT_TOL
@@ -123,6 +123,32 @@ def test_kernel_rows_do_not_depend_on_the_batch(dim, m):
     for lo, hi in ((0, 1), (7, 8), (5, 9), (100, 233), (1000, 4096)):
         assert np.array_equal(point_phases(spec, x[lo:hi]), phases[lo:hi])
         assert np.array_equal(mode_sum(phases[lo:hi], weights), full[lo:hi])
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+@pytest.mark.parametrize("dim,m", [(2, 1105), (3, 50)])
+def test_taylor_matches_central_differences(name, dim, m):
+    # the polish's grad f and Hessian match central differences of f and of
+    # the gradient, each to 1e-6 of the row's scale (f, and its derivatives
+    # in units of 2 pi sqrt(m)); the lifted offsets stay inside its ball
+    spec = random_eigenfunction(m, TorusModel(dim), 11)
+    rng = np.random.default_rng(dim + 3)
+    obj = OBJECTIVES[name][0](spec, rng.random((3, dim)))
+    balls = np.repeat(np.arange(3), 10)
+    d = rng.uniform(-0.03, 0.03, (30, dim))
+    f, grad, hess = obj.taylor(d, balls)
+    freq = 2 * math.pi * math.sqrt(m)
+    h = 1e-4 / freq
+    row = np.maximum.reduce([np.abs(f), np.max(np.abs(grad), axis=1) / freq,
+                             np.max(np.abs(hess), axis=(1, 2)) / freq**2])
+    for a in range(dim):
+        e = np.zeros(dim)
+        e[a] = h
+        up, down = obj.taylor(d + e, balls), obj.taylor(d - e, balls)
+        assert np.all(np.abs((up[0] - down[0]) / (2 * h) - grad[:, a])
+                      <= 1e-6 * freq * row)
+        assert np.all(np.abs((up[1] - down[1]) / (2 * h) - hess[:, :, a])
+                      <= 1e-6 * freq**2 * row[:, None])
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -480,15 +506,105 @@ def test_bounds_raise_no_floating_point_errors(dim, m):
         cube_doubling_index(spec, np.full(dim, 0.5), 0.125)
 
 
-def test_project_batch():
+def test_clip_batch():
+    # a step that stays in the band is taken whole; one that leaves it ends
+    # where the segment first meets a sphere, scaled onto it: through the
+    # outer sphere, into the hole (also when it would pass over it), never
+    # when only the segment's line meets the hole, beyond the step's end
     dom = RadialDomain(0.1, 0.2)
-    d = np.array([[0.0, 0.0], [0.3, 0.4], [0.05, 0.0], [0.12, 0.05]])
-    out = dom.project(d)
-    assert np.allclose(out, [[0.1, 0.0], [0.12, 0.16], [0.1, 0.0],
-                             [0.12, 0.05]], rtol=0, atol=1e-15)
-    assert np.array_equal(out[3], d[3])
+    d = np.array([[0.15, 0.0], [0.15, 0.0], [0.15, 0.0], [0.15, 0.0],
+                  [0.0, 0.15], [0.12, 0.05]])
+    p = np.array([[0.01, 0.02], [0.1, 0.0], [-0.1, 0.0], [-0.4, 0.0],
+                  [0.01, -0.001], [0.0, 0.0]])
+    out = dom.clip(d, p)
+    assert np.array_equal(out[[0, 4, 5]], (d + p)[[0, 4, 5]])
+    assert np.allclose(out[1:4], [[0.2, 0.0], [0.1, 0.0], [0.1, 0.0]],
+                       rtol=0, atol=1e-15)
+    assert np.all(np.abs(np.linalg.norm(out[1:4], axis=-1)
+                         - [0.2, 0.1, 0.1]) <= 1e-16)
     ball = RadialDomain(0.0, 0.2)
-    assert np.array_equal(ball.project(np.zeros((1, 2))), np.zeros((1, 2)))
+    step = np.array([[0.3, 0.4]])
+    assert np.allclose(ball.clip(np.zeros((1, 2)), step), [[0.12, 0.16]],
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(TorusDomain().clip(d, p), d + p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jacobi_eigh(dim):
+    # the trust-region step's eigendecomposition: ascending eigenvalues as
+    # LAPACK's to 1e-14 of the norm, orthonormal vectors that rebuild the
+    # matrix, and each row's bits alone equal to its bits in a batch; on
+    # random matrices of several scales, multiples of I, the zero matrix
+    # and matrices with two eigenvalues 1e-12 apart
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((600, dim, dim))
+    a = (a + a.transpose(0, 2, 1)) * 10.0 ** rng.integers(-8, 8, (600, 1, 1))
+    a[:50] = np.eye(dim) * rng.standard_normal((50, 1, 1))
+    a[50:100] = 0.0
+    q = np.linalg.qr(rng.standard_normal((50, dim, dim)))[0]
+    close = np.ones((50, dim))
+    close[:, 0] += 1e-12
+    a[100:150] = np.einsum("pab,pb,pcb->pac", q, close, q)
+    mu, vec = trust._eigh(a)
+    norm = np.linalg.norm(a, axis=(1, 2))
+    assert np.all(np.abs(mu - np.linalg.eigvalsh(a))
+                  <= 1e-14 * norm[:, None])
+    assert np.allclose(np.einsum("pab,pac->pbc", vec, vec), np.eye(dim),
+                       rtol=0, atol=1e-14)
+    rebuilt = np.einsum("pab,pb,pcb->pac", vec, mu, vec)
+    assert np.all(np.linalg.norm(rebuilt - a, axis=(1, 2)) <= 1e-14 * norm)
+    for row in (0, 75, 120, 599):
+        alone = trust._eigh(a[row:row + 1])
+        assert np.array_equal(alone[0][0], mu[row])
+        assert np.array_equal(alone[1][0], vec[row])
+
+
+def _model(g, h, p):
+    return (np.einsum("pa,pa->p", g, p)
+            + 0.5 * np.einsum("pa,pab,pb->p", p, h, p))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trust_region_step_is_exact(dim):
+    # the step maximizes the quadratic model over the trust region: no
+    # point of a dense sample of the ball beats it, it stays in the ball,
+    # and where the Hessian is negative definite and the Newton step fits,
+    # it is that step; on random models of several scales (rows 0-299),
+    # the hard case (the gradient orthogonal to the top eigenvector, whose
+    # eigenvalue is >= 0; 300-349), a zero gradient (350-359) and negative
+    # definite models whose Newton step fits (360-399)
+    rng = np.random.default_rng(dim)
+    count = 400
+    a = rng.standard_normal((count, dim, dim))
+    h = (a + a.transpose(0, 2, 1)) * 10.0 ** rng.integers(-2, 3, (count, 1, 1))
+    g = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(
+        -3, 2, (count, 1))
+    mu, vec = np.linalg.eigh(h)
+    hard = slice(300, 350)
+    g[hard] -= np.einsum("pa,pa->p", g[hard], vec[hard, :, -1])[:, None] \
+        * vec[hard, :, -1]
+    h[hard] -= np.minimum(mu[hard, -1], 0.0)[:, None, None] * np.eye(dim)
+    g[350:360] = 0.0
+    radius = 10.0 ** rng.uniform(-2, 0, count)
+    fits = slice(360, 400)
+    h[fits] = -np.einsum("pba,pbc->pac", a[fits], a[fits]) - np.eye(dim)
+    g[fits] *= 1e-3 * radius[fits, None] / np.linalg.norm(g[fits], axis=-1,
+                                                         keepdims=True)
+    p = trust._tr_step(g, h, radius)
+    assert np.all(np.linalg.norm(p, axis=-1) <= radius * (1 + 1e-12))
+    u = rng.standard_normal((20_000, dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    u *= rng.random((20_000, 1)) ** (1.0 / dim)
+    best = _model(g, h, p)
+    for row in range(count):
+        dense = _model(np.broadcast_to(g[row], u.shape),
+                       np.broadcast_to(h[row], (len(u), dim, dim)),
+                       u * radius[row])
+        assert dense.max() <= best[row] + 1e-9 * np.abs(dense).max()
+    newton = np.linalg.solve(h[fits], -g[fits, :, None])[:, :, 0]
+    assert np.allclose(p[fits], newton, rtol=1e-10, atol=0)
+    assert np.all(np.linalg.norm(p[hard], axis=-1)
+                  >= radius[hard] * (1 - 1e-12))
 
 
 def _sweep_1105():
@@ -507,8 +623,10 @@ def test_each_distinct_cell_evaluated_once(monkeypatch):
     # rows are evaluated once per distinct (level, reduced index) cell, so
     # overlapping windows and the cells that balls share cost one row each;
     # the branch-and-bound's node count, counted per ball, is the one the
-    # sweep took when each row was evaluated on its own; the polish, which
-    # stops at 2 rho0 tol^(3/2), adds its own evaluations to nodes
+    # sweep took when each row was evaluated on its own; the balls of all
+    # first levels descend together, one _level_bounds call per level of
+    # the sweep's pooled descent; the polish, which stops at
+    # 2 rho0 tol^(3/2), adds its own evaluations to nodes
     obj, domain = _sweep_1105()
     level_bounds = scan._level_bounds
     cell_bounds = SpectralObjective.cell_bounds
@@ -534,100 +652,107 @@ def test_each_distinct_cell_evaluated_once(monkeypatch):
     monkeypatch.setattr(scan, "_level_bounds", spy_level)
     monkeypatch.setattr(SpectralObjective, "cell_bounds", spy_cells)
     result = certified_max(obj, domain, DEFAULT_TOL)
-    assert len(held) > 10
-    # 46,638 of 71,550 rows: the dedupe, pinned exactly
-    assert (sum(evaluated), sum(held)) == (46_638, 71_550)
+    assert len(held) == 14
+    # 45,518 of 71,550 rows: the dedupe, pinned exactly
+    assert (sum(evaluated), sum(held)) == (45_518, 71_550)
     assert result.nodes - result.polish_evals == 656_494
-    assert result.polish_evals == 22_620
+    assert result.polish_evals == 874
 
 
 def test_polish_stops_at_the_tolerance(monkeypatch):
-    # each ball's search stops once its step is 2 rho0 tol^(3/2): against
-    # the same search run down to STEP_FLOOR (tol at the floor), every ball
-    # keeps all but 4 tol^3 of the value and uses no more evaluations
+    # each ball's polish stops once it takes a step of at most
+    # 2 rho0 tol^(3/2): against the same polish run on to the certification
+    # floor, every ball keeps all but 4 tol^3 of the value and uses no more
+    # evaluations
     tol = 1e-2
     obj, domain = _sweep_1105()
-    search = scan.pattern_search
+    polish = scan.polish
     calls = []
 
     def spy(*args):
-        calls.append((args, search(*args)))
+        calls.append((args, polish(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(scan, "pattern_search", spy)
+    monkeypatch.setattr(scan, "polish", spy)
     result = certified_max(obj, domain, tol)
-    ((objective, dom, balls, d0, step, used_tol), (_, _, used)), = calls
+    ((objective, dom, balls, d0, step, used_tol), (_, _, used, _)), = calls
     assert used_tol == tol and used.sum() == result.polish_evals
-    # at the certification floor, 2 rho0 tol^(3/2) lies below STEP_FLOOR
-    assert np.max(step) * scan.TOL_FLOOR**1.5 <= scan.STEP_FLOOR
-    _, floor_value, floor_used = search(objective, dom, balls, d0, step,
-                                        scan.TOL_FLOOR)
+    _, floor_value, floor_used, _ = polish(objective, dom, balls, d0, step,
+                                           scan.TOL_FLOOR)
     assert np.all(result.value >= (1.0 - 4.0 * tol**3) * floor_value)
     assert np.all(result.value <= floor_value)
     assert np.all(used <= floor_used) and used.sum() < floor_used.sum()
 
 
-class _RowSpy:
-    """An objective whose values calls record their offsets and values."""
+def _searches(monkeypatch):
+    """The _Search of every certified_max call that follows, in order."""
+    made = []
+    init = scan._Search.__init__
 
-    def __init__(self, objective):
-        self.objective, self.calls = objective, []
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
 
-    def values(self, offsets, balls):
-        out = self.objective.values(offsets, balls)
-        self.calls.append((offsets.copy(), out.copy()))
-        return out
+    monkeypatch.setattr(scan._Search, "__init__", spy)
+    return made
 
 
-@pytest.mark.parametrize("dim,m", [(2, 100), (3, 50)])
-def test_polish_skips_the_probe_back(dim, m):
-    # after a move a ball evaluates 2n - 1 probes, none of them the point
-    # it left; after a halving it evaluates all 2n
-    spec = random_eigenfunction(m, TorusModel(dim), 4)
-    spy = _RowSpy(SpectralObjective(spec, np.full(dim, 0.3), 0.0, 1.0))
-    start = np.full((1, dim), 0.01)
-    d, v, used = scan.pattern_search(spy, TorusDomain(), np.zeros(1, int),
-                                     start, 0.004, 1e-3)
-    assert used[0] == sum(len(x) for x, _ in spy.calls)
-    assert len(spy.calls[0][0]) == 1 and len(spy.calls[1][0]) == 2 * dim
-    at, best = spy.calls[0][0][0], spy.calls[0][1][0]
-    moves = halvings = 0
-    for (probes, vals), (after, _) in zip(spy.calls[1:], spy.calls[2:]):
-        if vals.max() > best:
-            moves += 1
-            left, at, best = at, probes[vals.argmax()], vals.max()
-            assert len(after) == 2 * dim - 1
-            step = np.max(np.abs(at - left))
-            assert np.min(np.max(np.abs(after - left), axis=1)) > 0.5 * step
-        else:
-            halvings += 1
-            assert len(after) == 2 * dim
-    assert moves > 0 and halvings > 0
-    assert v[0] == best and np.array_equal(d[0], at)
+@pytest.mark.parametrize("name,domain_name", SCAN_CASES)
+def test_polish_keeps_the_best_cell_and_converges(monkeypatch, name,
+                                                  domain_name):
+    # over 24 balls, each ball's value is at least its branch-and-bound
+    # best cell value; for psi^2, on these balls and on the m = 1105 sweep,
+    # a ball whose offset lies inside its domain has a gradient residual of
+    # at most 1e-6 sqrt(f)
+    spec = random_eigenfunction(100, TorusModel(2), 3)
+    centers = np.random.default_rng(4).random((24, 2))
+    obj = OBJECTIVES[name][0](spec, centers)
+    domain = (RadialDomain(0.0, obj.s) if name == "lifted"
+              else DOMAINS[domain_name]())
+    cases = [(obj, domain)]
+    if name == "amplitude" and domain_name == "ball":
+        cases.append(_sweep_1105())
+    searches = _searches(monkeypatch)
+    for obj, domain in cases:
+        result = certified_max(obj, domain, DEFAULT_TOL)
+        assert np.all(result.value >= searches[-1].best)
+        if name != "amplitude":
+            continue
+        r = np.linalg.norm(result.offset, axis=-1)
+        inside = np.ones(len(r), dtype=bool)
+        if isinstance(domain, RadialDomain):
+            inside = ((r < domain.hi * (1 - 1e-9))
+                      & (r > domain.lo * (1 + 1e-9)))
+        assert inside.any()
+        assert np.all(result.residual[inside]
+                      <= 1e-6 * np.sqrt(result.value[inside]))
 
 
 def test_polish_is_batch_invariant():
-    # a ball's polished offset, value and evaluations are the same bits
-    # alone and in a shuffled batch: starts inside and on the sphere of
-    # balls of several radii, one whose step is already at its floor
+    # a ball's polished offset, value, evaluations and residual are the
+    # same bits alone and in a shuffled batch: starts inside and on the
+    # sphere of balls of several radii, one whose radius is already at its
+    # floor (0)
     spec = random_eigenfunction(1105, TorusModel(2), 5)
     rng = np.random.default_rng(8)
     count = 12
     obj = SpectralObjective(spec, rng.random((count, 2)), 0.0, 1.0)
     hi = rng.uniform(0.004, 0.03, count)
     domain = RadialDomain(0.0, hi)
-    d0 = domain.project(rng.uniform(-1.0, 1.0, (count, 2)) * hi[:, None]
-                        * rng.choice([0.5, 2.0], (count, 1)), np.arange(count))
+    raw = (rng.uniform(-1.0, 1.0, (count, 2)) * hi[:, None]
+           * rng.choice([0.5, 2.0], (count, 1)))
+    norms = np.linalg.norm(raw, axis=-1)
+    d0 = raw * (np.minimum(norms, hi) / norms)[:, None]
     step = rng.uniform(0.001, 0.004, count)
-    step[3] = 1e-9
+    step[3] = 0.0
     balls = np.arange(count)
-    alone = [scan.pattern_search(obj, domain, balls[b:b + 1], d0[b:b + 1],
-                                 step[b:b + 1], 1e-2) for b in balls]
+    alone = [trust.polish(obj, domain, balls[b:b + 1], d0[b:b + 1],
+                          step[b:b + 1], 1e-2) for b in balls]
     order = rng.permutation(count)
-    batch = scan.pattern_search(obj, domain, balls[order], d0[order],
-                                step[order], 1e-2)
+    batch = trust.polish(obj, domain, balls[order], d0[order], step[order],
+                         1e-2)
     for i, b in enumerate(order):
-        for part in range(3):
+        for part in range(4):
             assert np.array_equal(batch[part][i], alone[b][part][0])
     assert batch[2][np.flatnonzero(order == 3)[0]] == 1
 
