@@ -20,8 +20,11 @@ components change sign nearby (one dilation of a 4-bit sign code), all
 starts in lockstep; each iteration takes grad psi and the Hessian from one
 mode sum over the phases at the points (the kernel the certified scan
 uses), in blocks of spectrum.PHASE_BLOCK starts x modes, the first from
-per-axis tables at the cell centers. A start stops once a Kantorovich
-certificate proves it cannot reach a zero of psi. A result counts when its
+per-axis tables at the cell centers. That first sum also takes the third
+derivatives, and a start whose cell an order-3 Taylor bound on grad psi
+proves free of critical points is cleared and never iterated (about 92%
+of a random wave's starts). A start stops once a Kantorovich certificate
+proves it cannot reach a zero of psi. A result counts when its
 residual max(|psi|, |grad psi|) is below RESIDUAL_TOL. The order of
 vanishing is exact: the first j whose derivative tensor D^j psi is not zero
 relative to D_j (spec.derivative_bound), its Frobenius norm read off a Gram
@@ -447,9 +450,26 @@ def vanishing_order(spec: EigenfunctionSpec, x) -> int:
 
 
 def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
     """Batched Newton on grad psi from the centers of the grid cells (P, 2),
     every start in lockstep.
+
+    A start is cleared, and never iterated, when its closed cell provably
+    holds no critical point of psi: the exclusion test of interval methods
+    (Neumaier 1990) on an order-3 Taylor model. With g, H and T the
+    gradient, Hessian and third-derivative tensor at the cell center,
+    rho = h / sqrt(2) half the cell diagonal and D_j = spec.derivative_bound
+    (j), grad psi(c + e) = g + H e + T[e, e] / 2 + R with |R| <= D_4 rho^3 / 6
+    for |e| <= rho, so on the cell |grad psi| >= |g| - ||H||_2 rho
+    - ||T||_F rho^2 / 2 - D_4 rho^3 / 6. The start is cleared when that
+    exceeds RESIDUAL_TOL + 2 ZERO_TOL (D_1 + D_2 rho + D_3 rho^2): an order-j
+    column is within ZERO_TOL D_j of its exact value per entry, as psi is
+    within ZERO_TOL ||c||_1 (_signed_grid), which moves |g|, ||H||_2 rho and
+    ||T||_F rho^2 / 2 by at most sqrt(2), 2 and sqrt(2) times that; the
+    RESIDUAL_TOL keeps the center's residual max(|psi|, |g|), reported as
+    the cleared start's, above RESIDUAL_TOL. g, H and T come from the first
+    iteration's mode sum, which alone takes the order-3 columns.
 
     Each iteration takes psi, grad psi and the 2x2 Hessian of the active
     points from one mode sum over their phases, in blocks of
@@ -471,24 +491,36 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
     exceeds 2 RESIDUAL_TOL + ZERO_TOL ||c||_1 (the sums' rounding), the run
     ends above RESIDUAL_TOL however it stops, and its residual is its last
     |psi|; h carries a 1% margin for rounding. Rows are computed alone, so
-    no result depends on the block. Returns the end points, their
-    residuals and the mask of dropped starts.
+    no result depends on the block. Returns the end points (a cleared
+    start's is its cell center), their residuals and the masks of the
+    dropped and the cleared starts.
     """
-    # columns: psi, d_x, d_y, d_xx, d_xy, d_yx, d_yy
-    weights = mode_weights(spec, 2)
+    # columns: psi, d_x, d_y, d_xx, d_xy, d_yx, d_yy, then the 8 d_abc
+    weights = mode_weights(spec, 3)
     lip = spec.derivative_bound(3)
     floor = 2.0 * RESIDUAL_TOL + ZERO_TOL * spec.coeff_l1()
     coords = (np.arange(N) + 0.5) * (1.0 / N)
     tables = [axis_phases(spec, coords, a) for a in range(2)]
     x = coords[cells]
-    resid = np.empty(len(x))
+    d = _block_sums(spec, lambda c: lattice_phases(tables, c), cells, weights)
+    rho = (1.0 / N) / math.sqrt(2.0)
+    grad = np.hypot(d[:, 1], d[:, 2])
+    excess = (grad - _norm2(d) * rho - np.linalg.norm(d[:, 7:], axis=-1)
+              * rho * rho / 2 - spec.derivative_bound(4) * rho ** 3 / 6)
+    margin = RESIDUAL_TOL + 2.0 * ZERO_TOL * (
+        spec.derivative_bound(1) + spec.derivative_bound(2) * rho
+        + lip * rho * rho)
+    cleared = excess > margin
+    resid = np.maximum(np.abs(d[:, 0]), grad)
     dropped = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
-    phases, rows = (lambda c: lattice_phases(tables, c)), cells
-    for _ in range(NEWTON_ITERATIONS):
+    active = np.flatnonzero(~cleared)
+    d, weights = d[active, :7], weights[:, :7]
+    for it in range(NEWTON_ITERATIONS):
         if not len(active):
             break
-        d = _block_sums(spec, phases, rows, weights)
+        if it:
+            d = _block_sums(spec, lambda p: point_phases(spec, p), x[active],
+                            weights)
         det = d[:, 3] * d[:, 6] - d[:, 4] * d[:, 4]
         ok = det != 0.0
         moved, d, det = active[ok], d[ok], det[ok]
@@ -496,8 +528,8 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
         step = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy],
                         axis=-1) / det[:, None]
         eta = np.linalg.norm(step, axis=-1)
-        # ||H|| = max|eig H|, so beta = 1/min|eig H| = ||H|| / |det H|
-        top = np.abs(hxx + hyy) / 2 + np.hypot((hxx - hyy) / 2, hxy)
+        # beta = 1/min|eig H| = ||H|| / |det H|
+        top = _norm2(d)
         h = 1.01 * lip * eta * top / np.abs(det)
         t = 2.0 * eta / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * h, 0.0)))
         psi = np.abs(d[:, 0])
@@ -508,13 +540,19 @@ def _newton_singular(spec: EigenfunctionSpec, cells: np.ndarray, N: int
         moved, step, eta = moved[~sure], step[~sure], eta[~sure]
         x[moved] = wrap_point(x[moved] + step)
         active = moved[eta >= 1e-13]
-        phases, rows = (lambda p: point_phases(spec, p)), x[active]
-    done = np.flatnonzero(~dropped)
+    done = np.flatnonzero(~(dropped | cleared))
     d = _block_sums(spec, lambda p: point_phases(spec, p), x[done],
                     weights[:, :3])
     resid[done] = np.maximum(np.abs(d[:, 0]),
                              np.linalg.norm(d[:, 1:], axis=-1))
-    return x, resid, dropped
+    return x, resid, dropped, cleared
+
+
+def _norm2(d: np.ndarray) -> np.ndarray:
+    """||H||_2 = max|eig H| of the symmetric 2x2 Hessians in columns 3, 4
+    and 6 of the mode sums d."""
+    hxx, hxy, hyy = d[:, 3], d[:, 4], d[:, 6]
+    return np.abs(hxx + hyy) / 2 + np.hypot((hxx - hyy) / 2, hxy)
 
 
 def _block_sums(spec, phases, rows, weights) -> np.ndarray:
@@ -555,15 +593,18 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     d_x psi and d_y psi change sign on the nodes of its 3x3 cell
     neighbourhood: a singular point is a crossing of the two gradient
     component zero sets, wherever it sits in the cell (_start_cells).
-    Newton runs from the candidate cell centers in lockstep, and drops each
-    start a Kantorovich certificate proves cannot reach a zero of psi
-    (_newton_singular); a result is accepted when max(|psi|, |grad psi|)
-    < 1e-8 (RESIDUAL_TOL), however Newton stopped, and points within h of
-    an earlier kept one are merged (_merge_close).
+    Newton runs from the candidate cell centers in lockstep. It clears each
+    start whose cell an order-3 Taylor bound on grad psi proves free of
+    critical points, before its first step, and drops each start a
+    Kantorovich certificate proves cannot reach a zero of psi
+    (_newton_singular); one info line counts the four outcomes (accepted,
+    cleared, dropped, ended above RESIDUAL_TOL). A result is accepted when
+    max(|psi|, |grad psi|) < 1e-8 (RESIDUAL_TOL), however Newton stopped,
+    and points within h of an earlier kept one are merged (_merge_close).
     Points are returned in row-major order of their nearest grid node, an
-    integer key that ulp-level moves of a point cannot flip (its float
-    coordinates can: points on one grid line tie up to rounding), each
-    with its vanishing order.
+    integer key that ulp-level moves of a point cannot flip unless it lies
+    midway between two nodes (its float coordinates can: points on one
+    grid line tie up to rounding), each with its vanishing order.
     """
     _check_grid(spec, N, "singular-point search")
     h = 1.0 / N
@@ -572,13 +613,14 @@ def find_singular_points(spec: EigenfunctionSpec, N: int) -> list[SingularPoint]
     cells = _start_cells(_crossing(_cell_patterns(_signed_grid(spec, N))),
                          (_grid_sum(spec, N, cols[:, d, None])[..., 0]
                           for d in range(2)))
-    x, resid, dropped = _newton_singular(spec, cells, N)
+    x, resid, dropped, cleared = _newton_singular(spec, cells, N)
     hit = resid < RESIDUAL_TOL
-    n_hit, n_drop = int(np.count_nonzero(hit)), int(np.count_nonzero(dropped))
+    n_hit, n_clear, n_drop = (int(np.count_nonzero(s))
+                              for s in (hit, cleared, dropped))
     logger.info("singular search from %d cells: %d reached a singular point, "
-                "%d dropped by the Kantorovich certificate, %d ended above "
-                "RESIDUAL_TOL", len(cells), n_hit, n_drop,
-                len(cells) - n_hit - n_drop)
+                "%d cleared by the Taylor test, %d dropped by the Kantorovich "
+                "certificate, %d ended above RESIDUAL_TOL", len(cells), n_hit,
+                n_clear, n_drop, len(cells) - n_hit - n_clear - n_drop)
     x, resid = x[hit], resid[hit]
     keep = _merge_close(x, h)
     x, resid = x[keep], resid[keep]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -54,21 +53,27 @@ def enumerate_lattice(m: int, n: int) -> list[tuple[int, ...]]:
     """All canonical representatives k with |k|^2 = m, lexicographic order.
 
     Canonical means the first nonzero coordinate is positive; the empty list
-    is returned when m is not a sum of n squares, and for every m < 1.
+    is returned when m is not a sum of n squares, and for every m < 1. The
+    first n - 1 coordinates run over their ranges in order and the last is
+    solved for (math.isqrt), -c before c: O(sqrt(m)) steps in 2-D and O(m)
+    in 3-D.
     """
     if m < 1:
         return []
     if n not in (2, 3):
         raise ValueError(f"n must be 2 or 3, got {n}")
-    kmax = math.isqrt(m)
+    heads = [((), m)]  # (leading coordinates, m minus their squares)
+    for _ in range(n - 1):
+        heads = [(k + (c,), left - c * c) for k, left in heads
+                 for c in range(-math.isqrt(left), math.isqrt(left) + 1)]
     reps = []
-    for k in product(range(-kmax, kmax + 1), repeat=n):
-        if sum(c * c for c in k) != m:
-            continue
-        first = next(c for c in k if c != 0)
-        if first > 0:
-            reps.append(k)
-    reps.sort()
+    for k, left in heads:
+        c = math.isqrt(left)
+        if c * c == left:
+            for last in ((-c, c) if c else (0,)):
+                full = k + (last,)
+                if next(v for v in full if v != 0) > 0:
+                    reps.append(full)
     return reps
 
 

@@ -28,6 +28,7 @@ from nodalscope.nodal import (
     vanishing_order,
 )
 from nodalscope.spectrum import (
+    TWO_PI,
     axis_phases,
     enumerate_lattice,
     evaluate_grid,
@@ -644,19 +645,87 @@ _SOUNDNESS_SPECS = (
 @pytest.mark.parametrize("name, make, N", _SOUNDNESS_SPECS,
                          ids=[c[0] for c in _SOUNDNESS_SPECS])
 def test_newton_certificate_is_sound(monkeypatch, name, make, N):
-    # every start the certificate keeps ends where the plain loop ends, bit
-    # for bit, and every start it drops ends above RESIDUAL_TOL when the
-    # plain loop runs it on
+    # every start neither the Taylor test clears nor the certificate drops
+    # ends where the plain loop ends, bit for bit, and every start the
+    # certificate drops ends above RESIDUAL_TOL when the plain loop runs it
+    # on (the cleared starts: test_cleared_cells_hold_no_singular_point)
     spec = make()
-    _, (cells, x, resid, dropped) = _newton_runs(monkeypatch, spec, N)
+    _, (cells, x, resid, dropped, cleared) = _newton_runs(monkeypatch, spec,
+                                                           N)
     ref_x, ref_resid = _reference_newton(spec, cells, N)
-    kept = ~dropped
+    kept = ~(dropped | cleared)
     assert np.array_equal(x[kept], ref_x[kept])
     assert np.array_equal(resid[kept], ref_resid[kept])
     assert np.all(ref_resid[dropped] >= RESIDUAL_TOL)
-    assert np.array_equal(resid < RESIDUAL_TOL, ref_resid < RESIDUAL_TOL)
+    assert np.array_equal((resid < RESIDUAL_TOL)[~cleared],
+                          (ref_resid < RESIDUAL_TOL)[~cleared])
     if name.startswith("wave"):
-        assert np.count_nonzero(dropped) > 0.9 * len(cells)
+        assert np.count_nonzero(dropped | cleared) > 0.9 * len(cells)
+
+
+def _third_derivatives(spec, x):
+    """d_a d_b d_c psi at the points x (P, 2), closed form, (P, 8) row-major
+    over (a, b, c): (2 pi)^3 k_a k_b k_c (a sin - b cos) summed over modes."""
+    ph = TWO_PI * (x @ spec.k.T.astype(float))
+    w = np.sin(ph) * spec.a - np.cos(ph) * spec.b
+    k = spec.k.astype(float)
+    kkk = (k[:, :, None, None] * k[:, None, :, None]
+           * k[:, None, None, :]).reshape(len(k), 8)
+    return TWO_PI ** 3 * (w @ kkk)
+
+
+def _in_closed_cells(p, cells, N):
+    """Whether each point p (P, 2) lies in its closed cell cells (P, 2) of
+    the N x N grid, periodically, the cells grown by 1e-6 of a side."""
+    off = np.mod(np.asarray(p) * N - cells + 1e-6, N)
+    return np.all(off <= 1.0 + 2e-6, axis=-1)
+
+
+# known singular points: every crossing of the translated products' nodal
+# lines (their whole singular sets), and the two order-3 zeros of the odd
+# mode (_odd_m25), all the search finds on it
+_KNOWN_SINGULAR = {
+    "product_3_4": np.array([(i / 6, j / 8) for i in range(6)
+                             for j in range(8)]) + (0.0137, 0.0291),
+    "product_4_2": np.array([(i / 8, j / 4) for i in range(8)
+                             for j in range(4)]) + (3 / 512, 5 / 512),
+    "odd_m25": np.array([(0.0, 0.0), (0.5, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("name, make, N", _SOUNDNESS_SPECS,
+                         ids=[c[0] for c in _SOUNDNESS_SPECS])
+def test_cleared_cells_hold_no_singular_point(monkeypatch, name, make, N):
+    # a cleared start never moves, is never accepted, and its closed cell
+    # holds no known singular point; the plain loop run from it never ends
+    # under RESIDUAL_TOL inside its cell; and the starts cleared are those
+    # whose Taylor excess |g| - ||H|| rho - ||T||_F rho^2 / 2 - D_4 rho^3 / 6,
+    # rho = h / sqrt(2), from the closed forms, is positive, save where it
+    # lies within 1e-6 D_1 of 0; and enough are cleared that none of this
+    # holds vacuously
+    spec = make()
+    points, (cells, x, resid, dropped, cleared) = _newton_runs(monkeypatch,
+                                                               spec, N)
+    assert not np.any(cleared & dropped)
+    assert np.array_equal(x[cleared], (cells[cleared] + 0.5) / N)
+    assert np.all(resid[cleared] >= RESIDUAL_TOL)
+    for p in _KNOWN_SINGULAR.get(name, ()):
+        assert not np.any(_in_closed_cells(p, cells[cleared], N))
+    if name in _KNOWN_SINGULAR:
+        assert len(points) == len(_KNOWN_SINGULAR[name])
+    ref_x, ref_resid = _reference_newton(spec, cells, N)
+    assert not np.any(cleared & (ref_resid < RESIDUAL_TOL)
+                      & _in_closed_cells(ref_x, cells, N))
+    c = (cells + 0.5) / N
+    rho = (1.0 / N) / math.sqrt(2.0)
+    excess = (np.linalg.norm(spectrum.evaluate_gradient(spec, c), axis=-1)
+              - np.linalg.norm(spectrum.evaluate_hessian(spec, c), 2,
+                               axis=(-2, -1)) * rho
+              - np.linalg.norm(_third_derivatives(spec, c), axis=-1)
+              * rho * rho / 2 - spec.derivative_bound(4) * rho ** 3 / 6)
+    assert np.all(excess[cleared] > 0.0)
+    assert np.all(cleared[excess > 1e-6 * spec.derivative_bound(1)])
+    assert np.count_nonzero(cleared) > 0.4 * len(cells)
 
 
 _BLOCK_SPECS = [
@@ -700,17 +769,29 @@ def test_newton_blocks_do_not_change_points(monkeypatch, name, make, N):
 
 
 def test_singular_search_logs_newton_outcomes(monkeypatch, caplog, t2):
-    # one info line splits the starts into accepted, dropped by the
-    # certificate and ended above RESIDUAL_TOL
+    # one info line splits the starts into accepted, cleared by the Taylor
+    # test, dropped by the certificate and ended above RESIDUAL_TOL; the
+    # wave's uncleared starts are dropped, the product's accepted
     caplog.set_level(logging.INFO, logger="nodalscope.nodal")
-    points, (cells, _, resid, dropped) = _newton_runs(
-        monkeypatch, random_eigenfunction(1105, t2, 2), 512)
-    [record] = [r for r in caplog.records if "singular search" in r.message]
-    n_cells, accepted, n_dropped, above = record.args
-    assert n_cells == len(cells) > 0
-    assert accepted == np.count_nonzero(resid < RESIDUAL_TOL) == len(points)
-    assert n_dropped == np.count_nonzero(dropped) > 0
-    assert above == n_cells - accepted - n_dropped
+    for spec, N, outcome in (
+            (random_eigenfunction(1105, t2, 2), 512, "dropped"),
+            (_translated_product(3, 4, (0.0137, 0.0291)), 512, "accepted")):
+        caplog.clear()
+        with monkeypatch.context() as patch:
+            points, (cells, _, resid, dropped, cleared) = _newton_runs(
+                patch, spec, N)
+        [record] = [r for r in caplog.records
+                    if "singular search" in r.message]
+        n_cells, accepted, n_cleared, n_dropped, above = record.args
+        assert n_cells == len(cells) > 0
+        assert accepted == np.count_nonzero(resid < RESIDUAL_TOL) \
+            >= len(points)
+        assert n_cleared == np.count_nonzero(cleared) > 0
+        assert n_dropped == np.count_nonzero(dropped)
+        assert {"accepted": accepted, "dropped": n_dropped}[outcome] > 0
+        assert not np.any(cleared & dropped)
+        assert not np.any(cleared & (resid < RESIDUAL_TOL))
+        assert above == n_cells - accepted - n_cleared - n_dropped >= 0
 
 
 def _start_cells_reference(gate, grads):

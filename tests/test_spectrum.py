@@ -48,6 +48,28 @@ def test_enumerate_lattice_dim3():
     assert enumerate_lattice(7, 3) == []  # 7 not a sum of three squares
 
 
+def _brute_force_lattices(m_end, n):
+    """The box loop enumerate_lattice once ran for each m, run once over
+    the box of the largest m below m_end: every signed point in
+    lexicographic order, the canonical ones filed under their |k|^2."""
+    kmax = math.isqrt(m_end - 1)
+    by_m = [[] for _ in range(m_end)]
+    for k in itertools.product(range(-kmax, kmax + 1), repeat=n):
+        m = sum(c * c for c in k)
+        if 0 < m < m_end and next(c for c in k if c != 0) > 0:
+            by_m[m].append(k)
+    return by_m
+
+
+@pytest.mark.parametrize("n, m_end", [(2, 3000), (3, 400)])
+def test_enumerate_lattice_matches_box_loop(n, m_end):
+    # the same list in the same order for every m below m_end, empty ones
+    # (m not a sum of n squares) and m = 0 included
+    for m, reps in enumerate(_brute_force_lattices(m_end, n)):
+        assert enumerate_lattice(m, n) == reps
+    assert enumerate_lattice(-5, n) == []
+
+
 def test_random_eigenfunction_determinism(t2):
     a = random_eigenfunction(25, t2, 7)
     b = random_eigenfunction(25, t2, 7)
